@@ -29,7 +29,6 @@ from .states import (
 from .potentials import PotentialSpec, evaluate_potential, load_potential_table
 from .propagator import PropagatorConfig, evolve, step
 from .diagnostics import (
-    DiagnosticsError,
     ExpectationReport,
     MadelungFields,
     bernoulli_residual,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import bernoulli_residual, expectations, madelung_fields, nonspreading_residual
+from .diagnostics import bernoulli_residual, madelung_fields, nonspreading_residual
 from .harness import (
     ScenarioRun,
     apply_overrides,
@@ -87,9 +87,7 @@ def _fmt(v: float) -> str:
 def _write_timeseries(run: ScenarioRun, path: str) -> None:
     scenario = run.scenario
     rows = []
-    for t, w in run.snapshots():
-        rep = expectations(w, run.U, scenario.floor_rel, t=t,
-                           bohm_form=scenario.bohm_form)
+    for (t, w), rep in zip(run.snapshots(), run.reports()):
         if scenario.propagation is not None:
             dt = scenario.propagation.dt
             resid = bernoulli_residual(w, step(w, run.U, dt), run.U, dt,
@@ -98,10 +96,7 @@ def _write_timeseries(run: ScenarioRun, path: str) -> None:
             bern = _fmt(np.max(np.abs(resid.values)))
         else:
             bern = ""
-        fields = madelung_fields(w, scenario.pointwise_floor_rel,
-                                 bohm_form=scenario.bohm_form,
-                                 region_mask=run.region_mask)
-        nonspread = _fmt(nonspreading_residual(fields, run.U))
+        nonspread = _fmt(nonspreading_residual(run.pointwise_fields(t), run.U))
         rows.append(
             [_fmt(v) for v in (rep.t, rep.norm, rep.K, rep.Q, rep.U, rep.I,
                                rep.E, rep.FI, rep.accel, rep.vi_mean)]
@@ -159,8 +154,9 @@ def _cmd_run(args) -> int:
     scenario = apply_overrides(scenario, config.overrides)
 
     os.makedirs(config.output_dir, exist_ok=True)
-    report = run_scenario(scenario)
+    # one run serves the report and every artifact
     run = ScenarioRun(scenario)
+    report = run.verify()
     _write_timeseries(run, os.path.join(config.output_dir, "timeseries.csv"))
     if config.emit_fields:
         _write_fields(run, config.output_dir)

@@ -54,14 +54,9 @@ __all__ = [
     "expectations",
     "bernoulli_residual",
     "nonspreading_residual",
-    "DiagnosticsError",
 ]
 
 BOHM_FORMS = ("amplitude", "wavefunction", "log")
-
-
-class DiagnosticsError(RuntimeError):
-    """Internal consistency failure (e.g. the two energy forms disagree)."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,8 @@ class ExpectationReport:
     """Scalar diagnostics of one snapshot.
 
     E is the sum form <K~ + Q~ + U~>; E_hamiltonian is the quadratic form
-    (1/m) * <psi| H |psi>.  The two are asserted to agree.
+    (1/m) * <psi| H |psi>.  Their gap is reported, not judged here: the
+    harness check energy_forms_gap holds it to its tolerance.
     """
 
     t: float
@@ -367,11 +363,6 @@ def expectations(
     ddpsi = derivative_values(wk.psi, grid, 2)
     kin_quad = -(hbar**2 / (2.0 * m)) * float(np.sum((wk.psi.conj() * ddpsi).real) * dx)
     E_ham = (kin_quad + float(np.sum(U.values * rho) * dx)) / m
-    gap = abs(E - E_ham)
-    if gap > 1e-9 * max(1.0, abs(E_ham)):
-        raise DiagnosticsError(
-            f"energy forms disagree: sum {E!r} vs Hamiltonian {E_ham!r}"
-        )
 
     mask = wk.mask
     fi_integrand = np.where(mask, rho * wk.w**2, 0.0)

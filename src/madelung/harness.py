@@ -287,8 +287,7 @@ class ScenarioRun:
         )
         self._snapshots: list | None = None
         self._reports: list | None = None
-        self._trajectory: ParcelEnsemble | None = None
-        self._flow: FlowHistory | None = None
+        self._tracking: tuple[FlowHistory, ParcelEnsemble] | None = None
 
     # -- state access ------------------------------------------------------
 
@@ -338,26 +337,8 @@ class ScenarioRun:
         keep = (self.grid.x >= cfg.seed_lo) & (self.grid.x <= cfg.seed_hi)
         return RealField(np.where(keep, rho.values, 0.0), self.grid)
 
-    def trajectory(self) -> ParcelEnsemble:
-        if self._trajectory is None:
-            cfg = self.scenario.trajectories
-            if cfg is None:
-                raise ValueError(f"scenario {self.scenario.name!r} has no trajectory config")
-            dt = self.scenario.propagation.dt
-            n = int(round(cfg.duration / dt))
-            self._flow = collect_flow(
-                self.wf0, self.U, dt, n,
-                floor_rel=self.scenario.floor_rel, bohm_form=self.scenario.bohm_form,
-            )
-            ens = seed_parcels(self._seed_density(), cfg.n_parcels)
-            self._trajectory = advect(ens, self._flow, dt, n)
-        return self._trajectory
-
-    def flow(self) -> FlowHistory:
-        self.trajectory()
-        return self._flow
-
-    def trajectory_at(self, dt: float, duration: float) -> ParcelEnsemble:
+    def track(self, dt: float, duration: float) -> tuple[FlowHistory, ParcelEnsemble]:
+        """Collect the flow over `duration` at step dt and advect parcels through it."""
         n = int(round(duration / dt))
         flow = collect_flow(
             self.wf0, self.U, dt, n,
@@ -365,7 +346,58 @@ class ScenarioRun:
         )
         cfg = self.scenario.trajectories or TrajectoryConfig()
         ens = seed_parcels(self._seed_density(), cfg.n_parcels)
-        return advect(ens, flow, dt, n)
+        return flow, advect(ens, flow, dt, n)
+
+    def trajectory(self) -> ParcelEnsemble:
+        if self._tracking is None:
+            cfg = self.scenario.trajectories
+            if cfg is None:
+                raise ValueError(f"scenario {self.scenario.name!r} has no trajectory config")
+            self._tracking = self.track(self.scenario.propagation.dt, cfg.duration)
+        return self._tracking[1]
+
+    def flow(self) -> FlowHistory:
+        self.trajectory()
+        return self._tracking[0]
+
+    # -- verification ------------------------------------------------------
+
+    def verify(self) -> VerificationReport:
+        """Evaluate every configured check on this run."""
+        scenario = self.scenario
+        start = time.perf_counter()
+        results = []
+        for spec in scenario.checks:
+            if spec.id not in _CHECKS:
+                raise ValueError(
+                    f"scenario {scenario.name!r} references unregistered check {spec.id!r}"
+                )
+            try:
+                measured = float(_CHECKS[spec.id](self, spec))
+            except Exception as exc:
+                raise type(exc)(
+                    f"[scenario {scenario.name!r}, check {spec.id!r}] {exc}"
+                ) from exc
+            results.append(
+                CheckResult(
+                    id=spec.id,
+                    measured=measured,
+                    tolerance=spec.tolerance,
+                    mode=spec.mode,
+                    passed=_passes(spec, measured),
+                    lo=spec.params.get("lo") if spec.mode == "range" else None,
+                    hi=spec.params.get("hi") if spec.mode == "range" else None,
+                )
+            )
+        prop = scenario.propagation
+        return VerificationReport(
+            scenario=scenario.name,
+            checks=tuple(results),
+            grid=scenario.grid,
+            dt=prop.dt if prop else None,
+            n_steps=prop.n_steps if prop else None,
+            runtime_seconds=time.perf_counter() - start,
+        )
 
 
 # -- check evaluators -------------------------------------------------------
@@ -524,8 +556,8 @@ def _check_continuity(run, spec):
 def _check_continuity_order(run, spec):
     dt = run.scenario.propagation.dt
     duration = spec.params.get("duration", 0.25)
-    coarse = continuity_residual(run.trajectory_at(dt, duration)).max()
-    fine = continuity_residual(run.trajectory_at(dt / 2.0, duration)).max()
+    coarse = continuity_residual(run.track(dt, duration)[1]).max()
+    fine = continuity_residual(run.track(dt / 2.0, duration)[1]).max()
     return float(coarse / fine)
 
 
@@ -674,40 +706,7 @@ def _passes(spec: CheckSpec, measured: float) -> bool:
 
 def run_scenario(scenario: Scenario) -> VerificationReport:
     """Execute one scenario and evaluate all of its configured checks."""
-    start = time.perf_counter()
-    run = ScenarioRun(scenario)
-    results = []
-    for spec in scenario.checks:
-        if spec.id not in _CHECKS:
-            raise ValueError(
-                f"scenario {scenario.name!r} references unregistered check {spec.id!r}"
-            )
-        try:
-            measured = float(_CHECKS[spec.id](run, spec))
-        except Exception as exc:
-            raise type(exc)(
-                f"[scenario {scenario.name!r}, check {spec.id!r}] {exc}"
-            ) from exc
-        results.append(
-            CheckResult(
-                id=spec.id,
-                measured=measured,
-                tolerance=spec.tolerance,
-                mode=spec.mode,
-                passed=_passes(spec, measured),
-                lo=spec.params.get("lo") if spec.mode == "range" else None,
-                hi=spec.params.get("hi") if spec.mode == "range" else None,
-            )
-        )
-    prop = scenario.propagation
-    return VerificationReport(
-        scenario=scenario.name,
-        checks=tuple(results),
-        grid=scenario.grid,
-        dt=prop.dt if prop else None,
-        n_steps=prop.n_steps if prop else None,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return ScenarioRun(scenario).verify()
 
 
 # -- builtin scenarios -------------------------------------------------------

@@ -10,6 +10,7 @@ preservation of the cumulative-probability level each parcel started on.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass, field
 
@@ -76,7 +77,7 @@ class FlowHistory:
 
     def _index(self, t: float) -> int:
         times = self._times
-        i = int(np.searchsorted(times, t))
+        i = bisect.bisect_left(times, t)
         for j in (i - 1, i):
             if 0 <= j < len(times) and abs(times[j] - t) <= 1e-9 * max(1.0, abs(t)) + 1e-12:
                 return j
@@ -196,7 +197,11 @@ def seed_parcels(rho: RealField, n_parcels: int) -> ParcelEnsemble:
 
 
 def _interp_cubic(values: np.ndarray, grid: Grid, xq: np.ndarray) -> np.ndarray:
-    """Periodic 4-point Lagrange cubic interpolation at arbitrary positions."""
+    """Periodic 4-point Lagrange cubic interpolation at arbitrary positions.
+
+    `values` may stack several fields along leading axes; the stencil is
+    built once and applied to each of them along the last axis.
+    """
     pos = (xq - grid.x_min) / grid.dx
     j = np.floor(pos).astype(int)
     s = pos - j
@@ -205,7 +210,8 @@ def _interp_cubic(values: np.ndarray, grid: Grid, xq: np.ndarray) -> np.ndarray:
     w0 = (s * s - 1.0) * (s - 2.0) / 2.0
     w1 = -s * (s + 1.0) * (s - 2.0) / 2.0
     w2 = s * (s * s - 1.0) / 6.0
-    return wm1 * values[jm1] + w0 * values[j0] + w1 * values[j1] + w2 * values[j2]
+    return (wm1 * values[..., jm1] + w0 * values[..., j0]
+            + w1 * values[..., j1] + w2 * values[..., j2])
 
 
 def _wrap(x: np.ndarray, grid: Grid) -> np.ndarray:
@@ -239,11 +245,9 @@ def advect(
         if smp.div_u is None or smp.ln_rho is None or smp.S_tilde is None \
                 or smp.lagrangian is None:
             raise ProviderGapError(f"flow sample at t = {t!r} lacks record fields")
-        u_p = _interp_cubic(smp.u.values, grid, x_now)
-        div_p = _interp_cubic(smp.div_u.values, grid, x_now)
-        ln_p = _interp_cubic(smp.ln_rho.values, grid, x_now)
-        lag_p = _interp_cubic(smp.lagrangian.values, grid, x_now)
-        S_p = _interp_cubic(smp.S_tilde.values, grid, x_now)
+        fields = np.stack([smp.u.values, smp.div_u.values, smp.ln_rho.values,
+                           smp.lagrangian.values, smp.S_tilde.values])
+        u_p, div_p, ln_p, lag_p, S_p = _interp_cubic(fields, grid, x_now)
         if prev_S is not None:
             S_p = S_p + period * np.round((prev_S - S_p) / period)
         return u_p, div_p, ln_p, lag_p, S_p

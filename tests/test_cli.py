@@ -151,3 +151,41 @@ def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("MADELUNG_OUT", str(target))
     assert main(["run", "--scenario", "quantum_bouncer", "--no-fields"]) == EXIT_OK
     assert (target / "report.json").exists()
+
+
+def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports):
+    from madelung import harness
+
+    calls = []
+    real_evolve = harness.evolve
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(1)
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve", counting_evolve)
+    rc = main([
+        "run", "--scenario", "free_gaussian", "--trajectories", "--no-fields",
+        "--out", str(tmp_path),
+    ])
+    assert rc == EXIT_OK
+    # snapshots, the parcel flow, and the two flows of continuity_order
+    assert len(calls) == 4
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    assert report["checks"] == suite_reports["free_gaussian"].payload()["checks"]
+    assert {"timeseries.csv", "trajectories.csv"} <= set(os.listdir(tmp_path))
+
+
+def test_energy_forms_gap_fails_as_a_verdict(tmp_path):
+    rc = main([
+        "run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
+        "--set", "floor_rel=1e-3",
+    ])
+    assert rc == EXIT_OK
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    gap = {c["id"]: c for c in report["checks"]}["energy_forms_gap"]
+    assert gap["pass"] is False
+    assert gap["measured"] > 1e3 * gap["tolerance"]
+    assert report["passed"] is False

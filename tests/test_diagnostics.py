@@ -169,6 +169,13 @@ class TestExpectations:
         rep = expectations(wf, free_U)
         assert abs(rep.E - rep.E_hamiltonian) < 1e-9
 
+    def test_energy_forms_gap_is_reported_not_raised(self, desk_grid, natural_units, free_U):
+        # a coarse floor cuts the tails out of the sum form; the gap is the
+        # energy_forms_gap check's to judge, so expectations still returns
+        wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
+        rep = expectations(wf, free_U, 1e-3)
+        assert abs(rep.E - rep.E_hamiltonian) > 1e-6
+
     def test_acceleration_zero_while_spreading(self, desk_grid, natural_units, free_U):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
         for t in (0.0, 0.7):

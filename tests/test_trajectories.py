@@ -13,6 +13,7 @@ from madelung.trajectories import (
     FlowHistory,
     FlowSample,
     ProviderGapError,
+    _interp_cubic,
     action_check,
     advect,
     continuity_residual,
@@ -244,3 +245,60 @@ def test_trajectory_csv_roundtrip(tmp_path, desk_grid, natural_units):
     # full-precision round trip
     x_back = np.array([float(r[2]) for r in rows[1:7]])
     assert np.array_equal(x_back, adv.x_records[:, 0])
+
+
+class TestFlowLookup:
+    @pytest.fixture
+    def long_history(self, desk_grid, natural_units):
+        half = 0.5e-3  # the dt/2 lattice collect_flow fills at dt = 1e-3
+        flow = FlowHistory(desk_grid, natural_units)
+        samples = []
+        for k in range(1200):
+            smp = FlowSample(t=k * half, u=RealField(np.full(desk_grid.n, float(k)), desk_grid))
+            flow.add(smp)
+            samples.append(smp)
+        return flow, samples, half
+
+    def test_stored_times_return_their_sample(self, long_history):
+        flow, samples, _ = long_history
+        for k in (0, 1, 2, 599, 600, 1000, 1198, 1199):
+            t = samples[k].t
+            for probe in (t - 1e-10, t, t + 1e-10):
+                assert flow.sample_at(probe) is samples[k]
+                assert flow.velocity_at(probe) is samples[k].u
+
+    def test_off_lattice_times_are_gaps(self, long_history):
+        flow, samples, half = long_history
+        last = samples[-1].t
+        for probe in (-half, -1e-8, 0.5 * half, 600.5 * half, 1198.5 * half,
+                      last + 1e-8, last + half):
+            with pytest.raises(ProviderGapError):
+                flow.sample_at(probe)
+            with pytest.raises(ProviderGapError):
+                flow.velocity_at(probe)
+
+
+def test_advect_records_match_per_field_interpolation(desk_grid, natural_units, free_U):
+    wf = gaussian_packet(desk_grid, natural_units, -1.0, 1.0, 1.5)
+    dt, n = 1e-3, 40
+    flow = collect_flow(wf, free_U, dt, n)
+    adv = advect(seed_parcels(wf.density(), 5), flow, dt, n)
+    action = np.zeros(5)
+    lag_prev = None
+    for i, t in enumerate(adv.times):
+        smp = flow.sample_at(t)
+        x = adv.x_records[i]
+        assert np.array_equal(adv.u_records[i], _interp_cubic(smp.u.values, desk_grid, x))
+        assert np.array_equal(adv.div_u_records[i],
+                              _interp_cubic(smp.div_u.values, desk_grid, x))
+        assert np.array_equal(adv.ln_rho_records[i],
+                              _interp_cubic(smp.ln_rho.values, desk_grid, x))
+        S = _interp_cubic(smp.S_tilde.values, desk_grid, x)
+        if i > 0:
+            S = S + adv.branch_period * np.round((adv.S_records[i - 1] - S) / adv.branch_period)
+        assert np.array_equal(adv.S_records[i], S)
+        lag = _interp_cubic(smp.lagrangian.values, desk_grid, x)
+        if lag_prev is not None:
+            action = action + 0.5 * dt * (lag_prev + lag)
+        assert np.array_equal(adv.action_records[i], action)
+        lag_prev = lag
