@@ -21,6 +21,7 @@ __all__ = [
     "make_grid",
     "spectral_derivative",
     "integrate",
+    "nearest_index",
     "nearest_fill",
 ]
 
@@ -57,6 +58,18 @@ class RealField:
         values = np.asarray(self.values, dtype=np.float64)
         _check_values(values, self.grid)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _unchecked(cls, values: np.ndarray, grid: Grid) -> "RealField":
+        """Wrap a float64 array of length grid.n without copying or scanning it.
+
+        For kernel outputs just computed from validated inputs; anything a
+        caller hands in goes through the validating constructor instead.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "grid", grid)
+        return out
 
 
 @dataclass(frozen=True)
@@ -133,23 +146,30 @@ def integrate(field: RealField) -> float:
     return float(np.sum(field.values) * field.grid.dx)
 
 
+def nearest_index(mask: np.ndarray) -> np.ndarray:
+    """Gather map of nearest_fill: entry i is the valid index nearest to i.
+
+    Valid entries map to themselves and ties go to the left neighbour, so
+    ``values[nearest_index(mask)]`` is the filled copy.  One map serves every
+    field that shares the mask.
+    """
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        raise ValueError("mask has no valid entries")
+    if idx.size == mask.size:
+        return idx
+    pos = np.arange(mask.size)
+    right = np.searchsorted(idx, pos)
+    right_c = np.clip(right, 0, idx.size - 1)
+    left_c = np.clip(right - 1, 0, idx.size - 1)
+    take_left = np.abs(pos - idx[left_c]) <= np.abs(idx[right_c] - pos)
+    return np.where(take_left, idx[left_c], idx[right_c])
+
+
 def nearest_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Copy of ``values`` with masked-out entries set to the nearest valid one.
 
     Used to extend quotient fields (velocity, phase) across regions where the
     density is below the floor and the quotient carries no information.
     """
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("mask has no valid entries")
-    out = np.array(values, copy=True)
-    if idx.size == mask.size:
-        return out
-    pos = np.arange(mask.size)
-    right = np.searchsorted(idx, pos)
-    right_c = np.clip(right, 0, idx.size - 1)
-    left_c = np.clip(right - 1, 0, idx.size - 1)
-    take_left = np.abs(pos - idx[left_c]) <= np.abs(idx[right_c] - pos)
-    nearest = np.where(take_left, idx[left_c], idx[right_c])
-    out[~mask] = values[nearest[~mask]]
-    return out
+    return np.asarray(values)[nearest_index(mask)]

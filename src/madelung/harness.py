@@ -27,6 +27,7 @@ from .diagnostics import (
     expectations,
     madelung_fields,
     nonspreading_residual,
+    velocity,
 )
 from .grid import Grid, RealField, make_grid
 from .potentials import PotentialSpec, evaluate_potential
@@ -184,13 +185,17 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Verdict of one check.  A check whose evaluation raised carries the
+    message in ``error``, has no measured value, and fails."""
+
     id: str
-    measured: float
+    measured: float | None
     tolerance: float
     mode: str
     passed: bool
     lo: float | None = None  # set for range-mode checks
     hi: float | None = None
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -214,22 +219,26 @@ class VerificationReport:
             "dt": self.dt,
             "n_steps": self.n_steps,
             "passed": self.passed,
-            "checks": [
-                {
-                    "id": c.id,
-                    "measured": c.measured,
-                    "tolerance": c.tolerance if c.mode != "range" else [c.lo, c.hi],
-                    "mode": c.mode,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
+            "checks": [_check_payload(c) for c in self.checks],
         }
 
     def to_dict(self) -> dict:
         out = self.payload()
         out["runtime_seconds"] = self.runtime_seconds
         return out
+
+
+def _check_payload(c: CheckResult) -> dict:
+    out = {
+        "id": c.id,
+        "measured": c.measured,
+        "tolerance": c.tolerance if c.mode != "range" else [c.lo, c.hi],
+        "mode": c.mode,
+        "pass": c.passed,
+    }
+    if c.error is not None:
+        out["error"] = c.error
+    return out
 
 
 def collect_flow(
@@ -241,33 +250,39 @@ def collect_flow(
     bohm_form: str = "amplitude",
 ) -> FlowHistory:
     """Evolve at dt/2 and bank flow samples: velocity at every half step,
-    the full record bundle at every whole step."""
+    the full record bundle at every whole step.
+
+    The samples' fields are rows of two blocks allocated up front, one
+    (n_steps + 1, 6, n) block for the whole steps and one (n_steps, n) block
+    for the half-step velocities: thousands of small long-lived arrays
+    fragment the heap and raise peak memory well above the live data.
+    """
     grid = wf0.grid
     constants = wf0.constants
     flow = FlowHistory(grid, constants)
+    whole = np.empty((n_steps + 1, 6, grid.n))  # rows in FlowSample field order
+    half = np.empty((n_steps, grid.n))
     u_ext = U.values / constants.mass
     counter = {"k": 0}
 
     def obs(t, w):
         k = counter["k"]
         counter["k"] += 1
+        if k % 2:
+            u = half[k // 2]
+            u[:] = velocity(w, floor_rel).values
+            flow.add(FlowSample(t=t, u=RealField._unchecked(u, grid)))
+            return
         f = madelung_fields(w, floor_rel, bohm_form=bohm_form)
-        if k % 2 == 0:
-            rho_f = np.maximum(f.rho.values, floor_rel * f.rho.values.max())
-            lag = f.kinetic_density.values - f.Q_tilde.values - u_ext
-            flow.add(
-                FlowSample(
-                    t=t,
-                    u=f.u,
-                    div_u=f.div_u,
-                    ln_rho=RealField(np.log(rho_f), grid),
-                    S_tilde=RealField(f.S.values / constants.mass, grid),
-                    lagrangian=RealField(lag, grid),
-                    rho=f.rho,
-                )
-            )
-        else:
-            flow.add(FlowSample(t=t, u=f.u))
+        rows = whole[k // 2]
+        rho = f.rho.values
+        rows[0] = f.u.values
+        rows[1] = f.div_u.values
+        np.log(np.maximum(rho, floor_rel * rho.max()), out=rows[2])
+        np.divide(f.S.values, constants.mass, out=rows[3])
+        rows[4] = f.kinetic_density.values - f.Q_tilde.values - u_ext
+        rows[5] = rho
+        flow.add(FlowSample(t, *(RealField._unchecked(r, grid) for r in rows)))
 
     evolve(wf0, U, PropagatorConfig(dt / 2.0, 2 * n_steps, 1), [obs])
     return flow
@@ -363,7 +378,11 @@ class ScenarioRun:
     # -- verification ------------------------------------------------------
 
     def verify(self) -> VerificationReport:
-        """Evaluate every configured check on this run."""
+        """Evaluate every configured check on this run.
+
+        A check that raises becomes a failed verdict carrying the message;
+        the remaining checks still run.
+        """
         scenario = self.scenario
         start = time.perf_counter()
         results = []
@@ -373,20 +392,19 @@ class ScenarioRun:
                     f"scenario {scenario.name!r} references unregistered check {spec.id!r}"
                 )
             try:
-                measured = float(_CHECKS[spec.id](self, spec))
+                measured, error = float(_CHECKS[spec.id](self, spec)), None
             except Exception as exc:
-                raise type(exc)(
-                    f"[scenario {scenario.name!r}, check {spec.id!r}] {exc}"
-                ) from exc
+                measured, error = None, f"{type(exc).__name__}: {exc}"
             results.append(
                 CheckResult(
                     id=spec.id,
                     measured=measured,
                     tolerance=spec.tolerance,
                     mode=spec.mode,
-                    passed=_passes(spec, measured),
+                    passed=error is None and _passes(spec, measured),
                     lo=spec.params.get("lo") if spec.mode == "range" else None,
                     hi=spec.params.get("hi") if spec.mode == "range" else None,
+                    error=error,
                 )
             )
         prop = scenario.propagation
@@ -913,6 +931,9 @@ def format_report(report: VerificationReport) -> str:
         f"(n={report.grid.n}, dt={report.dt}, steps={report.n_steps})"
     ]
     for c in report.checks:
+        if c.error is not None:
+            lines.append(f"  [ERROR] {c.id:<28} {c.error}")
+            continue
         status = "PASS" if c.passed else "FAIL"
         if c.mode == "range":
             target = f"in [{c.lo:g}, {c.hi:g}]"

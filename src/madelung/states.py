@@ -226,6 +226,18 @@ def bouncer_eigenstate(grid: Grid, constants: PhysicalConstants, g: float) -> Wa
     return WaveFunction(ComplexField(_normalized(psi, grid), grid), constants)
 
 
+def _unwrapped_phase(psi: np.ndarray, mask: np.ndarray, hbar: float) -> np.ndarray:
+    """hbar * arg(psi) unwrapped left to right across the valid points; zero
+    at masked-out points, which the caller fills."""
+    th = np.angle(psi)[mask]
+    jumps = np.diff(th)
+    jumps -= 2.0 * np.pi * np.round(jumps / (2.0 * np.pi))
+    unwrapped = np.concatenate(([th[0]], th[0] + np.cumsum(jumps)))
+    S = np.zeros(psi.shape)
+    S[mask] = hbar * unwrapped
+    return S
+
+
 def polar_decompose(
     wf: WaveFunction, density_floor_rel: float = DEFAULT_DENSITY_FLOOR
 ) -> PolarDecomposition:
@@ -243,14 +255,7 @@ def polar_decompose(
     mask = rho >= density_floor_rel * rho_max
     if not np.any(mask):
         raise ValueError("density floor leaves no valid points")
-    theta = np.angle(psi)
-    th = theta[mask]
-    jumps = np.diff(th)
-    jumps -= 2.0 * np.pi * np.round(jumps / (2.0 * np.pi))
-    unwrapped = np.concatenate(([th[0]], th[0] + np.cumsum(jumps)))
-    S = np.zeros_like(rho)
-    S[mask] = wf.constants.hbar * unwrapped
-    S = nearest_fill(S, mask)
+    S = nearest_fill(_unwrapped_phase(psi, mask, wf.constants.hbar), mask)
     return PolarDecomposition(
         rho=RealField(rho, wf.grid), S=RealField(S, wf.grid), valid_mask=mask
     )

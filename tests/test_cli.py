@@ -189,3 +189,38 @@ def test_energy_forms_gap_fails_as_a_verdict(tmp_path):
     assert gap["pass"] is False
     assert gap["measured"] > 1e3 * gap["tolerance"]
     assert report["passed"] is False
+
+
+def test_raising_check_is_an_error_verdict(tmp_path):
+    # one recorded snapshot is too few for the continuity residual
+    rc = main([
+        "run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
+        "--set", "trajectories.duration=0.001",
+    ])
+    assert rc == EXIT_OK
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    checks = {c["id"]: c for c in report["checks"]}
+    entry = checks["continuity_max"]
+    assert entry["pass"] is False and entry["measured"] is None
+    assert "needs at least 3 recorded snapshots" in entry["error"]
+    assert report["passed"] is False
+    # the checks after it were still judged
+    assert checks["action_identity"]["measured"] is not None
+    assert all("error" not in c for c in report["checks"] if c["id"] != "continuity_max")
+
+
+def test_verify_exits_1_on_an_error_verdict(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from madelung import cli, harness
+
+    short = harness.apply_overrides(harness.scenario_by_name("free_gaussian"),
+                                    {"trajectories.duration": 0.001})
+    short = replace(short, checks=(harness.CheckSpec("continuity_max", 1e-4),
+                                   harness.CheckSpec("norm_drift", 1e-10)))
+    monkeypatch.setattr(cli, "scenario_by_name", lambda name: short)
+    assert main(["verify", "free_gaussian"]) == EXIT_CHECK_FAILURE
+    out = capsys.readouterr().out
+    assert "[ERROR] continuity_max" in out
+    assert "[PASS] norm_drift" in out

@@ -18,9 +18,12 @@ from madelung.diagnostics import (
 from madelung.potentials import PotentialSpec, evaluate_potential
 from madelung.propagator import PropagatorConfig, evolve, step
 from madelung.states import (
+    airy_interior_window,
+    airy_packet,
     gaussian_packet,
     harmonic_ground_state,
     plane_wave,
+    polar_decompose,
 )
 
 
@@ -335,3 +338,45 @@ def test_unknown_bohm_form(desk_grid, natural_units):
     wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         madelung_fields(wf, bohm_form="typo")
+
+
+def test_rejects_nonpositive_floor(desk_grid, natural_units):
+    wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
+    for floor_rel in (0.0, -1e-12):
+        with pytest.raises(ValueError, match="floor_rel must be positive"):
+            velocity(wf, floor_rel)
+        with pytest.raises(ValueError, match="floor_rel must be positive"):
+            madelung_fields(wf, floor_rel)
+
+
+class TestSplitKernel:
+    """velocity() runs only the front of the field kernel; madelung_fields()
+    unwraps the phase itself.  Both must reproduce the full routes bit for bit."""
+
+    @pytest.fixture(params=["masked_tails", "moving", "airy"])
+    def case(self, request, desk_grid, natural_units):
+        if request.param == "masked_tails":
+            wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
+            assert not np.all(wf.density().values >= 1e-12 * wf.density().values.max())
+            return wf, 1e-12
+        if request.param == "moving":
+            return gaussian_packet(desk_grid, natural_units, -2.0, 1.0, 2.0), 1e-12
+        return airy_packet(desk_grid, natural_units, 1.0), 1e-3
+
+    def test_velocity_is_the_bundle_velocity(self, case):
+        wf, floor_rel = case
+        assert np.array_equal(velocity(wf, floor_rel).values,
+                              madelung_fields(wf, floor_rel).u.values)
+
+    def test_bundle_phase_is_the_polar_phase(self, case):
+        wf, floor_rel = case
+        assert np.array_equal(madelung_fields(wf, floor_rel).S.values,
+                              polar_decompose(wf, floor_rel).S.values)
+
+    def test_region_restricts_the_mask_not_the_phase(self, desk_grid, natural_units):
+        wf = airy_packet(desk_grid, natural_units, 1.0)
+        region = airy_interior_window(desk_grid)
+        f = madelung_fields(wf, 1e-3, region_mask=region)
+        polar = polar_decompose(wf, 1e-3)
+        assert np.array_equal(f.valid_mask, polar.valid_mask & region)
+        assert np.array_equal(f.S.values, polar.S.values)

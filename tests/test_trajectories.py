@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from madelung.diagnostics import madelung_fields
 from madelung.grid import RealField
 from madelung.harness import collect_flow
+from madelung.propagator import PropagatorConfig, evolve
 from madelung.potentials import PotentialSpec, evaluate_potential
 from madelung.states import gaussian_packet, harmonic_ground_state, plane_wave
 from madelung.trajectories import (
@@ -302,3 +304,34 @@ def test_advect_records_match_per_field_interpolation(desk_grid, natural_units, 
             action = action + 0.5 * dt * (lag_prev + lag)
         assert np.array_equal(adv.action_records[i], action)
         lag_prev = lag
+
+
+class TestCollectFlow:
+    def test_half_steps_store_the_bundle_velocity(self, desk_grid, natural_units, free_U):
+        wf = gaussian_packet(desk_grid, natural_units, -1.0, 1.0, 1.5)
+        dt, n = 1e-3, 6
+        flow = collect_flow(wf, free_U, dt, n)
+        states = []
+        evolve(wf, free_U, PropagatorConfig(dt / 2.0, 2 * n, 1),
+               [lambda t, w: states.append((t, w))])
+        halves = states[1::2]
+        assert len(halves) == n
+        for t, w in halves:
+            smp = flow.sample_at(t)
+            assert smp.div_u is None and smp.rho is None
+            assert np.array_equal(smp.u.values, madelung_fields(w).u.values)
+        for t, w in states[::2]:
+            f = madelung_fields(w)
+            smp = flow.sample_at(t)
+            assert np.array_equal(smp.u.values, f.u.values)
+            assert np.array_equal(smp.rho.values, f.rho.values)
+            assert np.array_equal(smp.S_tilde.values, f.S.values / natural_units.mass)
+
+    def test_zero_steps_hold_one_sample(self, desk_grid, natural_units, free_U):
+        wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
+        flow = collect_flow(wf, free_U, 1e-3, 0)
+        assert len(flow._samples) == 1
+        smp = flow.sample_at(0.0)
+        assert np.array_equal(smp.rho.values, wf.density().values)
+        with pytest.raises(ProviderGapError):
+            flow.sample_at(0.5e-3)
