@@ -9,6 +9,7 @@ verification harness binding them into named, reproducible identity checks.
 from .grid import (
     ComplexField,
     Grid,
+    NonFiniteFieldError,
     RealField,
     integrate,
     make_grid,

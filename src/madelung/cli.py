@@ -1,8 +1,9 @@
 """Command-line interface: run scenarios, verify the builtin suite, list it.
 
 Exit codes: 0 success, 1 check failure under `verify`, 2 unknown scenario or
-bad usage, 3 I/O failure.  Artifacts are CSV/JSON with full 17-significant-
-digit floats so re-reading reproduces the arrays bit for bit.
+bad usage, 3 I/O failure, 4 numerical failure (a non-finite field).
+Artifacts are CSV/JSON with full 17-significant-digit floats so re-reading
+reproduces the arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import bernoulli_residual, madelung_fields, nonspreading_residual
+from .grid import NonFiniteFieldError
 from .harness import (
     ScenarioRun,
     apply_overrides,
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_NUMERICAL = 4
 
 TIMESERIES_COLUMNS = [
     "t", "norm", "K", "Q", "U", "I", "E", "FI", "accel", "vi_mean",
@@ -157,16 +160,18 @@ def _cmd_run(args) -> int:
     # one run serves the report and every artifact
     run = ScenarioRun(scenario)
     report = run.verify()
+    # the report goes first: if an artifact writer hits the error a check
+    # already recorded as a verdict, the verdicts are still on disk
+    with open(os.path.join(config.output_dir, "report.json"), "w") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
+        fh.write("\n")
+    print(format_report(report))
     _write_timeseries(run, os.path.join(config.output_dir, "timeseries.csv"))
     if config.emit_fields:
         _write_fields(run, config.output_dir)
     if config.emit_trajectories and scenario.trajectories is not None:
         write_trajectory_csv(run.trajectory(),
                              os.path.join(config.output_dir, "trajectories.csv"))
-    with open(os.path.join(config.output_dir, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-    print(format_report(report))
     print(f"artifacts written to {config.output_dir}")
     return EXIT_OK
 
@@ -249,6 +254,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
+    except NonFiniteFieldError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, RealField, derivative_values, nearest_fill, nearest_index
+from .grid import Grid, RealField, derivative_from_transform, derivative_values
+from .grid import nearest_fill, nearest_index
 from .states import (
     DEFAULT_DENSITY_FLOOR,
     PhysicalConstants,
@@ -103,11 +104,13 @@ class ExpectationReport:
 
 @dataclass(frozen=True)
 class _Front:
-    """The velocity front of the kernel: what advection reads."""
+    """The velocity front of the kernel: what advection reads.  Every array
+    has the (..., n) shape of the psi stack it was computed from."""
 
     grid: Grid
     constants: PhysicalConstants
     psi: np.ndarray
+    psi_hat: np.ndarray     # fft(psi)
     rho: np.ndarray
     rho_f: np.ndarray
     floor_mask: np.ndarray  # rho >= floor
@@ -121,10 +124,8 @@ class _Front:
 @dataclass(frozen=True)
 class _Work(_Front):
     drho: np.ndarray
-    ddrho: np.ndarray
     div_u: np.ndarray
     w: np.ndarray          # dln(rho)/dx, quotient form
-    ell2: np.ndarray       # d2ln(rho)/dx2, quotient form
     v_i: np.ndarray
     internal: np.ndarray
     Pi: np.ndarray
@@ -132,85 +133,91 @@ class _Work(_Front):
     S: np.ndarray | None   # unwrapped phase action, only when requested
 
 
+def _first_second(values: np.ndarray, grid: Grid):
+    """First and second spectral derivatives of real samples, one transform."""
+    fhat = np.fft.fft(values)
+    return (derivative_from_transform(fhat, grid, 1).real,
+            derivative_from_transform(fhat, grid, 2).real)
+
+
 def _velocity_front(
-    wf: WaveFunction, floor_rel: float, region_mask: np.ndarray | None
+    psi: np.ndarray, grid: Grid, constants: PhysicalConstants, floor_rel: float,
+    region_mask: np.ndarray | None,
 ) -> _Front:
-    hbar, m = wf.constants.hbar, wf.constants.mass
-    psi = wf.psi.values
+    """Kernel front on a (..., n) stack of states, one state per row: every
+    transform, reduction and fill runs along the last axis, so a row's
+    values do not depend on the rows beside it."""
+    hbar, m = constants.hbar, constants.mass
     rho = psi.real**2 + psi.imag**2
-    rho_max = float(rho.max())
-    if rho_max <= 0.0:
+    rho_max = rho.max(axis=-1, keepdims=True)
+    if np.any(rho_max <= 0.0):
         raise ValueError("density is identically zero")
     floor = floor_rel * rho_max
-    if not floor > 0.0:
+    if not np.all(floor > 0.0):
         raise ValueError(
             f"floor_rel must be positive, got {floor_rel!r}: "
             "the density quotients need a nonzero floor"
         )
     floor_mask = rho >= floor
     mask = floor_mask if region_mask is None else floor_mask & region_mask
-    if not np.any(mask):
+    if not np.all(np.any(mask, axis=-1)):
         raise ValueError("density floor (and region) leave no valid points")
     rho_f = np.maximum(rho, floor)
     fill = nearest_index(mask)
 
-    dpsi = derivative_values(psi, wf.grid, 1)
+    psi_hat = np.fft.fft(psi)
+    dpsi = derivative_from_transform(psi_hat, grid, 1)
     J = (hbar / m) * (psi.conj() * dpsi).imag
     u_raw = J / rho_f
     return _Front(
-        grid=wf.grid, constants=wf.constants, psi=psi, rho=rho, rho_f=rho_f,
-        floor_mask=floor_mask, mask=mask, fill=fill, J=J, u_raw=u_raw,
-        u=u_raw[fill],
+        grid=grid, constants=constants, psi=psi, psi_hat=psi_hat, rho=rho,
+        rho_f=rho_f, floor_mask=floor_mask, mask=mask, fill=fill, J=J,
+        u_raw=u_raw, u=np.take_along_axis(u_raw, fill, axis=-1),
     )
 
 
 def _compute(
-    wf: WaveFunction,
-    floor_rel: float,
-    bohm_form: str,
-    region_mask: np.ndarray | None,
-    *,
-    phase: bool = False,
+    psi: np.ndarray, grid: Grid, constants: PhysicalConstants, floor_rel: float,
+    bohm_form: str, region_mask: np.ndarray | None, *, phase: bool = False,
 ) -> _Work:
     if bohm_form not in BOHM_FORMS:
         raise ValueError(f"bohm_form must be one of {BOHM_FORMS}, got {bohm_form!r}")
-    front = _velocity_front(wf, floor_rel, region_mask)
-    grid, psi, rho, rho_f = front.grid, front.psi, front.rho, front.rho_f
-    hbar, m = front.constants.hbar, front.constants.mass
-    u_raw = front.u_raw
+    front = _velocity_front(psi, grid, constants, floor_rel, region_mask)
+    rho, rho_f, u_raw = front.rho, front.rho_f, front.u_raw
+    hbar, m = constants.hbar, constants.mass
 
-    drho = derivative_values(rho, grid, 1).real
-    ddrho = derivative_values(rho, grid, 2).real
-    dJ = derivative_values(front.J, grid, 1).real
-    w = drho / rho_f
-    div_u = (dJ / rho_f - u_raw * w)[front.fill]
-    ell2 = ddrho / rho_f - w * w
-
-    half = hbar / (2.0 * m)
-    v_i = -half * w
-    internal = 0.5 * v_i * v_i
-    Pi = -(half * half) * (ddrho * (rho / rho_f) - rho * w * w)
-
+    # A batch holds every field of every row at once, so the order below
+    # keeps few of them alive across each transform: the front-only Bohm
+    # routes first, then the phase, then each rho derivative until spent.
     c_q = hbar * hbar / (2.0 * m * m)
     if bohm_form == "amplitude":
-        a = np.sqrt(rho)
-        dda = derivative_values(a, grid, 2).real
-        Q = -c_q * dda / np.sqrt(rho_f)
+        Q = -c_q * derivative_values(np.sqrt(rho), grid, 2).real / np.sqrt(rho_f)
     elif bohm_form == "wavefunction":
-        ddpsi = derivative_values(psi, grid, 2)
-        curv = (psi.conj() * ddpsi).real / rho_f
-        Q = -c_q * curv - 0.5 * u_raw * u_raw
-    else:
-        Q = -(half * half) * (ell2 + 0.5 * w * w)
+        ddpsi = derivative_from_transform(front.psi_hat, grid, 2)
+        Q = -c_q * ((psi.conj() * ddpsi).real / rho_f) - 0.5 * u_raw * u_raw
 
     S = None
     if phase:
         # the phase is filled over the density floor alone, never the region
         fill = front.fill if region_mask is None else nearest_index(front.floor_mask)
-        S = _unwrapped_phase(psi, front.floor_mask, hbar)[fill]
+        S = np.take_along_axis(_unwrapped_phase(psi, front.floor_mask, hbar), fill, axis=-1)
+
+    half = hbar / (2.0 * m)
+    drho, ddrho = _first_second(rho, grid)
+    w = drho / rho_f
+    Pi = -(half * half) * (ddrho * (rho / rho_f) - rho * w * w)
+    if bohm_form == "log":
+        ell2 = ddrho / rho_f - w * w  # d2ln(rho)/dx2, quotient form
+        Q = -(half * half) * (ell2 + 0.5 * w * w)
+    del ddrho
+    dJ = derivative_values(front.J, grid, 1).real
+    div_u = np.take_along_axis(dJ / rho_f - u_raw * w, front.fill, axis=-1)
+    del dJ
+    v_i = -half * w
+    internal = 0.5 * v_i * v_i
     return _Work(
-        **vars(front), drho=drho, ddrho=ddrho, div_u=div_u, w=w, ell2=ell2,
-        v_i=v_i, internal=internal, Pi=Pi, Q=Q, S=S,
+        **vars(front), drho=drho, div_u=div_u, w=w, v_i=v_i, internal=internal,
+        Pi=Pi, Q=Q, S=S,
     )
 
 
@@ -226,7 +233,8 @@ def madelung_fields(
     region_mask, when given, further restricts valid_mask (used to confine
     windowed states to their interior); the fields themselves are global.
     """
-    wk = _compute(wf, floor_rel, bohm_form, region_mask, phase=True)
+    wk = _compute(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form,
+                  region_mask, phase=True)
     g = wk.grid
     return MadelungFields(
         rho=RealField._unchecked(wk.rho, g),
@@ -249,7 +257,7 @@ def velocity(wf: WaveFunction, floor_rel: float = DEFAULT_DENSITY_FLOOR) -> Real
     The cheap route: one derivative of psi, none of the other fields.  The
     values are bit-identical to madelung_fields(wf, floor_rel).u.
     """
-    front = _velocity_front(wf, floor_rel, None)
+    front = _velocity_front(wf.psi.values, wf.grid, wf.constants, floor_rel, None)
     return RealField._unchecked(front.u, front.grid)
 
 
@@ -274,25 +282,31 @@ def phase_gradient_velocity(
     return RealField(nearest_fill(grad, core), wf.grid)
 
 
+def _floored(rho: RealField, floor_rel: float):
+    """Samples, floor mask and floored copy of a density field."""
+    vals = np.asarray(rho.values)
+    rho_max = float(vals.max())
+    if rho_max <= 0.0:
+        raise ValueError("density is identically zero")
+    floor = floor_rel * rho_max
+    mask = vals >= floor
+    if not np.any(mask):
+        raise ValueError("density floor leaves no valid points")
+    return vals, mask, np.maximum(vals, floor)
+
+
 def bohm_potential(
     rho: RealField,
     constants: PhysicalConstants,
     floor_rel: float = DEFAULT_DENSITY_FLOOR,
 ) -> RealField:
     """Bohm potential per unit mass from the amplitude: -(hbar^2/2m^2) a''/a."""
-    vals = np.asarray(rho.values)
-    if np.any(vals < 0.0):
+    if np.any(np.asarray(rho.values) < 0.0):
         raise ValueError("density must be nonnegative")
-    rho_max = float(vals.max())
-    if rho_max <= 0.0:
-        raise ValueError("density is identically zero")
-    floor = floor_rel * rho_max
-    if not np.any(vals >= floor):
-        raise ValueError("density floor leaves no valid points")
-    a = np.sqrt(vals)
-    dda = derivative_values(a, rho.grid, 2).real
+    vals, _, rho_f = _floored(rho, floor_rel)
+    dda = derivative_values(np.sqrt(vals), rho.grid, 2).real
     c_q = constants.hbar**2 / (2.0 * constants.mass**2)
-    return RealField(-c_q * dda / np.sqrt(np.maximum(vals, floor)), rho.grid)
+    return RealField(-c_q * dda / np.sqrt(rho_f), rho.grid)
 
 
 def bohm_potential_log_form(
@@ -302,13 +316,8 @@ def bohm_potential_log_form(
 ) -> RealField:
     """Same potential through the log-density identity
     a''/a = d2(ln rho)/dx2 + (1/2)(dln rho/dx)^2 scaled to rho."""
-    vals = np.asarray(rho.values)
-    rho_max = float(vals.max())
-    if rho_max <= 0.0:
-        raise ValueError("density is identically zero")
-    rho_f = np.maximum(vals, floor_rel * rho_max)
-    drho = derivative_values(vals, rho.grid, 1).real
-    ddrho = derivative_values(vals, rho.grid, 2).real
+    vals, _, rho_f = _floored(rho, floor_rel)
+    drho, ddrho = _first_second(vals, rho.grid)
     w = drho / rho_f
     ell2 = ddrho / rho_f - w * w
     half = constants.hbar / (2.0 * constants.mass)
@@ -324,7 +333,7 @@ def bohm_potential_curvature_form(
     Equivalent to the amplitude form wherever rho > 0, and the only
     well-conditioned route when sqrt(rho) has kinks at density nodes.
     """
-    wk = _compute(wf, floor_rel, "wavefunction", None)
+    wk = _compute(wf.psi.values, wf.grid, wf.constants, floor_rel, "wavefunction", None)
     return RealField(wk.Q, wk.grid)
 
 
@@ -334,16 +343,8 @@ def pseudo_pressure(
     floor_rel: float = DEFAULT_DENSITY_FLOOR,
 ) -> RealField:
     """Pressure-like field Pi = -(hbar/2m)^2 rho d2(ln rho)/dx2, zero gauge."""
-    vals = np.asarray(rho.values)
-    rho_max = float(vals.max())
-    if rho_max <= 0.0:
-        raise ValueError("density is identically zero")
-    floor = floor_rel * rho_max
-    if not np.any(vals >= floor):
-        raise ValueError("density floor leaves no valid points")
-    rho_f = np.maximum(vals, floor)
-    drho = derivative_values(vals, rho.grid, 1).real
-    ddrho = derivative_values(vals, rho.grid, 2).real
+    vals, _, rho_f = _floored(rho, floor_rel)
+    drho, ddrho = _first_second(vals, rho.grid)
     w = drho / rho_f
     half = constants.hbar / (2.0 * constants.mass)
     return RealField(-(half * half) * (ddrho * (vals / rho_f) - vals * w * w), rho.grid)
@@ -351,16 +352,8 @@ def pseudo_pressure(
 
 def fisher_information(rho: RealField, floor_rel: float = DEFAULT_DENSITY_FLOOR) -> float:
     """FI = integral of rho (dln rho/dx)^2 over the valid mask."""
-    vals = np.asarray(rho.values)
-    rho_max = float(vals.max())
-    if rho_max <= 0.0:
-        raise ValueError("density is identically zero")
-    mask = vals >= floor_rel * rho_max
-    if not np.any(mask):
-        raise ValueError("density floor leaves no valid points")
-    rho_f = np.maximum(vals, floor_rel * rho_max)
-    drho = derivative_values(vals, rho.grid, 1).real
-    w = drho / rho_f
+    vals, mask, rho_f = _floored(rho, floor_rel)
+    w = derivative_values(vals, rho.grid, 1).real / rho_f
     integrand = np.where(mask, vals * w * w, 0.0)
     return float(np.sum(integrand) * rho.grid.dx)
 
@@ -380,7 +373,7 @@ def expectations(
     +integral (Q~+U~) drho/dx dx, which is exact under the periodic
     quadrature and free of mask-edge differentiation noise.
     """
-    wk = _compute(wf, floor_rel, bohm_form, None)
+    wk = _compute(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form, None)
     grid, dx = wk.grid, wk.grid.dx
     hbar, m = wk.constants.hbar, wk.constants.mass
     rho = wk.rho
@@ -393,7 +386,7 @@ def expectations(
     I = float(np.sum(rho * wk.internal) * dx)
     E = K + Q + Uexp
 
-    ddpsi = derivative_values(wk.psi, grid, 2)
+    ddpsi = derivative_from_transform(wk.psi_hat, grid, 2)
     kin_quad = -(hbar**2 / (2.0 * m)) * float(np.sum((wk.psi.conj() * ddpsi).real) * dx)
     E_ham = (kin_quad + float(np.sum(U.values * rho) * dx)) / m
 
@@ -429,25 +422,24 @@ def bernoulli_residual(
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    wp = _compute(wf_prev, floor_rel, bohm_form, None, phase=True)
-    wn = _compute(wf_next, floor_rel, bohm_form, None, phase=True)
-    if wp.grid.n != wn.grid.n:
+    if wf_prev.grid.n != wf_next.grid.n:
         raise ValueError("snapshots live on different grids")
-    m = wp.constants.mass
-    mask = wp.mask & wn.mask
+    pair = np.stack([wf_prev.psi.values, wf_next.psi.values])
+    wk = _compute(pair, wf_prev.grid, wf_prev.constants, floor_rel, bohm_form, None,
+                  phase=True)
+    m = wk.constants.mass
+    mask = wk.mask[0] & wk.mask[1]
     if not np.any(mask):
         raise ValueError("joint valid mask is empty")
 
-    period = 2.0 * np.pi * wp.constants.hbar / m
-    ds = (wn.S - wp.S) / m
+    period = 2.0 * np.pi * wk.constants.hbar / m
+    ds = (wk.S[1] - wk.S[0]) / m
     ds -= period * np.round(ds / period)
     rate = ds / dt
 
-    u_ext = U.values / m
-    h_prev = 0.5 * wp.u_raw**2 + wp.Q + u_ext
-    h_next = 0.5 * wn.u_raw**2 + wn.Q + u_ext
-    residual = rate + 0.5 * (h_prev + h_next)
-    return RealField(np.where(mask, residual, 0.0), wp.grid)
+    h = 0.5 * wk.u_raw**2 + wk.Q + U.values / m
+    residual = rate + 0.5 * (h[0] + h[1])
+    return RealField(np.where(mask, residual, 0.0), wk.grid)
 
 
 def nonspreading_residual(fields: MadelungFields, U: RealField) -> float:

@@ -23,7 +23,13 @@ __all__ = [
     "integrate",
     "nearest_index",
     "nearest_fill",
+    "NonFiniteFieldError",
 ]
+
+
+class NonFiniteFieldError(ValueError):
+    """A field handed to a grid container holds NaN or infinite entries: a
+    numerical failure, not a bad argument."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ def _check_values(values: np.ndarray, grid: Grid) -> None:
             f"field length {values.shape} does not match grid size ({grid.n},)"
         )
     if not np.all(np.isfinite(values)):
-        raise ValueError("field contains non-finite entries")
+        raise NonFiniteFieldError("field contains non-finite entries")
 
 
 def make_grid(n: int, x_min: float, x_max: float) -> Grid:
@@ -117,9 +123,14 @@ def derivative_values(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
     The Nyquist mode is zeroed for odd orders so real input maps to real
     output; smooth resolved fields carry no Nyquist content anyway.
     """
+    return derivative_from_transform(np.fft.fft(values), grid, order)
+
+
+def derivative_from_transform(fhat: np.ndarray, grid: Grid, order: int) -> np.ndarray:
+    """derivative_values from the transform ``fft(values)`` along the last
+    axis, so one forward transform serves both orders."""
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    fhat = np.fft.fft(values)
     k = grid.wavenumbers
     if order == 1:
         fac = 1j * k.copy()
@@ -147,23 +158,23 @@ def integrate(field: RealField) -> float:
 
 
 def nearest_index(mask: np.ndarray) -> np.ndarray:
-    """Gather map of nearest_fill: entry i is the valid index nearest to i.
+    """Gather map of nearest_fill along the last axis of a (..., n) mask:
+    entry i of a row is the valid index of that row nearest to i.
 
     Valid entries map to themselves and ties go to the left neighbour, so
-    ``values[nearest_index(mask)]`` is the filled copy.  One map serves every
-    field that shares the mask.
+    ``np.take_along_axis(values, nearest_index(mask), -1)`` is the filled
+    copy.  One map serves every field that shares the mask.
     """
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
+    mask = np.asarray(mask, dtype=bool)
+    if not np.all(np.any(mask, axis=-1)):
         raise ValueError("mask has no valid entries")
-    if idx.size == mask.size:
-        return idx
-    pos = np.arange(mask.size)
-    right = np.searchsorted(idx, pos)
-    right_c = np.clip(right, 0, idx.size - 1)
-    left_c = np.clip(right - 1, 0, idx.size - 1)
-    take_left = np.abs(pos - idx[left_c]) <= np.abs(idx[right_c] - pos)
-    return np.where(take_left, idx[left_c], idx[right_c])
+    n = mask.shape[-1]
+    pos = np.arange(n)
+    # nearest valid position at or left of / at or right of each entry; the
+    # sentinels lie farther away than any real neighbour
+    left = np.maximum.accumulate(np.where(mask, pos, -2 * n), axis=-1)
+    right = np.minimum.accumulate(np.where(mask, pos, 3 * n)[..., ::-1], axis=-1)[..., ::-1]
+    return np.where(pos - left <= right - pos, left, right)
 
 
 def nearest_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -172,4 +183,4 @@ def nearest_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Used to extend quotient fields (velocity, phase) across regions where the
     density is below the floor and the quotient carries no information.
     """
-    return np.asarray(values)[nearest_index(mask)]
+    return np.take_along_axis(np.asarray(values), nearest_index(mask), axis=-1)

@@ -23,11 +23,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import (
+    _compute,
+    _velocity_front,
     bernoulli_residual,
     expectations,
     madelung_fields,
     nonspreading_residual,
-    velocity,
 )
 from .grid import Grid, RealField, make_grid
 from .potentials import PotentialSpec, evaluate_potential
@@ -241,6 +242,9 @@ def _check_payload(c: CheckResult) -> dict:
     return out
 
 
+_FLOW_CHUNK = 8  # whole steps (and their half steps) per batched kernel call
+
+
 def collect_flow(
     wf0: WaveFunction,
     U: RealField,
@@ -252,7 +256,10 @@ def collect_flow(
     """Evolve at dt/2 and bank flow samples: velocity at every half step,
     the full record bundle at every whole step.
 
-    The samples' fields are rows of two blocks allocated up front, one
+    The states are buffered and evaluated in chunks: one batched kernel call
+    per _FLOW_CHUNK whole steps, one per as many half-step velocities, so
+    the per-call cost of small transforms is paid once per chunk.  The
+    samples' fields are rows of two blocks allocated up front, one
     (n_steps + 1, 6, n) block for the whole steps and one (n_steps, n) block
     for the half-step velocities: thousands of small long-lived arrays
     fragment the heap and raise peak memory well above the live data.
@@ -263,28 +270,50 @@ def collect_flow(
     whole = np.empty((n_steps + 1, 6, grid.n))  # rows in FlowSample field order
     half = np.empty((n_steps, grid.n))
     u_ext = U.values / constants.mass
-    counter = {"k": 0}
+    # states wait in two (chunk, n) buffers; whole and half steps alternate,
+    # starting and ending on a whole step
+    psi_whole = np.empty((_FLOW_CHUNK, grid.n), dtype=complex)
+    psi_half = np.empty((_FLOW_CHUNK, grid.n), dtype=complex)
+    t_whole: list = []
+    t_half: list = []
+    banked = 0  # whole steps already in the block, and as many half steps
+
+    def flush():
+        nonlocal banked
+        k, nw, nh = banked, len(t_whole), len(t_half)
+        # one kernel result alive at a time keeps the transient memory small
+        u = half[k:k + nh]
+        if nh:
+            u[:] = _velocity_front(psi_half[:nh], grid, constants, floor_rel, None).u
+        rows = whole[k:k + nw]
+        wk = _compute(psi_whole[:nw], grid, constants, floor_rel, bohm_form, None,
+                      phase=True)
+        rows[:, 0] = wk.u
+        rows[:, 1] = wk.div_u
+        np.log(wk.rho_f, out=rows[:, 2])
+        np.divide(wk.S, constants.mass, out=rows[:, 3])
+        rows[:, 4] = 0.5 * wk.u * wk.u - wk.Q - u_ext
+        rows[:, 5] = wk.rho
+        for j, t in enumerate(t_whole):
+            flow.add(FlowSample(t, *(RealField._unchecked(r, grid) for r in rows[j])))
+            if j < nh:
+                flow.add(FlowSample(t=t_half[j], u=RealField._unchecked(u[j], grid)))
+        banked += nw
+        t_whole.clear()
+        t_half.clear()
 
     def obs(t, w):
-        k = counter["k"]
-        counter["k"] += 1
-        if k % 2:
-            u = half[k // 2]
-            u[:] = velocity(w, floor_rel).values
-            flow.add(FlowSample(t=t, u=RealField._unchecked(u, grid)))
-            return
-        f = madelung_fields(w, floor_rel, bohm_form=bohm_form)
-        rows = whole[k // 2]
-        rho = f.rho.values
-        rows[0] = f.u.values
-        rows[1] = f.div_u.values
-        np.log(np.maximum(rho, floor_rel * rho.max()), out=rows[2])
-        np.divide(f.S.values, constants.mass, out=rows[3])
-        rows[4] = f.kinetic_density.values - f.Q_tilde.values - u_ext
-        rows[5] = rho
-        flow.add(FlowSample(t, *(RealField._unchecked(r, grid) for r in rows)))
+        if len(t_whole) > len(t_half):
+            psi_half[len(t_half)] = w.psi.values
+            t_half.append(t)
+            if len(t_half) == _FLOW_CHUNK:
+                flush()
+        else:
+            psi_whole[len(t_whole)] = w.psi.values
+            t_whole.append(t)
 
     evolve(wf0, U, PropagatorConfig(dt / 2.0, 2 * n_steps, 1), [obs])
+    flush()
     return flow
 
 

@@ -36,13 +36,23 @@ class PropagatorConfig:
             raise ValueError("snapshot_every must be >= 1")
 
 
+# Spectral amplitudes below this fraction of the largest one are roundoff or
+# a negligible tail: the state does not occupy those wavenumbers.
+_OCCUPIED_REL = 1e-10
+
+
 def _check_kinetic_phase(wf: WaveFunction, dt: float) -> None:
-    grid = wf.grid
-    k_max = float(np.max(np.abs(grid.wavenumbers)))
+    """Reject a dt whose kinetic phase per step reaches pi at the highest
+    wavenumber the state occupies: past that, per-step phases alias and the
+    phase rate between snapshots is no longer defined.  The grid's own
+    Nyquist mode does not count, because the kinetic factor is exact."""
+    amp = np.abs(np.fft.fft(wf.psi.values))
+    k_max = float(np.max(np.abs(wf.grid.wavenumbers[amp >= _OCCUPIED_REL * amp.max()])))
     phase = wf.constants.hbar * k_max**2 * dt / (2.0 * wf.constants.mass)
     if phase >= np.pi:
         raise ValueError(
-            f"kinetic phase per step {phase:.3f} exceeds pi; reduce dt or refine less"
+            f"kinetic phase per step {phase:.3f} at the state's highest occupied "
+            f"wavenumber {k_max:.4g} exceeds pi; reduce dt"
         )
 
 

@@ -227,14 +227,26 @@ def bouncer_eigenstate(grid: Grid, constants: PhysicalConstants, g: float) -> Wa
 
 
 def _unwrapped_phase(psi: np.ndarray, mask: np.ndarray, hbar: float) -> np.ndarray:
-    """hbar * arg(psi) unwrapped left to right across the valid points; zero
-    at masked-out points, which the caller fills."""
-    th = np.angle(psi)[mask]
-    jumps = np.diff(th)
+    """hbar * arg(psi) unwrapped left to right across the valid points of
+    each row of a (..., n) array; zero at masked-out points, which the caller
+    fills.
+
+    Only valid points are read: each row's valid phases are packed, in
+    order, to the front of a zero-padded (rows, k) array, and the unwrap
+    runs along its last axis.
+    """
+    n = psi.shape[-1]
+    valid = mask.reshape(-1, n)
+    rows, cols = np.nonzero(valid)
+    counts = np.count_nonzero(valid, axis=-1)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    th = np.zeros((counts.size, counts.max()))
+    th[rows, rank] = np.angle(psi.reshape(-1, n)[rows, cols])
+    jumps = np.diff(th, axis=-1)
     jumps -= 2.0 * np.pi * np.round(jumps / (2.0 * np.pi))
-    unwrapped = np.concatenate(([th[0]], th[0] + np.cumsum(jumps)))
+    unwrapped = np.concatenate((th[:, :1], th[:, :1] + np.cumsum(jumps, axis=-1)), axis=-1)
     S = np.zeros(psi.shape)
-    S[mask] = hbar * unwrapped
+    S.reshape(-1, n)[rows, cols] = hbar * unwrapped[rows, rank]
     return S
 
 

@@ -5,7 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from madelung.cli import EXIT_CHECK_FAILURE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from madelung.cli import (
+    EXIT_CHECK_FAILURE,
+    EXIT_IO,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 
 
 def test_list_names_all_scenarios(capsys):
@@ -224,3 +231,42 @@ def test_verify_exits_1_on_an_error_verdict(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[ERROR] continuity_max" in out
     assert "[PASS] norm_drift" in out
+
+
+def test_report_survives_a_failing_artifact_writer(tmp_path, capsys):
+    # dt = 0.5 turns the packet's highest occupied mode by 5.6 rad per step:
+    # every check on the dt evolution is an error verdict, then the
+    # timeseries writer meets the same rejection and the run exits 2
+    rc = main([
+        "run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
+        "--set", "propagation.dt=0.5",
+    ])
+    assert rc == EXIT_USAGE
+    assert "exceeds pi" in capsys.readouterr().err
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    checks = {c["id"]: c for c in report["checks"]}
+    for cid in ("norm_drift", "energy_drift", "spreading_law"):
+        assert checks[cid]["pass"] is False and checks[cid]["measured"] is None
+        assert "exceeds pi" in checks[cid]["error"]
+    assert report["passed"] is False
+    assert "timeseries.csv" not in os.listdir(tmp_path)
+
+
+def test_non_finite_state_exits_4(tmp_path, monkeypatch, capsys):
+    from madelung import propagator
+    from madelung.grid import NonFiniteFieldError
+
+    monkeypatch.setattr(propagator, "_apply",
+                        lambda values, half_v, kinetic: np.full_like(values, np.nan))
+    rc = main([
+        "run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
+    ])
+    assert rc == EXIT_NUMERICAL
+    assert "non-finite" in capsys.readouterr().err
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    norm = {c["id"]: c for c in report["checks"]}["norm_drift"]
+    assert norm["error"] == "NonFiniteFieldError: field contains non-finite entries"
+    # library callers still see a ValueError
+    assert issubclass(NonFiniteFieldError, ValueError)

@@ -380,3 +380,67 @@ class TestSplitKernel:
         polar = polar_decompose(wf, 1e-3)
         assert np.array_equal(f.valid_mask, polar.valid_mask & region)
         assert np.array_equal(f.S.values, polar.S.values)
+
+
+class TestBatchedKernel:
+    """The field kernel runs along the last axis of a (..., n) psi stack:
+    each row of a batched call is bit-identical to the call on that row."""
+
+    @staticmethod
+    def assert_rows_match(stack, grid, constants, floor_rel, bohm_form, region=None):
+        from madelung.diagnostics import _compute
+
+        batch = _compute(stack, grid, constants, floor_rel, bohm_form, region, phase=True)
+        arrays = {k: v for k, v in vars(batch).items() if isinstance(v, np.ndarray)}
+        assert {"u", "div_u", "Q", "Pi", "S", "mask", "fill"} <= set(arrays)
+        for i, psi in enumerate(stack):
+            row = _compute(psi, grid, constants, floor_rel, bohm_form, region, phase=True)
+            for name, values in arrays.items():
+                assert values.shape == stack.shape, name
+                assert np.array_equal(values[i], getattr(row, name)), (name, i)
+        return batch
+
+    @pytest.mark.parametrize("bohm_form", ["amplitude", "wavefunction", "log"])
+    def test_masked_tails_rows(self, desk_grid, natural_units, bohm_form):
+        states = [
+            gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0),
+            gaussian_packet(desk_grid, natural_units, -2.0, 1.0, 2.0),
+            gaussian_packet(desk_grid, natural_units, 3.0, 0.7, -1.0),
+        ]
+        stack = np.stack([w.psi.values for w in states])
+        batch = self.assert_rows_match(stack, desk_grid, natural_units, 1e-12, bohm_form)
+        # the rows really carry different masks, with masked-out tails
+        assert not np.all(batch.mask)
+        assert not np.array_equal(batch.mask[0], batch.mask[2])
+        for i, w in enumerate(states):
+            f = madelung_fields(w, bohm_form=bohm_form)
+            assert np.array_equal(batch.u[i], f.u.values)
+            assert np.array_equal(batch.S[i], f.S.values)
+            assert np.array_equal(batch.Q[i], f.Q_tilde.values)
+
+    @pytest.mark.parametrize("bohm_form", ["amplitude", "wavefunction", "log"])
+    def test_region_mask_rows(self, desk_grid, natural_units, bohm_form):
+        region = airy_interior_window(desk_grid)
+        states = [airy_packet(desk_grid, natural_units, 1.0, t) for t in (0.0, 0.5, 1.0)]
+        stack = np.stack([w.psi.values for w in states])
+        batch = self.assert_rows_match(stack, desk_grid, natural_units, 1e-3, bohm_form,
+                                       region)
+        assert not np.any(batch.mask & ~region)
+        for i, w in enumerate(states):
+            f = madelung_fields(w, 1e-3, bohm_form=bohm_form, region_mask=region)
+            assert np.array_equal(batch.mask[i], f.valid_mask)
+            assert np.array_equal(batch.div_u[i], f.div_u.values)
+
+    def test_every_row_is_checked(self, desk_grid, natural_units):
+        from madelung.diagnostics import _velocity_front
+
+        good = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0).psi.values
+        stack = np.stack([good, np.zeros_like(good)])
+        with pytest.raises(ValueError, match="identically zero"):
+            _velocity_front(stack, desk_grid, natural_units, 1e-12, None)
+        empty = np.zeros(desk_grid.n, dtype=bool)
+        empty[:10] = True  # far in the tail of row 0, the peak of neither row
+        with pytest.raises(ValueError, match="no valid points"):
+            _velocity_front(np.stack([good, good]), desk_grid, natural_units, 1e-12, empty)
+        with pytest.raises(ValueError, match="floor_rel must be positive"):
+            _velocity_front(np.stack([good, good]), desk_grid, natural_units, 0.0, None)

@@ -7,6 +7,7 @@ from madelung.grid import (
     integrate,
     make_grid,
     nearest_fill,
+    nearest_index,
     spectral_derivative,
 )
 
@@ -129,3 +130,65 @@ def test_nearest_fill():
     assert np.array_equal(out, [20.0, 20.0, 20.0, 50.0, 50.0])
     with pytest.raises(ValueError):
         nearest_fill(vals, np.zeros(5, dtype=bool))
+
+
+def _nearest_index_by_search(mask):
+    # reference: for every entry, scan outward for the closest valid one,
+    # the left one first on a tie
+    valid = np.flatnonzero(mask)
+    return np.array([valid[np.argmin(np.abs(valid - i))] for i in range(mask.size)])
+
+
+NEAREST_CASES = {
+    "all_valid": [1, 1, 1, 1, 1, 1, 1, 1],
+    "only_first": [1, 0, 0, 0, 0, 0, 0, 0],
+    "only_last": [0, 0, 0, 0, 0, 0, 0, 1],
+    "single_inner": [0, 0, 0, 1, 0, 0, 0, 0],
+    "ties": [1, 0, 1, 0, 0, 1, 0, 0],
+    "gaps": [0, 1, 1, 0, 0, 0, 1, 0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAREST_CASES))
+def test_nearest_index_one_row(name):
+    mask = np.array(NEAREST_CASES[name], dtype=bool)
+    idx = nearest_index(mask)
+    assert np.array_equal(idx, _nearest_index_by_search(mask))
+    assert np.array_equal(idx[mask], np.flatnonzero(mask))
+
+
+def test_nearest_index_ties_go_left():
+    # entry 1 sits between valid 0 and 2, entry 3 between valid 2 and 4
+    mask = np.array([True, False, True, False, True])
+    assert np.array_equal(nearest_index(mask), [0, 0, 2, 2, 4])
+
+
+def test_nearest_index_rows_are_independent():
+    masks = np.array([NEAREST_CASES[k] for k in sorted(NEAREST_CASES)], dtype=bool)
+    idx = nearest_index(masks)
+    assert idx.shape == masks.shape
+    for row, mask in zip(idx, masks):
+        assert np.array_equal(row, nearest_index(mask))
+    # leading axes beyond one batch axis
+    stacked = nearest_index(masks.reshape(2, 3, 8))
+    assert np.array_equal(stacked.reshape(6, 8), idx)
+
+
+def test_nearest_index_random_rows_match_the_search():
+    rng = np.random.default_rng(7)
+    masks = rng.random((20, 64)) < 0.1
+    masks[np.arange(20), rng.integers(0, 64, 20)] = True
+    idx = nearest_index(masks)
+    for row, mask in zip(idx, masks):
+        assert np.array_equal(row, _nearest_index_by_search(mask))
+    values = rng.standard_normal((20, 64))
+    filled = nearest_fill(values, masks)
+    for i in range(20):
+        assert np.array_equal(filled[i], nearest_fill(values[i], masks[i]))
+
+
+def test_nearest_index_rejects_an_empty_row():
+    masks = np.ones((3, 8), dtype=bool)
+    masks[1] = False
+    with pytest.raises(ValueError, match="no valid entries"):
+        nearest_index(masks)

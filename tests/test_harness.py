@@ -185,3 +185,15 @@ def test_tolerance_monotonic_under_refinement(suite_reports):
     passed_before = {c.id for c in base.checks if c.passed}
     passed_after = {c.id for c in report.checks if c.passed}
     assert passed_before <= passed_after
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_propagator_order_on_refined_grids_at_desk_dt(n):
+    # the refinement guard reads the state's bandwidth, so finer grids keep
+    # the desk dt = 1e-3 and the Strang step keeps its second order
+    from madelung.harness import ScenarioRun, _check_propagator_order
+
+    scenario = apply_overrides(scenario_by_name("harmonic_ground"), {"grid.n": n})
+    assert scenario.propagation.dt == 1e-3
+    spec = next(c for c in scenario.checks if c.id == "propagator_order")
+    assert 3.5 <= _check_propagator_order(ScenarioRun(scenario), spec) <= 4.5

@@ -60,11 +60,38 @@ def test_step_rejects_negative_dt(desk_grid, natural_units, free_potential):
 
 
 def test_kinetic_phase_bound(natural_units):
+    # negative control: mode 1000 turns by 12.3 rad per step at dt = 1e-3
+    g = make_grid(4096, -20.0, 20.0)
+    wf = plane_wave(g, natural_units, 1000)
+    U = RealField(np.zeros(g.n), g)
+    with pytest.raises(ValueError, match="exceeds pi"):
+        step(wf, U, 1e-3)
+    with pytest.raises(ValueError, match="exceeds pi"):
+        evolve(wf, U, PropagatorConfig(1e-3, 10), [])
+    assert np.all(np.isfinite(step(wf, U, 2e-4).psi.values))
+
+
+def test_kinetic_phase_bound_reads_the_state_not_the_grid(natural_units):
+    # the grid's Nyquist phase is 51.7 at dt = 1e-3, but mode 8 occupies
+    # only k = 1.26, and the kinetic factor is exact for it
     g = make_grid(4096, -20.0, 20.0)
     wf = plane_wave(g, natural_units, 8)
     U = RealField(np.zeros(g.n), g)
-    with pytest.raises(ValueError):
-        step(wf, U, 1e-3)
+    k = 2.0 * np.pi * 8 / g.length
+    dt = 1e-3
+    out = step(wf, U, dt)
+    expected = wf.psi.values * np.exp(-0.5j * k * k * dt)
+    assert np.max(np.abs(out.psi.values - expected)) < 1e-13
+    assert abs(out.norm() - 1.0) < 1e-13
+
+
+def test_wide_domain_packet_is_accepted(natural_units):
+    # a moving packet on the 65536-point wide domain, dt = 1e-3
+    g = make_grid(65536, -1536.0, 1536.0)
+    wf = gaussian_packet(g, natural_units, 4.0, 1.0, 2.5)
+    U = RealField(np.zeros(g.n), g)
+    out = evolve(wf, U, PropagatorConfig(1e-3, 2), [])
+    assert abs(out.norm() - 1.0) < 1e-12
 
 
 def test_evolve_zero_steps_notifies_once(desk_grid, natural_units, free_potential):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from madelung.diagnostics import madelung_fields
+from madelung.diagnostics import madelung_fields, velocity
 from madelung.grid import RealField
 from madelung.harness import collect_flow
 from madelung.propagator import PropagatorConfig, evolve
@@ -326,6 +326,38 @@ class TestCollectFlow:
             assert np.array_equal(smp.u.values, f.u.values)
             assert np.array_equal(smp.rho.values, f.rho.values)
             assert np.array_equal(smp.S_tilde.values, f.S.values / natural_units.mass)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 7, 8, 9, 19])
+    def test_chunked_samples_match_the_single_state_routes(
+        self, desk_grid, natural_units, n_steps
+    ):
+        # chunk boundaries and the final partial chunk, sample by sample,
+        # against the public one-state routes on an independent evolution
+        U = evaluate_potential(PotentialSpec("harmonic", omega=1.0), desk_grid, natural_units)
+        wf = gaussian_packet(desk_grid, natural_units, -1.0, 1.0, 1.5)
+        dt, m = 1e-3, natural_units.mass
+        flow = collect_flow(wf, U, dt, n_steps)
+        states = []
+        evolve(wf, U, PropagatorConfig(dt / 2.0, 2 * n_steps, 1),
+               [lambda t, w: states.append((t, w))])
+        assert [smp.t for smp in flow._samples] == [t for t, _ in states]
+        for k, ((t, w), smp) in enumerate(zip(states, flow._samples)):
+            if k % 2:
+                assert smp.div_u is None and smp.rho is None
+                assert np.array_equal(smp.u.values, velocity(w).values)
+                continue
+            f = madelung_fields(w)
+            rho = f.rho.values
+            expected = {
+                "u": f.u.values,
+                "div_u": f.div_u.values,
+                "ln_rho": np.log(np.maximum(rho, 1e-12 * rho.max())),
+                "S_tilde": f.S.values / m,
+                "lagrangian": f.kinetic_density.values - f.Q_tilde.values - U.values / m,
+                "rho": rho,
+            }
+            for name, values in expected.items():
+                assert np.array_equal(getattr(smp, name).values, values), (name, k)
 
     def test_zero_steps_hold_one_sample(self, desk_grid, natural_units, free_U):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
