@@ -9,7 +9,6 @@ reproduces the arrays bit for bit.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import bernoulli_residual, madelung_fields, nonspreading_residual
+from .diagnostics import madelung_fields
 from .grid import NonFiniteFieldError
 from .harness import (
     ScenarioRun,
@@ -27,8 +26,7 @@ from .harness import (
     run_scenario,
     scenario_by_name,
 )
-from .propagator import step
-from .trajectories import write_trajectory_csv
+from .trajectories import _write_csv, write_trajectory_csv
 
 __all__ = ["RunConfig", "main", "entry"]
 
@@ -83,32 +81,17 @@ def _default_out() -> str:
     return os.environ.get("MADELUNG_OUT", "./madelung_out")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_timeseries(run: ScenarioRun, path: str) -> None:
-    scenario = run.scenario
-    rows = []
-    for (t, w), rep in zip(run.snapshots(), run.reports()):
-        if scenario.propagation is not None:
-            dt = scenario.propagation.dt
-            resid = bernoulli_residual(w, step(w, run.U, dt), run.U, dt,
-                                       scenario.floor_rel,
-                                       bohm_form=scenario.bohm_form)
-            bern = _fmt(np.max(np.abs(resid.values)))
-        else:
-            bern = ""
-        nonspread = _fmt(nonspreading_residual(run.pointwise_fields(t), run.U))
-        rows.append(
-            [_fmt(v) for v in (rep.t, rep.norm, rep.K, rep.Q, rep.U, rep.I,
-                               rep.E, rep.FI, rep.accel, rep.vi_mean)]
-            + [bern, nonspread]
-        )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMESERIES_COLUMNS)
-        writer.writerows(rows)
+    # the Bernoulli and non-spreading columns are the values the checks judged
+    bern = run.scenario.propagation is not None
+    rows = [
+        [rep.t, rep.norm, rep.K, rep.Q, rep.U, rep.I, rep.E, rep.FI, rep.accel,
+         rep.vi_mean] + ([run.bernoulli_max(t)] if bern else []) + [run.pointwise("nonspreading", t)]
+        for (t, _), rep in zip(run.snapshots(), run.reports())
+    ]
+    # a diagnostic-only run leaves the Bernoulli column empty
+    row_format = ",".join(["%.17g"] * 10 + ["%.17g" if bern else ""] + ["%.17g"]) + "\r\n"
+    _write_csv(path, TIMESERIES_COLUMNS, row_format, [np.array(rows, dtype=float)])
 
 
 def _write_fields(run: ScenarioRun, out_dir: str) -> None:
@@ -119,12 +102,8 @@ def _write_fields(run: ScenarioRun, out_dir: str) -> None:
         cols = [run.grid.x, psi.real, psi.imag, f.rho.values, f.S.values,
                 f.u.values, f.div_u.values, f.Q_tilde.values, f.Pi.values,
                 f.internal_density.values, f.v_i.values]
-        path = os.path.join(out_dir, f"fields_t{index}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(FIELD_COLUMNS)
-            for j in range(run.grid.n):
-                writer.writerow([_fmt(col[j]) for col in cols])
+        _write_csv(os.path.join(out_dir, f"fields_t{index}.csv"), FIELD_COLUMNS,
+                   ",".join(["%.17g"] * len(cols)) + "\r\n", [np.column_stack(cols)])
 
 
 def _cmd_run(args) -> int:

@@ -143,6 +143,22 @@ class TrajectoryConfig:
     seed_lo: float | None = None   # restrict seeding to [seed_lo, seed_hi]
     seed_hi: float | None = None
 
+    def __post_init__(self):
+        if not (isinstance(self.n_parcels, (int, np.integer)) and self.n_parcels >= 1):
+            raise ValueError(
+                f"trajectories.n_parcels must be an integer >= 1, got {self.n_parcels!r}"
+            )
+        if not 0.0 < self.duration < np.inf:
+            raise ValueError(
+                f"trajectories.duration must be finite and > 0, got {self.duration!r}"
+            )
+        if (self.seed_lo is None) != (self.seed_hi is None):
+            raise ValueError("trajectories.seed_lo and seed_hi must be set together")
+        if self.seed_lo is not None and not self.seed_lo < self.seed_hi:
+            raise ValueError(
+                f"trajectories.seed_lo must be < seed_hi, got [{self.seed_lo!r}, {self.seed_hi!r}]"
+            )
+
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -318,7 +334,21 @@ def collect_flow(
 
 
 class ScenarioRun:
-    """Lazily evaluated artifacts of one scenario execution."""
+    """Lazily evaluated artifacts of one scenario execution.
+
+    Everything is computed on first use and kept, so the checks and the
+    artifact writers read the same numbers:
+
+    - the snapshots of the propagation and their `expectations` reports;
+    - per snapshot, the scalars the pointwise checks take from the pointwise
+      fields (`pointwise`: the enthalpy and non-spreading residuals, the
+      peak |u| and |div u|), all taken in the one evaluation of the fields,
+      which are then let go; a scalar whose evaluation raised raises the
+      same exception on every read;
+    - per snapshot, the peak one-step Bernoulli residual (`bernoulli_max`);
+    - the main parcel track (`trajectory`, `flow`), or the exception it
+      raised, which every later reader gets again.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -331,7 +361,8 @@ class ScenarioRun:
         )
         self._snapshots: list | None = None
         self._reports: list | None = None
-        self._tracking: tuple[FlowHistory, ParcelEnsemble] | None = None
+        self._per_snapshot: dict = {}  # (quantity, snapshot index) -> value
+        self._tracking: tuple[FlowHistory, ParcelEnsemble] | Exception | None = None
 
     # -- state access ------------------------------------------------------
 
@@ -346,11 +377,20 @@ class ScenarioRun:
                 self._snapshots = snaps
         return self._snapshots
 
-    def state_at(self, t: float) -> WaveFunction:
-        for ts, w in self.snapshots():
+    def _snapshot_index(self, t: float) -> int:
+        for i, (ts, _) in enumerate(self.snapshots()):
             if abs(ts - t) <= 1e-9 * max(1.0, abs(t)) + 1e-12:
-                return w
+                return i
         raise KeyError(f"no snapshot at t = {t!r} in scenario {self.scenario.name!r}")
+
+    def state_at(self, t: float) -> WaveFunction:
+        return self.snapshots()[self._snapshot_index(t)][1]
+
+    def _memo(self, quantity: str, t: float, compute):
+        key = (quantity, self._snapshot_index(t))
+        if key not in self._per_snapshot:
+            self._per_snapshot[key] = compute(t)
+        return self._per_snapshot[key]
 
     def reports(self) -> list:
         if self._reports is None:
@@ -371,6 +411,40 @@ class ScenarioRun:
             region_mask=self.region_mask,
         )
 
+    def pointwise(self, quantity: str, t: float) -> float:
+        """A scalar of the pointwise fields at snapshot t: "enthalpy",
+        "nonspreading", "u_max" or "div_u_max"."""
+        value = self._memo("pointwise", t, self._pointwise_scalars)[quantity]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def _pointwise_scalars(self, t: float) -> dict:
+        # the scalars are small, the fields are not: keeping only the
+        # scalars keeps memory flat in the number of snapshots
+        fields = self.pointwise_fields(t)
+        out = {}
+        for quantity, fn in _POINTWISE.items():
+            try:
+                out[quantity] = fn(self, fields)
+            except Exception as exc:  # judged by the check that reads it
+                out[quantity] = exc.with_traceback(None)  # its frames hold the fields
+        return out
+
+    def bernoulli_max(self, t: float) -> float:
+        """Peak |Bernoulli residual| over one propagation step from snapshot t."""
+        dt = self.scenario.propagation.dt
+
+        def compute(t):
+            w = self.state_at(t)
+            r = bernoulli_residual(
+                w, step(w, self.U, dt), self.U, dt,
+                self.scenario.floor_rel, bohm_form=self.scenario.bohm_form,
+            )
+            return float(np.max(np.abs(r.values)))
+
+        return self._memo("bernoulli", t, compute)
+
     # -- trajectory machinery ---------------------------------------------
 
     def _seed_density(self) -> RealField:
@@ -382,27 +456,37 @@ class ScenarioRun:
         return RealField(np.where(keep, rho.values, 0.0), self.grid)
 
     def track(self, dt: float, duration: float) -> tuple[FlowHistory, ParcelEnsemble]:
-        """Collect the flow over `duration` at step dt and advect parcels through it."""
+        """Collect the flow over `duration` at step dt and advect parcels through it.
+
+        Parcels are seeded first, so a seeding failure costs no propagation.
+        """
         n = int(round(duration / dt))
+        cfg = self.scenario.trajectories or TrajectoryConfig()
+        ens = seed_parcels(self._seed_density(), cfg.n_parcels)
         flow = collect_flow(
             self.wf0, self.U, dt, n,
             floor_rel=self.scenario.floor_rel, bohm_form=self.scenario.bohm_form,
         )
-        cfg = self.scenario.trajectories or TrajectoryConfig()
-        ens = seed_parcels(self._seed_density(), cfg.n_parcels)
         return flow, advect(ens, flow, dt, n)
 
-    def trajectory(self) -> ParcelEnsemble:
+    def _main_track(self) -> tuple[FlowHistory, ParcelEnsemble]:
         if self._tracking is None:
             cfg = self.scenario.trajectories
             if cfg is None:
                 raise ValueError(f"scenario {self.scenario.name!r} has no trajectory config")
-            self._tracking = self.track(self.scenario.propagation.dt, cfg.duration)
-        return self._tracking[1]
+            try:
+                self._tracking = self.track(self.scenario.propagation.dt, cfg.duration)
+            except Exception as exc:
+                self._tracking = exc
+        if isinstance(self._tracking, Exception):
+            raise self._tracking
+        return self._tracking
+
+    def trajectory(self) -> ParcelEnsemble:
+        return self._main_track()[1]
 
     def flow(self) -> FlowHistory:
-        self.trajectory()
-        return self._tracking[0]
+        return self._main_track()[0]
 
     # -- verification ------------------------------------------------------
 
@@ -503,22 +587,24 @@ def _enthalpy_residual(run, fields) -> float:
     return float(np.max(np.abs(resid[mask])) / scale)
 
 
+_POINTWISE = {
+    "enthalpy": _enthalpy_residual,
+    "nonspreading": lambda run, f: nonspreading_residual(f, run.U),
+    "u_max": lambda run, f: float(np.max(np.abs(f.u.values[f.valid_mask]))),
+    "div_u_max": lambda run, f: float(np.max(np.abs(f.div_u.values[f.valid_mask]))),
+}
+
+
 def _check_enthalpy_pointwise(run, spec):
-    return max(
-        _enthalpy_residual(run, run.pointwise_fields(t)) for t in _times_param(run, spec)
-    )
+    return max(run.pointwise("enthalpy", t) for t in _times_param(run, spec))
 
 
 def _check_nonspreading(run, spec):
-    return max(
-        nonspreading_residual(run.pointwise_fields(t), run.U)
-        for t in _times_param(run, spec)
-    )
+    return max(run.pointwise("nonspreading", t) for t in _times_param(run, spec))
 
 
 def _check_nonspreading_violated(run, spec):
-    t = spec.params.get("time", 1.0)
-    return nonspreading_residual(run.pointwise_fields(t), run.U)
+    return run.pointwise("nonspreading", spec.params.get("time", 1.0))
 
 
 def _density_moments(w: WaveFunction):
@@ -550,15 +636,9 @@ def _check_drift_law(run, spec):
 
 
 def _check_bernoulli_max(run, spec):
-    dt = run.scenario.propagation.dt
     worst = 0.0
     for t in _times_param(run, spec):
-        w = run.state_at(t)
-        r = bernoulli_residual(
-            w, step(w, run.U, dt), run.U, dt,
-            run.scenario.floor_rel, bohm_form=run.scenario.bohm_form,
-        )
-        worst = max(worst, float(np.max(np.abs(r.values))))
+        worst = max(worst, run.bernoulli_max(t))
     return worst
 
 
@@ -600,12 +680,39 @@ def _check_continuity(run, spec):
     return float(continuity_residual(run.trajectory()).max())
 
 
+def _head(ens: ParcelEnsemble, m: int) -> ParcelEnsemble:
+    """The first m records of a trajectory, as the ensemble a track ending there gives."""
+    return replace(
+        ens,
+        positions=ens.x_records[m - 1].copy(),
+        times=ens.times[:m],
+        x_records=ens.x_records[:m],
+        u_records=ens.u_records[:m],
+        ln_rho_records=ens.ln_rho_records[:m],
+        div_u_records=ens.div_u_records[:m],
+        S_records=ens.S_records[:m],
+        action_records=ens.action_records[:m],
+    )
+
+
 def _check_continuity_order(run, spec):
     dt = run.scenario.propagation.dt
     duration = spec.params.get("duration", 0.25)
-    coarse = continuity_residual(run.track(dt, duration)[1]).max()
-    fine = continuity_residual(run.track(dt / 2.0, duration)[1]).max()
-    return float(coarse / fine)
+    n = int(round(duration / dt))
+    # Seeding, flow collection and advection go step by step the same way
+    # whatever the run length, so track(dt, duration) is a bit-identical
+    # prefix of the main trajectory whenever that one covers it.
+    coarse = None
+    cfg = run.scenario.trajectories
+    if cfg is not None and n <= int(round(cfg.duration / dt)):
+        try:
+            coarse = _head(run.trajectory(), n + 1)
+        except Exception:
+            pass  # a fresh track below reports its own failure
+    if coarse is None:
+        coarse = run.track(dt, duration)[1]
+    fine = run.track(dt / 2.0, duration)[1]
+    return float(continuity_residual(coarse).max() / continuity_residual(fine).max())
 
 
 def _check_quantile_preservation(run, spec):
@@ -669,8 +776,7 @@ def _check_incompressibility_parcels(run, spec):
 
 
 def _check_incompressibility_field(run, spec):
-    f = run.pointwise_fields(spec.params.get("time", 0.0))
-    return float(np.max(np.abs(f.div_u.values[f.valid_mask])))
+    return run.pointwise("div_u_max", spec.params.get("time", 0.0))
 
 
 def _peak_position(run, w: WaveFunction) -> float:
@@ -704,8 +810,7 @@ def _check_density_node_at_wall(run, spec):
 
 
 def _check_velocity_zero(run, spec):
-    f = run.pointwise_fields(spec.params.get("time", 0.0))
-    return float(np.max(np.abs(f.u.values[f.valid_mask])))
+    return run.pointwise("u_max", spec.params.get("time", 0.0))
 
 
 _CHECKS = {

@@ -11,7 +11,6 @@ preservation of the cumulative-probability level each parcel started on.
 from __future__ import annotations
 
 import bisect
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,22 +195,26 @@ def seed_parcels(rho: RealField, n_parcels: int) -> ParcelEnsemble:
     return ParcelEnsemble(grid=rho.grid, positions=positions, quantiles=levels)
 
 
+_STENCIL = np.arange(-1, 3)  # offsets of the 4-point stencil from floor(pos)
+
+
 def _interp_cubic(values: np.ndarray, grid: Grid, xq: np.ndarray) -> np.ndarray:
     """Periodic 4-point Lagrange cubic interpolation at arbitrary positions.
 
     `values` may stack several fields along leading axes; the stencil is
-    built once and applied to each of them along the last axis.
+    gathered once, as a (..., P, 4) index, and applied to each of them along
+    the last axis.
     """
     pos = (xq - grid.x_min) / grid.dx
     j = np.floor(pos).astype(int)
     s = pos - j
-    jm1, j0, j1, j2 = (np.mod(j + o, grid.n) for o in (-1, 0, 1, 2))
-    wm1 = -s * (s - 1.0) * (s - 2.0) / 6.0
-    w0 = (s * s - 1.0) * (s - 2.0) / 2.0
-    w1 = -s * (s + 1.0) * (s - 2.0) / 2.0
-    w2 = s * (s * s - 1.0) / 6.0
-    return (wm1 * values[..., jm1] + w0 * values[..., j0]
-            + w1 * values[..., j1] + w2 * values[..., j2])
+    g = values[..., (j[..., None] + _STENCIL) % grid.n]
+    ns, sm2, ss1 = -s, s - 2.0, s * s - 1.0
+    wm1 = ns * (s - 1.0) * sm2 / 6.0
+    w0 = ss1 * sm2 / 2.0
+    w1 = ns * (s + 1.0) * sm2 / 2.0
+    w2 = s * ss1 / 6.0
+    return wm1 * g[..., 0] + w0 * g[..., 1] + w1 * g[..., 2] + w2 * g[..., 3]
 
 
 def _wrap(x: np.ndarray, grid: Grid) -> np.ndarray:
@@ -259,10 +262,9 @@ def advect(
 
     for k in range(n_steps):
         t = t0 + k * dt
-        u_a = flow.velocity_at(t).values
         u_m = flow.velocity_at(t + 0.5 * dt).values
         u_b = flow.velocity_at(t + dt).values
-        k1 = _interp_cubic(u_a, grid, x)
+        k1 = us[-1]  # the velocity record at (t, x) is RK4's first stage
         k2 = _interp_cubic(u_m, grid, _wrap(x + 0.5 * dt * k1, grid))
         k3 = _interp_cubic(u_m, grid, _wrap(x + 0.5 * dt * k2, grid))
         k4 = _interp_cubic(u_b, grid, _wrap(x + dt * k3, grid))
@@ -329,25 +331,33 @@ def action_check(ensemble: ParcelEnsemble) -> np.ndarray:
     return np.abs((S[-1, :] - S[0, :]) - ensemble.action_records[-1, :])
 
 
+_CSV_BLOCK_ROWS = 2048  # rows formatted per write, bounding the transient Python floats
+
+
+def _write_csv(path, header, row_format: str, blocks) -> None:
+    """Write a header and the rows of each 2-D block with one %-format per row.
+
+    `row_format` ends in "\r\n" and formats floats with "%.17g", which gives
+    the same text as csv.writer with format(v, ".17g") per value: shortest
+    exact round trip, no quoting needed.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            for i in range(0, len(block), _CSV_BLOCK_ROWS):
+                part = block[i:i + _CSV_BLOCK_ROWS]
+                fh.write((row_format * len(part)) % tuple(np.ravel(part).tolist()))
+
+
 def write_trajectory_csv(ensemble: ParcelEnsemble, path) -> None:
     """Dump records as (parcel_id, t, x, u, ln_rho, div_u, action, S_sampled)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parcel_id", "t", "x", "u", "ln_rho", "div_u", "action", "S_sampled"])
-        for p in range(ensemble.n_parcels):
-            for i, t in enumerate(ensemble.times):
-                writer.writerow(
-                    [p]
-                    + [
-                        format(v, ".17g")
-                        for v in (
-                            t,
-                            ensemble.x_records[i, p],
-                            ensemble.u_records[i, p],
-                            ensemble.ln_rho_records[i, p],
-                            ensemble.div_u_records[i, p],
-                            ensemble.action_records[i, p],
-                            ensemble.S_records[i, p],
-                        )
-                    ]
-                )
+    records = (ensemble.x_records, ensemble.u_records, ensemble.ln_rho_records,
+               ensemble.div_u_records, ensemble.action_records, ensemble.S_records)
+    _write_csv(
+        path,
+        ["parcel_id", "t", "x", "u", "ln_rho", "div_u", "action", "S_sampled"],
+        "%d" + ",%.17g" * 7 + "\r\n",
+        (np.column_stack([np.full(ensemble.times.size, p), ensemble.times]
+                         + [r[:, p] for r in records])
+         for p in range(ensemble.n_parcels)),
+    )

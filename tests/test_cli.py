@@ -176,8 +176,9 @@ def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports):
         "--out", str(tmp_path),
     ])
     assert rc == EXIT_OK
-    # snapshots, the parcel flow, and the two flows of continuity_order
-    assert len(calls) == 4
+    # snapshots, the parcel flow, and continuity_order's dt/2 flow: its dt
+    # track is a prefix of the parcel flow's
+    assert len(calls) == 3
     with open(tmp_path / "report.json") as fh:
         report = json.load(fh)
     assert report["checks"] == suite_reports["free_gaussian"].payload()["checks"]
@@ -270,3 +271,43 @@ def test_non_finite_state_exits_4(tmp_path, monkeypatch, capsys):
     assert norm["error"] == "NonFiniteFieldError: field contains non-finite entries"
     # library callers still see a ValueError
     assert issubclass(NonFiniteFieldError, ValueError)
+
+
+@pytest.mark.parametrize("override, limit", [
+    ("trajectories.duration=-0.5", "trajectories.duration must be finite and > 0"),
+    ("trajectories.duration=0", "trajectories.duration must be finite and > 0"),
+    ("trajectories.n_parcels=0", "trajectories.n_parcels must be an integer >= 1"),
+])
+def test_bad_trajectory_config_exits_2_with_its_limit(tmp_path, capsys, override, limit):
+    rc = main(["run", "--scenario", "free_gaussian", "--no-fields", "--trajectories",
+               "--out", str(tmp_path), "--set", override])
+    assert rc == EXIT_USAGE
+    assert limit in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_timeseries_columns_are_the_judged_values(tmp_path, monkeypatch):
+    from madelung import harness
+
+    fields_calls, step_calls = [], []
+    real_fields, real_step = harness.madelung_fields, harness.step
+    monkeypatch.setattr(harness, "madelung_fields",
+                        lambda *a, **k: fields_calls.append(1) or real_fields(*a, **k))
+    monkeypatch.setattr(harness, "step",
+                        lambda *a, **k: step_calls.append(1) or real_step(*a, **k))
+    rc = main(["run", "--scenario", "harmonic_ground", "--no-fields", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    with open(tmp_path / "report.json") as fh:
+        checks = {c["id"]: c["measured"] for c in json.load(fh)["checks"]}
+    with open(tmp_path / "timeseries.csv") as fh:
+        rows = {float(r["t"]): r for r in csv.DictReader(fh)}
+    assert len(rows) == 11
+    # one field evaluation per snapshot, shared by the checks and the writer
+    assert len(fields_calls) == 11
+    # bernoulli_max steps once from each snapshot, bernoulli_order twice
+    assert len(step_calls) == 11 + 2
+    assert max(float(r["bernoulli_residual_max"]) for r in rows.values()) \
+        == checks["bernoulli_max"]
+    assert float(rows[0.0]["nonspread_residual"]) == checks["nonspreading"]
+    assert max(float(rows[t]["nonspread_residual"]) for t in (0.5, 1.0)) \
+        == checks["nonspreading_evolved"]

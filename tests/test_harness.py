@@ -197,3 +197,140 @@ def test_propagator_order_on_refined_grids_at_desk_dt(n):
     assert scenario.propagation.dt == 1e-3
     spec = next(c for c in scenario.checks if c.id == "propagator_order")
     assert 3.5 <= _check_propagator_order(ScenarioRun(scenario), spec) <= 4.5
+
+
+RECORD_FIELDS = ("times", "positions", "x_records", "u_records", "ln_rho_records",
+                 "div_u_records", "S_records", "action_records")
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestContinuityOrderTracks:
+    SPEC = CheckSpec("continuity_order", 3.5, mode="above", params={"duration": 0.25})
+
+    @staticmethod
+    def fresh_value(run, dt):
+        from madelung.trajectories import continuity_residual
+
+        coarse = continuity_residual(run.track(dt, 0.25)[1]).max()
+        fine = continuity_residual(run.track(dt / 2.0, 0.25)[1]).max()
+        return float(coarse / fine)
+
+    def test_coarse_track_is_the_main_trajectory_prefix(self, monkeypatch):
+        from madelung import harness
+
+        run = harness.ScenarioRun(scenario_by_name("free_gaussian"))
+        dt = run.scenario.propagation.dt
+        fresh = run.track(dt, 0.25)[1]
+        head = harness._head(run.trajectory(), fresh.times.size)
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(head, name), getattr(fresh, name)), name
+        calls = _counting(monkeypatch, harness, "collect_flow")
+        measured = harness._CHECKS["continuity_order"](run, self.SPEC)
+        assert len(calls) == 1  # only the dt/2 track; the dt track is sliced
+        monkeypatch.undo()
+        assert measured == self.fresh_value(run, dt)
+
+    def test_falls_back_to_a_fresh_track_past_the_main_duration(self, monkeypatch):
+        from madelung import harness
+
+        scenario = apply_overrides(scenario_by_name("free_gaussian"),
+                                   {"trajectories.duration": 0.1})
+        run = harness.ScenarioRun(scenario)
+        run.trajectory()
+        calls = _counting(monkeypatch, harness, "collect_flow")
+        measured = harness._CHECKS["continuity_order"](run, self.SPEC)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert measured == self.fresh_value(run, run.scenario.propagation.dt)
+
+
+TRACK_CHECKS = ("continuity_max", "continuity_order", "quantile_preservation",
+                "action_identity")
+
+
+def test_a_failed_main_track_fails_once_with_one_message(monkeypatch):
+    from madelung import harness
+
+    calls = []
+
+    def broken_flow(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("flow broke")
+
+    monkeypatch.setattr(harness, "collect_flow", broken_flow)
+    checks = {c.id: c for c in run_scenario(scenario_by_name("free_gaussian")).checks}
+    for cid in TRACK_CHECKS:
+        assert checks[cid].error == "RuntimeError: flow broke", cid
+    # the main track once, continuity_order's fallback dt track once
+    assert len(calls) == 2
+    assert checks["norm_drift"].passed
+
+
+def test_seeding_fails_before_any_flow_collection(monkeypatch):
+    from madelung import harness
+
+    def no_parcels(rho, n_parcels):
+        raise ValueError("need at least one parcel")
+
+    monkeypatch.setattr(harness, "seed_parcels", no_parcels)
+    calls = _counting(monkeypatch, harness, "collect_flow")
+    checks = {c.id: c for c in run_scenario(scenario_by_name("free_gaussian")).checks}
+    for cid in TRACK_CHECKS:
+        assert checks[cid].error == "ValueError: need at least one parcel", cid
+    assert calls == []
+
+
+@pytest.mark.parametrize("kwargs, limit", [
+    ({"n_parcels": 0}, "n_parcels must be an integer >= 1"),
+    ({"n_parcels": 2.5}, "n_parcels must be an integer >= 1"),
+    ({"duration": 0.0}, "duration must be finite and > 0"),
+    ({"duration": -0.5}, "duration must be finite and > 0"),
+    ({"duration": float("nan")}, "duration must be finite and > 0"),
+    ({"duration": float("inf")}, "duration must be finite and > 0"),
+    ({"seed_lo": -1.0}, "set together"),
+    ({"seed_hi": 1.0}, "set together"),
+    ({"seed_lo": 1.0, "seed_hi": 1.0}, "seed_lo must be < seed_hi"),
+    ({"seed_lo": 2.0, "seed_hi": -2.0}, "seed_lo must be < seed_hi"),
+])
+def test_trajectory_config_names_its_limit(kwargs, limit):
+    from madelung.harness import TrajectoryConfig
+
+    with pytest.raises(ValueError, match=limit):
+        TrajectoryConfig(**kwargs)
+
+
+def test_trajectory_config_accepts_valid_values():
+    from madelung.harness import TrajectoryConfig
+
+    assert TrajectoryConfig(n_parcels=1, duration=1e-3).seed_lo is None
+    assert TrajectoryConfig(seed_lo=-8.0, seed_hi=2.0).seed_hi == 2.0
+
+
+def test_a_raising_pointwise_scalar_is_its_own_verdict(monkeypatch):
+    from madelung import harness
+
+    def too_few(run, fields):
+        raise ValueError("valid mask spans fewer than 16 points")
+
+    monkeypatch.setitem(harness._POINTWISE, "nonspreading", too_few)
+    calls = _counting(monkeypatch, harness, "madelung_fields")
+    run = harness.ScenarioRun(scenario_by_name("harmonic_ground"))
+    checks = {c.id: c for c in run.verify().checks}
+    for cid in ("nonspreading", "nonspreading_evolved"):
+        assert checks[cid].error == "ValueError: valid mask spans fewer than 16 points"
+    # the other scalars of the same field evaluations are still judged
+    assert checks["enthalpy_pointwise"].passed and checks["velocity_zero"].passed
+    assert len(calls) == len(run.snapshots())
+    with pytest.raises(ValueError, match="fewer than 16"):
+        run.pointwise("nonspreading", 0.0)

@@ -367,3 +367,98 @@ class TestCollectFlow:
         assert np.array_equal(smp.rho.values, wf.density().values)
         with pytest.raises(ProviderGapError):
             flow.sample_at(0.5e-3)
+
+
+def _interp_cubic_reference(values, grid, xq):
+    """Periodic 4-point Lagrange cubic with one gather per stencil point."""
+    pos = (xq - grid.x_min) / grid.dx
+    j = np.floor(pos).astype(int)
+    s = pos - j
+    jm1, j0, j1, j2 = (np.mod(j + o, grid.n) for o in (-1, 0, 1, 2))
+    wm1 = -s * (s - 1.0) * (s - 2.0) / 6.0
+    w0 = (s * s - 1.0) * (s - 2.0) / 2.0
+    w1 = -s * (s + 1.0) * (s - 2.0) / 2.0
+    w2 = s * (s * s - 1.0) / 6.0
+    return (wm1 * values[..., jm1] + w0 * values[..., j0]
+            + w1 * values[..., j1] + w2 * values[..., j2])
+
+
+def _advect_reference(ensemble, flow, dt, n_steps, t0=0.0):
+    """RK4 with five interpolations per step: k1 is interpolated afresh
+    instead of read from the velocity record at the same time and place."""
+    grid = ensemble.grid
+    period = 2.0 * np.pi * flow.constants.hbar / flow.constants.mass
+    x = ensemble.positions.copy()
+
+    def wrap(y):
+        return grid.x_min + np.mod(y - grid.x_min, grid.length)
+
+    def record_at(t, x_now, prev_S):
+        smp = flow.sample_at(t)
+        fields = np.stack([smp.u.values, smp.div_u.values, smp.ln_rho.values,
+                           smp.lagrangian.values, smp.S_tilde.values])
+        u_p, div_p, ln_p, lag_p, S_p = _interp_cubic_reference(fields, grid, x_now)
+        if prev_S is not None:
+            S_p = S_p + period * np.round((prev_S - S_p) / period)
+        return u_p, div_p, ln_p, lag_p, S_p
+
+    u0, div0, ln0, lag0, S0 = record_at(t0, x, None)
+    xs, us, divs, lns, Ss, acts = [x.copy()], [u0], [div0], [ln0], [S0], [np.zeros_like(x)]
+    lag_prev = lag0
+    for k in range(n_steps):
+        t = t0 + k * dt
+        u_a = flow.velocity_at(t).values
+        u_m = flow.velocity_at(t + 0.5 * dt).values
+        u_b = flow.velocity_at(t + dt).values
+        k1 = _interp_cubic_reference(u_a, grid, x)
+        k2 = _interp_cubic_reference(u_m, grid, wrap(x + 0.5 * dt * k1))
+        k3 = _interp_cubic_reference(u_m, grid, wrap(x + 0.5 * dt * k2))
+        k4 = _interp_cubic_reference(u_b, grid, wrap(x + dt * k3))
+        x = wrap(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        u_p, div_p, ln_p, lag_p, S_p = record_at(t0 + (k + 1) * dt, x, Ss[-1])
+        xs.append(x.copy())
+        us.append(u_p)
+        divs.append(div_p)
+        lns.append(ln_p)
+        Ss.append(S_p)
+        acts.append(acts[-1] + 0.5 * dt * (lag_prev + lag_p))
+        lag_prev = lag_p
+    return {"x_records": np.vstack(xs), "u_records": np.vstack(us),
+            "div_u_records": np.vstack(divs), "ln_rho_records": np.vstack(lns),
+            "S_records": np.vstack(Ss), "action_records": np.vstack(acts), "positions": x}
+
+
+@pytest.mark.parametrize("case", ["free_gaussian", "moving_gaussian", "airy_region_seeded"])
+def test_advect_matches_the_five_interpolation_reference(case, desk_grid, natural_units,
+                                                         free_U):
+    from madelung.harness import ScenarioRun, scenario_by_name
+
+    dt, n = 1e-3, 60
+    if case == "airy_region_seeded":
+        # windowed Airy packet, parcels seeded inside [seed_lo, seed_hi] only
+        run = ScenarioRun(scenario_by_name("airy_packet"))
+        flow = collect_flow(run.wf0, run.U, dt, n, floor_rel=run.scenario.floor_rel,
+                            bohm_form=run.scenario.bohm_form)
+        ens = seed_parcels(run._seed_density(), run.scenario.trajectories.n_parcels)
+    else:
+        x0, k0 = (0.0, 0.0) if case == "free_gaussian" else (-2.0, 2.0)
+        wf = gaussian_packet(desk_grid, natural_units, x0, 1.0, k0)
+        flow = collect_flow(wf, free_U, dt, n)
+        ens = seed_parcels(wf.density(), 7)
+    adv = advect(ens, flow, dt, n)
+    ref = _advect_reference(ens, flow, dt, n)
+    for name, expected in ref.items():
+        assert np.array_equal(getattr(adv, name), expected), name
+    assert np.array_equal(adv.times, dt * np.arange(n + 1))
+
+
+def test_interp_cubic_matches_the_reference_stencil(desk_grid):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((3, desk_grid.n))
+    # nodes, both domain ends, points a rounding step off a node, and beyond
+    xq = np.concatenate([desk_grid.x[:4], desk_grid.x[-4:], [desk_grid.x_min],
+                         np.nextafter(desk_grid.x[100], np.inf, dtype=float)[None],
+                         rng.uniform(desk_grid.x_min, desk_grid.x_min + desk_grid.length, 50)])
+    for v in (values, values[0]):
+        assert np.array_equal(_interp_cubic(v, desk_grid, xq),
+                              _interp_cubic_reference(v, desk_grid, xq))
