@@ -1,7 +1,8 @@
 """Command-line interface: run scenarios, verify the builtin suite, list it.
 
 Exit codes: 0 success, 1 check failure under `verify`, 2 unknown scenario or
-bad usage, 3 I/O failure, 4 numerical failure (a non-finite field).
+bad usage, 3 I/O failure, 4 numerical failure (a non-finite field), 5 a
+`verify` worker process died.
 Artifacts are CSV/JSON with full 17-significant-digit floats so re-reading
 reproduces the arrays bit for bit.
 """
@@ -20,10 +21,11 @@ from .diagnostics import madelung_fields
 from .grid import NonFiniteFieldError
 from .harness import (
     ScenarioRun,
+    WorkerDiedError,
     apply_overrides,
     builtin_scenarios,
     format_report,
-    run_scenario,
+    run_scenarios,
     scenario_by_name,
 )
 from .trajectories import _write_csv, write_trajectory_csv
@@ -35,6 +37,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+EXIT_WORKER = 5
 
 TIMESERIES_COLUMNS = [
     "t", "norm", "K", "Q", "U", "I", "E", "FI", "accel", "vi_mean",
@@ -161,8 +164,7 @@ def _cmd_verify(args) -> int:
     else:
         scenarios = [scenario_by_name(name) for name in args.scenarios]
     reports = []
-    for s in scenarios:
-        report = run_scenario(s)
+    for report in run_scenarios(scenarios):
         reports.append(report)
         print(format_report(report))
     if args.json is not None:
@@ -242,6 +244,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 def entry() -> None:

@@ -3,7 +3,8 @@
 A Scenario names an initial state, a potential, a grid, optional propagation
 and parcel-tracking segments, and a list of checks with per-scenario
 tolerances.  run_scenario builds everything, evaluates each check, and
-returns a VerificationReport.  Checks are deterministic; expected failures
+returns a VerificationReport; run_scenarios does that for many scenarios in
+worker processes.  Checks are deterministic; expected failures
 (negative controls) are regular checks whose pass rule is "measured above
 threshold".
 
@@ -17,6 +18,7 @@ rho ~ 1e-12 * max carries only ~4 significant digits, far short of the
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -65,6 +67,8 @@ __all__ = [
     "VerificationReport",
     "ScenarioRun",
     "run_scenario",
+    "run_scenarios",
+    "WorkerDiedError",
     "builtin_scenarios",
     "scenario_by_name",
     "apply_overrides",
@@ -859,6 +863,76 @@ def _passes(spec: CheckSpec, measured: float) -> bool:
 def run_scenario(scenario: Scenario) -> VerificationReport:
     """Execute one scenario and evaluate all of its configured checks."""
     return ScenarioRun(scenario).verify()
+
+
+class WorkerDiedError(RuntimeError):
+    """The worker pool of `run_scenarios` broke (a worker process died)
+    before a report came back."""
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
+_worker_scenarios: list = []  # filled in each worker process, never in the caller
+
+
+def _adopt(scenarios: list) -> None:
+    # runs in the forked worker: the list arrives by fork, not by pickle, so
+    # any scenario that runs serially runs here too
+    _worker_scenarios.extend(scenarios)
+
+
+def _run_in_worker(index: int) -> VerificationReport:
+    # `run_scenario` is looked up in the worker, so it runs whatever the
+    # caller had bound to that name when the pool forked
+    return run_scenario(_worker_scenarios[index])
+
+
+def run_scenarios(scenarios):
+    """Yield `run_scenario(s)` for each scenario, in input order.
+
+    Scenarios share nothing, so they run in forked worker processes, one per
+    usable CPU and at most one per scenario.  With fewer than two workers, or
+    without ``fork``, they run one after another in this process.  Workers
+    inherit the scenarios by fork and send back only reports.  An exception
+    a scenario raises in a worker reaches the caller with its type and
+    message (if it can be pickled).  If the pool breaks (a worker dies), `WorkerDiedError` names the
+    first scenario in input order whose report is lost; the pool cannot tell
+    which scenario the dead worker held.
+    """
+    scenarios = list(scenarios)
+    workers = min(len(scenarios), _usable_cpus())
+    if workers >= 2:
+        import multiprocessing  # here, so importing madelung stays as cheap
+
+        has_fork = "fork" in multiprocessing.get_all_start_methods()
+    if workers < 2 or not has_fork:
+        yield from map(run_scenario, scenarios)
+        return
+
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork: workers start without re-importing numpy and madelung, and the
+    # executor forks all of them before it starts its own manager thread
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(scenarios,))
+    try:
+        futures = [pool.submit(_run_in_worker, i) for i in range(len(scenarios))]
+        for scenario, future in zip(scenarios, futures):
+            try:
+                report = future.result()
+            except BrokenProcessPool as exc:
+                raise WorkerDiedError(
+                    f"worker pool broke before scenario {scenario.name!r} finished: {exc}"
+                ) from exc
+            yield report
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # -- builtin scenarios -------------------------------------------------------

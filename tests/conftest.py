@@ -1,7 +1,7 @@
 import pytest
 
 from madelung.grid import make_grid
-from madelung.harness import builtin_scenarios, run_scenario
+from madelung.harness import builtin_scenarios, run_scenarios
 from madelung.states import PhysicalConstants
 
 
@@ -18,5 +18,6 @@ def desk_grid():
 
 @pytest.fixture(scope="session")
 def suite_reports():
-    """Full builtin verification suite, run once per session."""
-    return {s.name: run_scenario(s) for s in builtin_scenarios()}
+    """Full builtin verification suite, run once per session, in worker
+    processes as `madelung verify --all` runs it."""
+    return {r.scenario: r for r in run_scenarios(builtin_scenarios())}
