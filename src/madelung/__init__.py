@@ -33,15 +33,10 @@ from .diagnostics import (
     ExpectationReport,
     MadelungFields,
     bernoulli_residual,
-    bohm_potential,
-    bohm_potential_curvature_form,
-    bohm_potential_log_form,
     expectations,
-    fisher_information,
     madelung_fields,
     nonspreading_residual,
     phase_gradient_velocity,
-    pseudo_pressure,
     velocity,
 )
 from .trajectories import (

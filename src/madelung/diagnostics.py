@@ -18,11 +18,17 @@ as pointwise quotients with a floored density,
     d2ln(rho)/dx2 := (d2rho/dx2)/max(rho, floor) - (dln(rho)/dx)^2
 
 which keeps integration-by-parts identities exact at the quadrature level
-and stays finite next to density nodes.  Three equivalent routes to the Bohm
-potential are provided; "amplitude" is the default, "wavefunction" (curvature
-of psi itself) is the right choice for states whose sqrt(rho) has kinks at
-nodes, and "log" is the cross-check route used by the pointwise enthalpy
-identity.
+and stays finite next to density nodes.  The Bohm potential has three
+equivalent forms, chosen by ``bohm_form``: "amplitude" is the default,
+"wavefunction" (curvature of psi itself) is the right choice for states
+whose sqrt(rho) has kinks at nodes, and "log" is the cross-check form used
+by the pointwise enthalpy identity.
+
+One kernel computes every field from psi.  The public routes read it:
+madelung_fields (the whole bundle), velocity (u alone), expectations (the
+scalar integrals, the Fisher information among them), bernoulli_residual
+and nonspreading_residual (from a MadelungFields).  phase_gradient_velocity
+is the one independent route, a finite-difference cross-check of u = J/rho.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, RealField, derivative_from_transform, derivative_values
-from .grid import nearest_fill, nearest_index
+from .grid import Grid, RealField, check_potential_grid, derivative_from_transform
+from .grid import derivative_values, nearest_fill, nearest_index
 from .states import (
     DEFAULT_DENSITY_FLOOR,
     PhysicalConstants,
@@ -47,11 +53,6 @@ __all__ = [
     "madelung_fields",
     "velocity",
     "phase_gradient_velocity",
-    "bohm_potential",
-    "bohm_potential_log_form",
-    "bohm_potential_curvature_form",
-    "pseudo_pressure",
-    "fisher_information",
     "expectations",
     "bernoulli_residual",
     "nonspreading_residual",
@@ -103,9 +104,10 @@ class ExpectationReport:
 
 
 @dataclass(frozen=True)
-class _Front:
-    """The velocity front of the kernel: what advection reads.  Every array
-    has the (..., n) shape of the psi stack it was computed from."""
+class _Kernel:
+    """Output of the field kernel.  Every array has the (..., n) shape of the
+    psi stack it was computed from.  A velocity-only call leaves the fields
+    after u as None, and S is None unless the phase was requested."""
 
     grid: Grid
     constants: PhysicalConstants
@@ -119,34 +121,28 @@ class _Front:
     J: np.ndarray
     u_raw: np.ndarray
     u: np.ndarray
+    drho: np.ndarray | None = None
+    div_u: np.ndarray | None = None
+    w: np.ndarray | None = None  # dln(rho)/dx, quotient form
+    v_i: np.ndarray | None = None
+    internal: np.ndarray | None = None
+    Pi: np.ndarray | None = None
+    Q: np.ndarray | None = None
+    S: np.ndarray | None = None  # unwrapped phase action
 
 
-@dataclass(frozen=True)
-class _Work(_Front):
-    drho: np.ndarray
-    div_u: np.ndarray
-    w: np.ndarray          # dln(rho)/dx, quotient form
-    v_i: np.ndarray
-    internal: np.ndarray
-    Pi: np.ndarray
-    Q: np.ndarray
-    S: np.ndarray | None   # unwrapped phase action, only when requested
-
-
-def _first_second(values: np.ndarray, grid: Grid):
-    """First and second spectral derivatives of real samples, one transform."""
-    fhat = np.fft.fft(values)
-    return (derivative_from_transform(fhat, grid, 1).real,
-            derivative_from_transform(fhat, grid, 2).real)
-
-
-def _velocity_front(
+def _kernel(
     psi: np.ndarray, grid: Grid, constants: PhysicalConstants, floor_rel: float,
-    region_mask: np.ndarray | None,
-) -> _Front:
-    """Kernel front on a (..., n) stack of states, one state per row: every
-    transform, reduction and fill runs along the last axis, so a row's
-    values do not depend on the rows beside it."""
+    bohm_form: str | None = None, region_mask: np.ndarray | None = None, *,
+    phase: bool = False,
+) -> _Kernel:
+    """The field kernel on a (..., n) stack of states, one state per row:
+    every transform, reduction and fill runs along the last axis, so a row's
+    values do not depend on the rows beside it.  Without a bohm_form it
+    stops after the velocity, which is all that advection reads, so the
+    phase needs a bohm_form."""
+    if bohm_form not in BOHM_FORMS and (bohm_form is not None or phase):
+        raise ValueError(f"bohm_form must be one of {BOHM_FORMS}, got {bohm_form!r}")
     hbar, m = constants.hbar, constants.mass
     rho = psi.real**2 + psi.imag**2
     rho_max = rho.max(axis=-1, keepdims=True)
@@ -166,57 +162,50 @@ def _velocity_front(
     fill = nearest_index(mask)
 
     psi_hat = np.fft.fft(psi)
-    dpsi = derivative_from_transform(psi_hat, grid, 1)
-    J = (hbar / m) * (psi.conj() * dpsi).imag
+    J = (hbar / m) * (psi.conj() * derivative_from_transform(psi_hat, grid, 1)).imag
     u_raw = J / rho_f
-    return _Front(
+    front = dict(
         grid=grid, constants=constants, psi=psi, psi_hat=psi_hat, rho=rho,
         rho_f=rho_f, floor_mask=floor_mask, mask=mask, fill=fill, J=J,
         u_raw=u_raw, u=np.take_along_axis(u_raw, fill, axis=-1),
     )
-
-
-def _compute(
-    psi: np.ndarray, grid: Grid, constants: PhysicalConstants, floor_rel: float,
-    bohm_form: str, region_mask: np.ndarray | None, *, phase: bool = False,
-) -> _Work:
-    if bohm_form not in BOHM_FORMS:
-        raise ValueError(f"bohm_form must be one of {BOHM_FORMS}, got {bohm_form!r}")
-    front = _velocity_front(psi, grid, constants, floor_rel, region_mask)
-    rho, rho_f, u_raw = front.rho, front.rho_f, front.u_raw
-    hbar, m = constants.hbar, constants.mass
+    if bohm_form is None:
+        return _Kernel(**front)
 
     # A batch holds every field of every row at once, so the order below
-    # keeps few of them alive across each transform: the front-only Bohm
+    # keeps few of them alive across each transform: the psi-only Bohm
     # routes first, then the phase, then each rho derivative until spent.
     c_q = hbar * hbar / (2.0 * m * m)
     if bohm_form == "amplitude":
         Q = -c_q * derivative_values(np.sqrt(rho), grid, 2).real / np.sqrt(rho_f)
     elif bohm_form == "wavefunction":
-        ddpsi = derivative_from_transform(front.psi_hat, grid, 2)
+        ddpsi = derivative_from_transform(psi_hat, grid, 2)
         Q = -c_q * ((psi.conj() * ddpsi).real / rho_f) - 0.5 * u_raw * u_raw
 
     S = None
     if phase:
         # the phase is filled over the density floor alone, never the region
-        fill = front.fill if region_mask is None else nearest_index(front.floor_mask)
-        S = np.take_along_axis(_unwrapped_phase(psi, front.floor_mask, hbar), fill, axis=-1)
+        S_fill = fill if region_mask is None else nearest_index(floor_mask)
+        S = np.take_along_axis(_unwrapped_phase(psi, floor_mask, hbar), S_fill, axis=-1)
 
     half = hbar / (2.0 * m)
-    drho, ddrho = _first_second(rho, grid)
+    rho_hat = np.fft.fft(rho)
+    drho = derivative_from_transform(rho_hat, grid, 1).real
+    ddrho = derivative_from_transform(rho_hat, grid, 2).real
+    del rho_hat
     w = drho / rho_f
     Pi = -(half * half) * (ddrho * (rho / rho_f) - rho * w * w)
     if bohm_form == "log":
         ell2 = ddrho / rho_f - w * w  # d2ln(rho)/dx2, quotient form
         Q = -(half * half) * (ell2 + 0.5 * w * w)
     del ddrho
-    dJ = derivative_values(front.J, grid, 1).real
-    div_u = np.take_along_axis(dJ / rho_f - u_raw * w, front.fill, axis=-1)
+    dJ = derivative_values(J, grid, 1).real
+    div_u = np.take_along_axis(dJ / rho_f - u_raw * w, fill, axis=-1)
     del dJ
     v_i = -half * w
     internal = 0.5 * v_i * v_i
-    return _Work(
-        **vars(front), drho=drho, div_u=div_u, w=w, v_i=v_i, internal=internal,
+    return _Kernel(
+        **front, drho=drho, div_u=div_u, w=w, v_i=v_i, internal=internal,
         Pi=Pi, Q=Q, S=S,
     )
 
@@ -233,8 +222,8 @@ def madelung_fields(
     region_mask, when given, further restricts valid_mask (used to confine
     windowed states to their interior); the fields themselves are global.
     """
-    wk = _compute(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form,
-                  region_mask, phase=True)
+    wk = _kernel(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form,
+                 region_mask, phase=True)
     g = wk.grid
     return MadelungFields(
         rho=RealField._unchecked(wk.rho, g),
@@ -257,8 +246,8 @@ def velocity(wf: WaveFunction, floor_rel: float = DEFAULT_DENSITY_FLOOR) -> Real
     The cheap route: one derivative of psi, none of the other fields.  The
     values are bit-identical to madelung_fields(wf, floor_rel).u.
     """
-    front = _velocity_front(wf.psi.values, wf.grid, wf.constants, floor_rel, None)
-    return RealField._unchecked(front.u, front.grid)
+    wk = _kernel(wf.psi.values, wf.grid, wf.constants, floor_rel)
+    return RealField._unchecked(wk.u, wk.grid)
 
 
 def phase_gradient_velocity(
@@ -282,82 +271,6 @@ def phase_gradient_velocity(
     return RealField(nearest_fill(grad, core), wf.grid)
 
 
-def _floored(rho: RealField, floor_rel: float):
-    """Samples, floor mask and floored copy of a density field."""
-    vals = np.asarray(rho.values)
-    rho_max = float(vals.max())
-    if rho_max <= 0.0:
-        raise ValueError("density is identically zero")
-    floor = floor_rel * rho_max
-    mask = vals >= floor
-    if not np.any(mask):
-        raise ValueError("density floor leaves no valid points")
-    return vals, mask, np.maximum(vals, floor)
-
-
-def bohm_potential(
-    rho: RealField,
-    constants: PhysicalConstants,
-    floor_rel: float = DEFAULT_DENSITY_FLOOR,
-) -> RealField:
-    """Bohm potential per unit mass from the amplitude: -(hbar^2/2m^2) a''/a."""
-    if np.any(np.asarray(rho.values) < 0.0):
-        raise ValueError("density must be nonnegative")
-    vals, _, rho_f = _floored(rho, floor_rel)
-    dda = derivative_values(np.sqrt(vals), rho.grid, 2).real
-    c_q = constants.hbar**2 / (2.0 * constants.mass**2)
-    return RealField(-c_q * dda / np.sqrt(rho_f), rho.grid)
-
-
-def bohm_potential_log_form(
-    rho: RealField,
-    constants: PhysicalConstants,
-    floor_rel: float = DEFAULT_DENSITY_FLOOR,
-) -> RealField:
-    """Same potential through the log-density identity
-    a''/a = d2(ln rho)/dx2 + (1/2)(dln rho/dx)^2 scaled to rho."""
-    vals, _, rho_f = _floored(rho, floor_rel)
-    drho, ddrho = _first_second(vals, rho.grid)
-    w = drho / rho_f
-    ell2 = ddrho / rho_f - w * w
-    half = constants.hbar / (2.0 * constants.mass)
-    return RealField(-(half * half) * (ell2 + 0.5 * w * w), rho.grid)
-
-
-def bohm_potential_curvature_form(
-    wf: WaveFunction, floor_rel: float = DEFAULT_DENSITY_FLOOR
-) -> RealField:
-    """Bohm potential from the wavefunction curvature,
-    Q~ = -(hbar^2/2m^2) Re(psi''/psi) - u^2/2.
-
-    Equivalent to the amplitude form wherever rho > 0, and the only
-    well-conditioned route when sqrt(rho) has kinks at density nodes.
-    """
-    wk = _compute(wf.psi.values, wf.grid, wf.constants, floor_rel, "wavefunction", None)
-    return RealField(wk.Q, wk.grid)
-
-
-def pseudo_pressure(
-    rho: RealField,
-    constants: PhysicalConstants,
-    floor_rel: float = DEFAULT_DENSITY_FLOOR,
-) -> RealField:
-    """Pressure-like field Pi = -(hbar/2m)^2 rho d2(ln rho)/dx2, zero gauge."""
-    vals, _, rho_f = _floored(rho, floor_rel)
-    drho, ddrho = _first_second(vals, rho.grid)
-    w = drho / rho_f
-    half = constants.hbar / (2.0 * constants.mass)
-    return RealField(-(half * half) * (ddrho * (vals / rho_f) - vals * w * w), rho.grid)
-
-
-def fisher_information(rho: RealField, floor_rel: float = DEFAULT_DENSITY_FLOOR) -> float:
-    """FI = integral of rho (dln rho/dx)^2 over the valid mask."""
-    vals, mask, rho_f = _floored(rho, floor_rel)
-    w = derivative_values(vals, rho.grid, 1).real / rho_f
-    integrand = np.where(mask, vals * w * w, 0.0)
-    return float(np.sum(integrand) * rho.grid.dx)
-
-
 def expectations(
     wf: WaveFunction,
     U: RealField,
@@ -373,7 +286,8 @@ def expectations(
     +integral (Q~+U~) drho/dx dx, which is exact under the periodic
     quadrature and free of mask-edge differentiation noise.
     """
-    wk = _compute(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form, None)
+    check_potential_grid(U.grid, wf.grid)
+    wk = _kernel(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form)
     grid, dx = wk.grid, wk.grid.dx
     hbar, m = wk.constants.hbar, wk.constants.mass
     rho = wk.rho
@@ -424,9 +338,10 @@ def bernoulli_residual(
         raise ValueError("dt must be positive")
     if wf_prev.grid.n != wf_next.grid.n:
         raise ValueError("snapshots live on different grids")
+    check_potential_grid(U.grid, wf_prev.grid)
     pair = np.stack([wf_prev.psi.values, wf_next.psi.values])
-    wk = _compute(pair, wf_prev.grid, wf_prev.constants, floor_rel, bohm_form, None,
-                  phase=True)
+    wk = _kernel(pair, wf_prev.grid, wf_prev.constants, floor_rel, bohm_form,
+                 phase=True)
     m = wk.constants.mass
     mask = wk.mask[0] & wk.mask[1]
     if not np.any(mask):

@@ -117,6 +117,12 @@ def make_grid(n: int, x_min: float, x_max: float) -> Grid:
     return Grid(n=n, x_min=x_min, x_max=x_max, dx=dx, x=x, wavenumbers=wavenumbers)
 
 
+def check_potential_grid(potential: Grid, state: Grid) -> None:
+    """Reject a potential sampled on another grid than the state it acts on."""
+    if potential is not state and not np.array_equal(potential.x, state.x):
+        raise ValueError("potential and wavefunction live on different grids")
+
+
 def derivative_values(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
     """Spectral derivative on raw samples; complex in, complex out.
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import (
-    _compute,
-    _velocity_front,
+    _kernel,
     bernoulli_residual,
     expectations,
     madelung_fields,
@@ -304,10 +303,9 @@ def collect_flow(
         # one kernel result alive at a time keeps the transient memory small
         u = half[k:k + nh]
         if nh:
-            u[:] = _velocity_front(psi_half[:nh], grid, constants, floor_rel, None).u
+            u[:] = _kernel(psi_half[:nh], grid, constants, floor_rel).u
         rows = whole[k:k + nw]
-        wk = _compute(psi_whole[:nw], grid, constants, floor_rel, bohm_form, None,
-                      phase=True)
+        wk = _kernel(psi_whole[:nw], grid, constants, floor_rel, bohm_form, phase=True)
         rows[:, 0] = wk.u
         rows[:, 1] = wk.div_u
         np.log(wk.rho_f, out=rows[:, 2])
@@ -437,17 +435,9 @@ class ScenarioRun:
 
     def bernoulli_max(self, t: float) -> float:
         """Peak |Bernoulli residual| over one propagation step from snapshot t."""
-        dt = self.scenario.propagation.dt
-
-        def compute(t):
-            w = self.state_at(t)
-            r = bernoulli_residual(
-                w, step(w, self.U, dt), self.U, dt,
-                self.scenario.floor_rel, bohm_form=self.scenario.bohm_form,
-            )
-            return float(np.max(np.abs(r.values)))
-
-        return self._memo("bernoulli", t, compute)
+        s = self.scenario
+        return self._memo("bernoulli", t, lambda t: _bernoulli_peak(
+            self.state_at(t), self.U, s.propagation.dt, s.floor_rel, s.bohm_form))
 
     # -- trajectory machinery ---------------------------------------------
 
@@ -646,12 +636,9 @@ def _check_bernoulli_max(run, spec):
     return worst
 
 
-def _bernoulli_peak(run, dt, floor_rel) -> float:
-    w = run.wf0
-    r = bernoulli_residual(
-        w, step(w, run.U, dt), run.U, dt,
-        floor_rel, bohm_form=run.scenario.bohm_form,
-    )
+def _bernoulli_peak(w, U, dt, floor_rel, bohm_form) -> float:
+    """Peak |Bernoulli residual| over one step of size dt from state w."""
+    r = bernoulli_residual(w, step(w, U, dt), U, dt, floor_rel, bohm_form=bohm_form)
     return float(np.max(np.abs(r.values)))
 
 
@@ -660,7 +647,8 @@ def _check_bernoulli_order(run, spec):
     # dt-independent and would cap the ratio once dt gets small
     dt = spec.params.get("dt", run.scenario.propagation.dt)
     floor = run.scenario.pointwise_floor_rel
-    return _bernoulli_peak(run, dt, floor) / _bernoulli_peak(run, dt / 2.0, floor)
+    w, U, form = run.wf0, run.U, run.scenario.bohm_form
+    return _bernoulli_peak(w, U, dt, floor, form) / _bernoulli_peak(w, U, dt / 2.0, floor, form)
 
 
 def _check_propagator_order(run, spec):

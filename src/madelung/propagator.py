@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, RealField
+from .grid import ComplexField, RealField, check_potential_grid
 from .states import WaveFunction
 
 __all__ = ["PropagatorConfig", "step", "evolve"]
@@ -71,8 +71,7 @@ def _apply(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.nd
 
 def step(wf: WaveFunction, U: RealField, dt: float) -> WaveFunction:
     """Advance one Strang step of size dt (dt = 0 returns the state unchanged)."""
-    if U.grid is not wf.grid and not np.array_equal(U.grid.x, wf.grid.x):
-        raise ValueError("potential and wavefunction live on different grids")
+    check_potential_grid(U.grid, wf.grid)
     if dt < 0.0:
         raise ValueError("dt must be >= 0")
     if dt == 0.0:
@@ -94,6 +93,7 @@ def evolve(
     Observers fire at t = 0 and after every config.snapshot_every steps.
     Observer exceptions propagate and abort the run.
     """
+    check_potential_grid(U.grid, wf.grid)
     if config.n_steps > 0:
         _check_kinetic_phase(wf, config.dt)
     for obs in observers:

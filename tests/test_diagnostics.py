@@ -4,15 +4,10 @@ import pytest
 from madelung.grid import RealField, make_grid
 from madelung.diagnostics import (
     bernoulli_residual,
-    bohm_potential,
-    bohm_potential_curvature_form,
-    bohm_potential_log_form,
     expectations,
-    fisher_information,
     madelung_fields,
     nonspreading_residual,
     phase_gradient_velocity,
-    pseudo_pressure,
     velocity,
 )
 from madelung.potentials import PotentialSpec, evaluate_potential
@@ -67,14 +62,13 @@ class TestVelocity:
 
 class TestBohmPotential:
     def test_uniform_density_gives_zero(self, desk_grid, natural_units):
-        rho = RealField(np.full(desk_grid.n, 1.0 / desk_grid.length), desk_grid)
-        q = bohm_potential(rho, natural_units)
+        q = madelung_fields(plane_wave(desk_grid, natural_units, 3)).Q_tilde
         assert np.max(np.abs(q.values)) < 1e-12
 
     def test_gaussian_profile(self, desk_grid, natural_units):
         # Q(x) = (1 - x^2/2)/4 for the unit-sigma density in natural units
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
-        q = bohm_potential(wf.density(), natural_units)
+        q = madelung_fields(wf).Q_tilde
         on = wf.density().values >= 1e-6 * wf.density().values.max()
         exact = 0.25 * (1.0 - desk_grid.x**2 / 2.0)
         assert np.max(np.abs(q.values[on] - exact[on])) < 1e-8
@@ -86,46 +80,40 @@ class TestBohmPotential:
 
     def test_log_form_cross_check(self, desk_grid, natural_units):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
-        q_a = bohm_potential(wf.density(), natural_units, 1e-6)
-        q_l = bohm_potential_log_form(wf.density(), natural_units, 1e-6)
+        q_a = madelung_fields(wf, 1e-6).Q_tilde
+        q_l = madelung_fields(wf, 1e-6, bohm_form="log").Q_tilde
         on = wf.density().values >= 1e-6 * wf.density().values.max()
         scale = np.max(np.abs(q_a.values[on]))
         assert np.max(np.abs(q_a.values[on] - q_l.values[on])) < 1e-7 * scale
 
     def test_curvature_form_cross_check(self, desk_grid, natural_units, free_U):
         wf = evolve_to(gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 2.0), free_U, 0.3)
-        q_a = bohm_potential(wf.density(), natural_units, 1e-6)
-        q_c = bohm_potential_curvature_form(wf, 1e-6)
+        q_a = madelung_fields(wf, 1e-6).Q_tilde
+        q_c = madelung_fields(wf, 1e-6, bohm_form="wavefunction").Q_tilde
         on = wf.density().values >= 1e-6 * wf.density().values.max()
         scale = np.max(np.abs(q_a.values[on]))
         assert np.max(np.abs(q_a.values[on] - q_c.values[on])) < 1e-7 * scale
 
     def test_harmonic_constant_total(self, desk_grid, natural_units):
         wf = harmonic_ground_state(desk_grid, natural_units, 1.0)
-        q = bohm_potential(wf.density(), natural_units, 1e-6)
+        q = madelung_fields(wf, 1e-6).Q_tilde
         total = q.values + 0.5 * desk_grid.x**2
         on = wf.density().values >= 1e-6 * wf.density().values.max()
         assert np.max(np.abs(total[on] - 0.5)) < 1e-8
-
-    def test_rejects_negative_density(self, desk_grid, natural_units):
-        vals = np.full(desk_grid.n, 1.0)
-        vals[0] = -1e-3
-        with pytest.raises(ValueError):
-            bohm_potential(RealField(vals, desk_grid), natural_units)
 
 
 class TestPseudoPressure:
     def test_gaussian_proportional_to_density(self, desk_grid, natural_units):
         # Pi = rho / (2 sigma)^2 * hbar^2/m^2 ... = rho/4 for sigma = 1
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
-        pi = pseudo_pressure(wf.density(), natural_units)
+        pi = madelung_fields(wf).Pi
         on = wf.density().values >= 1e-6 * wf.density().values.max()
         ratio = pi.values[on] / wf.density().values[on]
         assert np.max(np.abs(ratio - 0.25)) < 1e-7
 
     def test_uniform_gives_zero(self, desk_grid, natural_units):
-        rho = RealField(np.full(desk_grid.n, 0.025), desk_grid)
-        assert np.max(np.abs(pseudo_pressure(rho, natural_units).values)) < 1e-12
+        pi = madelung_fields(plane_wave(desk_grid, natural_units, 3)).Pi
+        assert np.max(np.abs(pi.values)) < 1e-12
 
     @pytest.mark.parametrize("sigma,k0", [(1.0, 0.0), (2.0, 0.0), (1.0, 2.0)])
     def test_integral_is_twice_internal_energy(self, desk_grid, natural_units, free_U, sigma, k0):
@@ -136,14 +124,14 @@ class TestPseudoPressure:
 
 class TestFisherInformation:
     @pytest.mark.parametrize("sigma,expected", [(1.0, 1.0), (2.0, 0.25)])
-    def test_gaussian_scaling(self, desk_grid, natural_units, sigma, expected):
+    def test_gaussian_scaling(self, desk_grid, natural_units, free_U, sigma, expected):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, sigma, 0.0)
-        fi = fisher_information(wf.density())
+        fi = expectations(wf, free_U).FI
         assert abs(fi - expected) < 1e-8
 
-    def test_uniform_is_zero(self, desk_grid, natural_units):
+    def test_uniform_is_zero(self, desk_grid, natural_units, free_U):
         wf = plane_wave(desk_grid, natural_units, 3)
-        assert abs(fisher_information(wf.density())) < 1e-12
+        assert abs(expectations(wf, free_U).FI) < 1e-12
 
     def test_oracle_quadrature_at_4x_resolution(self, natural_units):
         import math
@@ -154,7 +142,8 @@ class TestFisherInformation:
         oracle = np.trapezoid(drho**2 / rho, fine)
         g = make_grid(512, -20.0, 20.0)
         wf = gaussian_packet(g, natural_units, 0.0, 2.0, 0.0)
-        assert abs(fisher_information(wf.density()) - oracle) < 1e-6
+        fi = expectations(wf, RealField(np.zeros(g.n), g)).FI
+        assert abs(fi - oracle) < 1e-6
 
 
 class TestExpectations:
@@ -236,6 +225,14 @@ class TestExpectations:
         assert abs(rep.FI - 1.0) < 1e-8  # FI depends on rho alone
 
 
+class TestExpectationsGrid:
+    def test_rejects_potential_on_another_grid(self, desk_grid, natural_units,
+                                                foreign_harmonic_U):
+        wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="different grids"):
+            expectations(wf, foreign_harmonic_U)
+
+
 class TestBernoulliResidual:
     def test_harmonic_stationary(self, desk_grid, natural_units, harmonic_U):
         wf = harmonic_ground_state(desk_grid, natural_units, 1.0)
@@ -275,6 +272,12 @@ class TestBernoulliResidual:
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             bernoulli_residual(wf, wf, free_U, 0.0)
+
+    def test_rejects_potential_on_another_grid(self, desk_grid, natural_units,
+                                                foreign_harmonic_U):
+        wf = harmonic_ground_state(desk_grid, natural_units, 1.0)
+        with pytest.raises(ValueError, match="different grids"):
+            bernoulli_residual(wf, wf, foreign_harmonic_U, 1e-3)
 
 
 class TestMomentumEquation:
@@ -388,13 +391,13 @@ class TestBatchedKernel:
 
     @staticmethod
     def assert_rows_match(stack, grid, constants, floor_rel, bohm_form, region=None):
-        from madelung.diagnostics import _compute
+        from madelung.diagnostics import _kernel
 
-        batch = _compute(stack, grid, constants, floor_rel, bohm_form, region, phase=True)
+        batch = _kernel(stack, grid, constants, floor_rel, bohm_form, region, phase=True)
         arrays = {k: v for k, v in vars(batch).items() if isinstance(v, np.ndarray)}
         assert {"u", "div_u", "Q", "Pi", "S", "mask", "fill"} <= set(arrays)
         for i, psi in enumerate(stack):
-            row = _compute(psi, grid, constants, floor_rel, bohm_form, region, phase=True)
+            row = _kernel(psi, grid, constants, floor_rel, bohm_form, region, phase=True)
             for name, values in arrays.items():
                 assert values.shape == stack.shape, name
                 assert np.array_equal(values[i], getattr(row, name)), (name, i)
@@ -432,15 +435,27 @@ class TestBatchedKernel:
             assert np.array_equal(batch.div_u[i], f.div_u.values)
 
     def test_every_row_is_checked(self, desk_grid, natural_units):
-        from madelung.diagnostics import _velocity_front
+        from madelung.diagnostics import _kernel
 
         good = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0).psi.values
         stack = np.stack([good, np.zeros_like(good)])
         with pytest.raises(ValueError, match="identically zero"):
-            _velocity_front(stack, desk_grid, natural_units, 1e-12, None)
+            _kernel(stack, desk_grid, natural_units, 1e-12)
         empty = np.zeros(desk_grid.n, dtype=bool)
         empty[:10] = True  # far in the tail of row 0, the peak of neither row
         with pytest.raises(ValueError, match="no valid points"):
-            _velocity_front(np.stack([good, good]), desk_grid, natural_units, 1e-12, empty)
+            _kernel(np.stack([good, good]), desk_grid, natural_units, 1e-12, region_mask=empty)
         with pytest.raises(ValueError, match="floor_rel must be positive"):
-            _velocity_front(np.stack([good, good]), desk_grid, natural_units, 0.0, None)
+            _kernel(np.stack([good, good]), desk_grid, natural_units, 0.0)
+
+    def test_velocity_only_call_stops_after_u(self, desk_grid, natural_units):
+        from madelung.diagnostics import _kernel
+
+        stack = np.stack([gaussian_packet(desk_grid, natural_units, x0, 1.0, 1.0).psi.values
+                          for x0 in (-2.0, 3.0)])
+        front = _kernel(stack, desk_grid, natural_units, 1e-12)
+        full = _kernel(stack, desk_grid, natural_units, 1e-12, "amplitude", phase=True)
+        for name, values in vars(front).items():
+            if isinstance(values, np.ndarray):
+                assert np.array_equal(values, getattr(full, name)), name
+        assert front.Q is None and front.div_u is None and front.S is None

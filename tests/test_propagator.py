@@ -59,6 +59,20 @@ def test_step_rejects_negative_dt(desk_grid, natural_units, free_potential):
         step(wf, free_potential, -1e-3)
 
 
+def test_step_rejects_potential_on_another_grid(desk_grid, natural_units,
+                                                foreign_harmonic_U):
+    wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="different grids"):
+        step(wf, foreign_harmonic_U, 1e-3)
+
+
+def test_evolve_rejects_potential_on_another_grid(desk_grid, natural_units,
+                                                  foreign_harmonic_U):
+    wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="different grids"):
+        evolve(wf, foreign_harmonic_U, PropagatorConfig(1e-3, 10, 10))
+
+
 def test_kinetic_phase_bound(natural_units):
     # negative control: mode 1000 turns by 12.3 rad per step at dt = 1e-3
     g = make_grid(4096, -20.0, 20.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from madelung.grid import make_grid
+from madelung.grid import RealField, make_grid
 from madelung.special import airy_ai, airy_ai_first_zero
 from madelung.states import (
     PhysicalConstants,
@@ -15,7 +15,7 @@ from madelung.states import (
     plane_wave,
     polar_decompose,
 )
-from madelung.diagnostics import madelung_fields, velocity
+from madelung.diagnostics import expectations, madelung_fields, velocity
 
 
 def fisher_oracle(rho_fn, lo, hi, n):
@@ -58,10 +58,8 @@ class TestGaussian:
         assert np.max(np.abs(u.values[f.valid_mask] - 2.0)) < 1e-8
 
     def test_fisher_information_against_oracle(self, desk_grid, natural_units):
-        from madelung.diagnostics import fisher_information
-
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
-        fi = fisher_information(wf.density())
+        fi = expectations(wf, RealField(np.zeros(desk_grid.n), desk_grid)).FI
         oracle = fisher_oracle(
             lambda x: np.exp(-x**2 / 2.0) / math.sqrt(2.0 * math.pi),
             -20.0, 20.0, 4 * desk_grid.n,
@@ -98,10 +96,9 @@ class TestPlaneWave:
         assert np.max(np.abs(f.Q_tilde.values)) < 1e-10
 
     def test_fisher_information_is_zero(self, desk_grid, natural_units):
-        from madelung.diagnostics import fisher_information
-
         wf = plane_wave(desk_grid, natural_units, 5)
-        assert abs(fisher_information(wf.density())) < 1e-12
+        free = RealField(np.zeros(desk_grid.n), desk_grid)
+        assert abs(expectations(wf, free).FI) < 1e-12
 
     def test_uniform_density(self, desk_grid, natural_units):
         wf = plane_wave(desk_grid, natural_units, 3)
