@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, RealField, check_potential_grid, derivative_from_transform
-from .grid import derivative_values, nearest_fill, nearest_index
+from .grid import derivative_values, nearest_fill, nearest_index, same_grid
 from .states import (
     DEFAULT_DENSITY_FLOOR,
     PhysicalConstants,
@@ -336,7 +336,7 @@ def bernoulli_residual(
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if wf_prev.grid.n != wf_next.grid.n:
+    if not same_grid(wf_prev.grid, wf_next.grid):
         raise ValueError("snapshots live on different grids")
     check_potential_grid(U.grid, wf_prev.grid)
     pair = np.stack([wf_prev.psi.values, wf_next.psi.values])

@@ -117,9 +117,14 @@ def make_grid(n: int, x_min: float, x_max: float) -> Grid:
     return Grid(n=n, x_min=x_min, x_max=x_max, dx=dx, x=x, wavenumbers=wavenumbers)
 
 
+def same_grid(a: Grid, b: Grid) -> bool:
+    """Whether two grids sample the same points."""
+    return a is b or np.array_equal(a.x, b.x)
+
+
 def check_potential_grid(potential: Grid, state: Grid) -> None:
     """Reject a potential sampled on another grid than the state it acts on."""
-    if potential is not state and not np.array_equal(potential.x, state.x):
+    if not same_grid(potential, state):
         raise ValueError("potential and wavefunction live on different grids")
 
 

@@ -25,15 +25,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import (
+    BOHM_FORMS,
     _kernel,
     bernoulli_residual,
     expectations,
     madelung_fields,
     nonspreading_residual,
 )
-from .grid import Grid, RealField, make_grid
+from .grid import ComplexField, Grid, RealField, make_grid
 from .potentials import PotentialSpec, evaluate_potential
-from .propagator import PropagatorConfig, evolve, step
+from .propagator import PropagatorConfig, _states, evolve, step
 from .states import (
     PhysicalConstants,
     WaveFunction,
@@ -48,6 +49,7 @@ from .trajectories import (
     FlowHistory,
     FlowSample,
     ParcelEnsemble,
+    _StreamedFlow,
     action_check,
     advect,
     continuity_residual,
@@ -201,6 +203,12 @@ class Scenario:
         ids = [c.id for c in self.checks]
         if len(ids) != len(set(ids)):
             raise ValueError(f"duplicate check ids in scenario {self.name!r}")
+        if self.bohm_form not in BOHM_FORMS:
+            raise ValueError(f"bohm_form must be one of {BOHM_FORMS}, got {self.bohm_form!r}")
+        for name in ("floor_rel", "pointwise_floor_rel"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -264,6 +272,68 @@ def _check_payload(c: CheckResult) -> dict:
 _FLOW_CHUNK = 8  # whole steps (and their half steps) per batched kernel call
 
 
+def _flow_chunks(
+    wf0: WaveFunction,
+    U: RealField,
+    dt: float,
+    n_steps: int,
+    floor_rel: float = 1e-12,
+    bohm_form: str = "amplitude",
+):
+    """Evolve at dt/2 and yield the flow samples chunk by chunk, in time
+    order: velocity at every half step, the full record bundle at every
+    whole step.
+
+    The states are buffered and evaluated in chunks: one batched kernel call
+    per _FLOW_CHUNK whole steps, one per as many half-step velocities, so
+    the per-call cost of small transforms is paid once per chunk.  A chunk's
+    samples are rows of one (whole steps, 6, n) and one (half steps, n)
+    block, so the chunk's memory goes when its last sample does.
+    """
+    grid = wf0.grid
+    constants = wf0.constants
+    u_ext = U.values / constants.mass
+    config = PropagatorConfig(dt / 2.0, 2 * n_steps)
+    # whole and half steps alternate, starting and ending on a whole step
+    psi_whole = np.empty((_FLOW_CHUNK, grid.n), dtype=complex)
+    psi_half = np.empty((_FLOW_CHUNK, grid.n), dtype=complex)
+    t_whole: list = []
+    t_half: list = []
+    for i, values in enumerate(_states(wf0, U, config)):
+        if i:
+            ComplexField(values, grid)  # checked as evolve checks its snapshots
+        if i % 2:
+            psi_half[len(t_half)] = values
+            t_half.append(i * config.dt)
+        else:
+            psi_whole[len(t_whole)] = values
+            t_whole.append(i * config.dt)
+        if len(t_half) < _FLOW_CHUNK and i < config.n_steps:
+            continue
+        nw, nh = len(t_whole), len(t_half)
+        # one kernel result alive at a time keeps the transient memory small
+        half = np.empty((nh, grid.n))
+        if nh:
+            half[:] = _kernel(psi_half[:nh], grid, constants, floor_rel).u
+        rows = np.empty((nw, 6, grid.n))  # rows in FlowSample field order
+        wk = _kernel(psi_whole[:nw], grid, constants, floor_rel, bohm_form, phase=True)
+        rows[:, 0] = wk.u
+        rows[:, 1] = wk.div_u
+        np.log(wk.rho_f, out=rows[:, 2])
+        np.divide(wk.S, constants.mass, out=rows[:, 3])
+        rows[:, 4] = 0.5 * wk.u * wk.u - wk.Q - u_ext
+        rows[:, 5] = wk.rho
+        del wk  # the kernel's arrays do not wait in this frame while the chunk is read
+        chunk = []
+        for j, t in enumerate(t_whole):
+            chunk.append(FlowSample(t, *(RealField._unchecked(r, grid) for r in rows[j])))
+            if j < nh:
+                chunk.append(FlowSample(t=t_half[j], u=RealField._unchecked(half[j], grid)))
+        t_whole.clear()
+        t_half.clear()
+        yield chunk
+
+
 def collect_flow(
     wf0: WaveFunction,
     U: RealField,
@@ -272,66 +342,17 @@ def collect_flow(
     floor_rel: float = 1e-12,
     bohm_form: str = "amplitude",
 ) -> FlowHistory:
-    """Evolve at dt/2 and bank flow samples: velocity at every half step,
-    the full record bundle at every whole step.
+    """Evolve at dt/2 and bank every flow sample: velocity at every half
+    step, the full record bundle (u, div_u, ln_rho, S_tilde, lagrangian,
+    rho) at every whole step.
 
-    The states are buffered and evaluated in chunks: one batched kernel call
-    per _FLOW_CHUNK whole steps, one per as many half-step velocities, so
-    the per-call cost of small transforms is paid once per chunk.  The
-    samples' fields are rows of two blocks allocated up front, one
-    (n_steps + 1, 6, n) block for the whole steps and one (n_steps, n) block
-    for the half-step velocities: thousands of small long-lived arrays
-    fragment the heap and raise peak memory well above the live data.
+    This drains the stream `ScenarioRun.track` reads lazily and keeps all of
+    it, 7 rows of n floats per whole step.
     """
-    grid = wf0.grid
-    constants = wf0.constants
-    flow = FlowHistory(grid, constants)
-    whole = np.empty((n_steps + 1, 6, grid.n))  # rows in FlowSample field order
-    half = np.empty((n_steps, grid.n))
-    u_ext = U.values / constants.mass
-    # states wait in two (chunk, n) buffers; whole and half steps alternate,
-    # starting and ending on a whole step
-    psi_whole = np.empty((_FLOW_CHUNK, grid.n), dtype=complex)
-    psi_half = np.empty((_FLOW_CHUNK, grid.n), dtype=complex)
-    t_whole: list = []
-    t_half: list = []
-    banked = 0  # whole steps already in the block, and as many half steps
-
-    def flush():
-        nonlocal banked
-        k, nw, nh = banked, len(t_whole), len(t_half)
-        # one kernel result alive at a time keeps the transient memory small
-        u = half[k:k + nh]
-        if nh:
-            u[:] = _kernel(psi_half[:nh], grid, constants, floor_rel).u
-        rows = whole[k:k + nw]
-        wk = _kernel(psi_whole[:nw], grid, constants, floor_rel, bohm_form, phase=True)
-        rows[:, 0] = wk.u
-        rows[:, 1] = wk.div_u
-        np.log(wk.rho_f, out=rows[:, 2])
-        np.divide(wk.S, constants.mass, out=rows[:, 3])
-        rows[:, 4] = 0.5 * wk.u * wk.u - wk.Q - u_ext
-        rows[:, 5] = wk.rho
-        for j, t in enumerate(t_whole):
-            flow.add(FlowSample(t, *(RealField._unchecked(r, grid) for r in rows[j])))
-            if j < nh:
-                flow.add(FlowSample(t=t_half[j], u=RealField._unchecked(u[j], grid)))
-        banked += nw
-        t_whole.clear()
-        t_half.clear()
-
-    def obs(t, w):
-        if len(t_whole) > len(t_half):
-            psi_half[len(t_half)] = w.psi.values
-            t_half.append(t)
-            if len(t_half) == _FLOW_CHUNK:
-                flush()
-        else:
-            psi_whole[len(t_whole)] = w.psi.values
-            t_whole.append(t)
-
-    evolve(wf0, U, PropagatorConfig(dt / 2.0, 2 * n_steps, 1), [obs])
-    flush()
+    flow = FlowHistory(wf0.grid, wf0.constants)
+    for chunk in _flow_chunks(wf0, U, dt, n_steps, floor_rel, bohm_form):
+        for sample in chunk:
+            flow.add(sample)
     return flow
 
 
@@ -348,8 +369,9 @@ class ScenarioRun:
       which are then let go; a scalar whose evaluation raised raises the
       same exception on every read;
     - per snapshot, the peak one-step Bernoulli residual (`bernoulli_max`);
-    - the main parcel track (`trajectory`, `flow`), or the exception it
-      raised, which every later reader gets again.
+    - the main parcel track (`trajectory`, and `flow` with `u` and `rho` at
+      every whole step), or the exception it raised, which every later
+      reader gets again.
     """
 
     def __init__(self, scenario: Scenario):
@@ -450,18 +472,23 @@ class ScenarioRun:
         return RealField(np.where(keep, rho.values, 0.0), self.grid)
 
     def track(self, dt: float, duration: float) -> tuple[FlowHistory, ParcelEnsemble]:
-        """Collect the flow over `duration` at step dt and advect parcels through it.
+        """Advect parcels through the flow over `duration` at step dt.
 
         Parcels are seeded first, so a seeding failure costs no propagation.
+        The flow is evolved and evaluated a chunk at a time, as advection
+        reaches it, and the samples advection has passed keep only u and
+        rho.  The returned history therefore holds u and rho at every whole
+        step, (n_steps + 1) x 2 rows of n floats, and nothing else.
         """
         n = int(round(duration / dt))
         cfg = self.scenario.trajectories or TrajectoryConfig()
         ens = seed_parcels(self._seed_density(), cfg.n_parcels)
-        flow = collect_flow(
-            self.wf0, self.U, dt, n,
-            floor_rel=self.scenario.floor_rel, bohm_form=self.scenario.bohm_form,
-        )
-        return flow, advect(ens, flow, dt, n)
+        chunks = _flow_chunks(self.wf0, self.U, dt, n, self.scenario.floor_rel,
+                              self.scenario.bohm_form)
+        flow = _StreamedFlow(self.grid, self.constants, chunks, n + 1)
+        ens = advect(ens, flow, dt, n)
+        flow.close()
+        return flow, ens
 
     def _main_track(self) -> tuple[FlowHistory, ParcelEnsemble]:
         if self._tracking is None:
@@ -480,6 +507,7 @@ class ScenarioRun:
         return self._main_track()[1]
 
     def flow(self) -> FlowHistory:
+        """The main track's flow: `u` and `rho` at every whole step (see `track`)."""
         return self._main_track()[0]
 
     # -- verification ------------------------------------------------------
@@ -877,7 +905,18 @@ def _adopt(scenarios: list) -> None:
 def _run_in_worker(index: int) -> VerificationReport:
     # `run_scenario` is looked up in the worker, so it runs whatever the
     # caller had bound to that name when the pool forked
-    return run_scenario(_worker_scenarios[index])
+    try:
+        return run_scenario(_worker_scenarios[index])
+    except Exception as exc:
+        import pickle
+
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            # the caller could not rebuild it, and the pool would report the
+            # failed read as a dead worker
+            raise RuntimeError(f"{type(exc).__name__}: {exc}") from exc
+        raise
 
 
 def run_scenarios(scenarios):
@@ -888,9 +927,11 @@ def run_scenarios(scenarios):
     without ``fork``, they run one after another in this process.  Workers
     inherit the scenarios by fork and send back only reports.  An exception
     a scenario raises in a worker reaches the caller with its type and
-    message (if it can be pickled).  If the pool breaks (a worker dies), `WorkerDiedError` names the
-    first scenario in input order whose report is lost; the pool cannot tell
-    which scenario the dead worker held.
+    message; one that cannot be rebuilt from its pickle arrives as a
+    `RuntimeError` whose message starts with its type name.  If the pool
+    breaks (a worker dies), `WorkerDiedError` names the first scenario in
+    input order whose report is lost; the pool cannot tell which scenario
+    the dead worker held.
     """
     scenarios = list(scenarios)
     workers = min(len(scenarios), _usable_cpus())

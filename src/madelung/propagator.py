@@ -82,6 +82,24 @@ def step(wf: WaveFunction, U: RealField, dt: float) -> WaveFunction:
     return WaveFunction(ComplexField(out, wf.grid), wf.constants, wf.normalizable)
 
 
+def _states(wf: WaveFunction, U: RealField, config: PropagatorConfig):
+    """The Strang loop: yield psi's values at steps 0, 1, ..., config.n_steps.
+
+    The potential's grid and the step's kinetic phase are checked before the
+    first value is yielded.  The values are not validated: a caller that
+    hands them on wraps them in a field.
+    """
+    check_potential_grid(U.grid, wf.grid)
+    if config.n_steps > 0:
+        _check_kinetic_phase(wf, config.dt)
+    values = wf.psi.values
+    yield values
+    half_v, kinetic = _factors(wf, U, config.dt)
+    for _ in range(config.n_steps):
+        values = _apply(values, half_v, kinetic)
+        yield values
+
+
 def evolve(
     wf: WaveFunction,
     U: RealField,
@@ -93,18 +111,12 @@ def evolve(
     Observers fire at t = 0 and after every config.snapshot_every steps.
     Observer exceptions propagate and abort the run.
     """
-    check_potential_grid(U.grid, wf.grid)
-    if config.n_steps > 0:
-        _check_kinetic_phase(wf, config.dt)
+    states = _states(wf, U, config)
+    next(states)  # the grid and dt checks run before any observer
     for obs in observers:
         obs(0.0, wf)
-    if config.n_steps == 0:
-        return wf
-    half_v, kinetic = _factors(wf, U, config.dt)
-    values = wf.psi.values
     current = wf
-    for i in range(1, config.n_steps + 1):
-        values = _apply(values, half_v, kinetic)
+    for i, values in enumerate(states, 1):
         if i % config.snapshot_every == 0:
             current = WaveFunction(
                 ComplexField(values, wf.grid), wf.constants, wf.normalizable

@@ -89,6 +89,61 @@ class FlowHistory:
         return self._samples[self._index(t)].u
 
 
+class _StreamedFlow(FlowHistory):
+    """A FlowHistory filled from an iterator of sample chunks as it is read.
+
+    A lookup past the last sample pulls the next chunk.  Before it does, the
+    samples read so far are slimmed: a whole-step sample (one that carries
+    rho) keeps only u and rho, copied into one preallocated
+    (n_whole, 2, n) block, and a half-step sample is dropped.  Readers that
+    walk forward in time, as `advect` does, see every field; behind the
+    slimmed point a half-step lookup is a gap and a whole-step sample lacks
+    the record fields.
+    """
+
+    def __init__(self, grid: Grid, constants: PhysicalConstants, chunks, n_whole: int):
+        super().__init__(grid, constants)
+        self._chunks = chunks
+        self._kept = np.empty((n_whole, 2, grid.n))
+        self._n_kept = 0  # slim samples, at the head of the sample list
+
+    def _index(self, t: float) -> int:
+        while True:
+            try:
+                return super()._index(t)
+            except ProviderGapError:
+                if self._chunks is None or (self._times and t < self._times[-1]):
+                    raise
+            self._slim()
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                self.close()
+            else:
+                for sample in chunk:
+                    self.add(sample)
+
+    def close(self) -> None:
+        """Slim every sample held and read no further chunks."""
+        self._slim()
+        self._chunks = None
+
+    def _slim(self) -> None:
+        k = self._n_kept
+        live = self._samples[k:]
+        del self._times[k:], self._samples[k:]
+        for smp in live:
+            if smp.rho is None:
+                continue
+            row = self._kept[self._n_kept]
+            row[0] = smp.u.values
+            row[1] = smp.rho.values
+            self._times.append(smp.t)
+            self._samples.append(FlowSample(
+                smp.t, u=RealField._unchecked(row[0], self.grid),
+                rho=RealField._unchecked(row[1], self.grid)))
+            self._n_kept += 1
+
+
 @dataclass
 class ParcelEnsemble:
     """Parcel positions plus along-trajectory records (rows = record times)."""

@@ -161,16 +161,18 @@ def test_env_var_default_out(tmp_path, monkeypatch):
 
 
 def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports):
-    from madelung import harness
+    from madelung import harness, propagator
 
     calls = []
-    real_evolve = harness.evolve
+    real_states = propagator._states
 
-    def counting_evolve(*args, **kwargs):
+    def counting_states(*args, **kwargs):
         calls.append(1)
-        return real_evolve(*args, **kwargs)
+        return real_states(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "evolve", counting_evolve)
+    # the one Strang loop, as evolve and the flow stream bind it
+    monkeypatch.setattr(propagator, "_states", counting_states)
+    monkeypatch.setattr(harness, "_states", counting_states)
     rc = main([
         "run", "--scenario", "free_gaussian", "--trajectories", "--no-fields",
         "--out", str(tmp_path),
@@ -284,6 +286,32 @@ def test_bad_trajectory_config_exits_2_with_its_limit(tmp_path, capsys, override
     assert rc == EXIT_USAGE
     assert limit in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("bohm_form=bogus",
+     "bohm_form must be one of ('amplitude', 'wavefunction', 'log'), got 'bogus'"),
+    ("floor_rel=0", "floor_rel must be finite and > 0, got 0.0"),
+    ("floor_rel=-1e-12", "floor_rel must be finite and > 0, got -1e-12"),
+    ("pointwise_floor_rel=nan", "pointwise_floor_rel must be finite and > 0, got nan"),
+])
+def test_bad_scenario_setting_exits_2_before_evolving(tmp_path, capsys, monkeypatch,
+                                                      override, message):
+    from madelung import harness, propagator
+
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("the scenario was evolved")
+
+    monkeypatch.setattr(propagator, "_states", no_evolution)
+    monkeypatch.setattr(harness, "_states", no_evolution)
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", "free_gaussian", "--trajectories",
+               "--out", str(out), "--set", override])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_timeseries_columns_are_the_judged_values(tmp_path, monkeypatch):

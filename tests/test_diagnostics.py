@@ -279,6 +279,16 @@ class TestBernoulliResidual:
         with pytest.raises(ValueError, match="different grids"):
             bernoulli_residual(wf, wf, foreign_harmonic_U, 1e-3)
 
+    @pytest.mark.parametrize("span", [(-10.0, 10.0), (-20.0, 20.0 + 1e-9)])
+    def test_rejects_snapshots_on_another_span(self, desk_grid, natural_units, free_U,
+                                               span):
+        # same n, other points: a per-point residual between them means nothing
+        other = make_grid(desk_grid.n, *span)
+        wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
+        wf_other = gaussian_packet(other, natural_units, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="snapshots live on different grids"):
+            bernoulli_residual(wf, wf_other, free_U, 1e-3)
+
 
 class TestMomentumEquation:
     """Residual of Du/Dt = -d(Q~ + U~)/dx along the evolution, all central

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -235,7 +237,7 @@ class TestContinuityOrderTracks:
         head = harness._head(run.trajectory(), fresh.times.size)
         for name in RECORD_FIELDS:
             assert np.array_equal(getattr(head, name), getattr(fresh, name)), name
-        calls = _counting(monkeypatch, harness, "collect_flow")
+        calls = _counting(monkeypatch, harness, "_flow_chunks")
         measured = harness._CHECKS["continuity_order"](run, self.SPEC)
         assert len(calls) == 1  # only the dt/2 track; the dt track is sliced
         monkeypatch.undo()
@@ -248,7 +250,7 @@ class TestContinuityOrderTracks:
                                    {"trajectories.duration": 0.1})
         run = harness.ScenarioRun(scenario)
         run.trajectory()
-        calls = _counting(monkeypatch, harness, "collect_flow")
+        calls = _counting(monkeypatch, harness, "_flow_chunks")
         measured = harness._CHECKS["continuity_order"](run, self.SPEC)
         assert len(calls) == 2
         monkeypatch.undo()
@@ -268,7 +270,7 @@ def test_a_failed_main_track_fails_once_with_one_message(monkeypatch):
         calls.append(1)
         raise RuntimeError("flow broke")
 
-    monkeypatch.setattr(harness, "collect_flow", broken_flow)
+    monkeypatch.setattr(harness, "_flow_chunks", broken_flow)
     checks = {c.id: c for c in run_scenario(scenario_by_name("free_gaussian")).checks}
     for cid in TRACK_CHECKS:
         assert checks[cid].error == "RuntimeError: flow broke", cid
@@ -284,7 +286,7 @@ def test_seeding_fails_before_any_flow_collection(monkeypatch):
         raise ValueError("need at least one parcel")
 
     monkeypatch.setattr(harness, "seed_parcels", no_parcels)
-    calls = _counting(monkeypatch, harness, "collect_flow")
+    calls = _counting(monkeypatch, harness, "_flow_chunks")
     checks = {c.id: c for c in run_scenario(scenario_by_name("free_gaussian")).checks}
     for cid in TRACK_CHECKS:
         assert checks[cid].error == "ValueError: need at least one parcel", cid
@@ -308,6 +310,18 @@ def test_trajectory_config_names_its_limit(kwargs, limit):
 
     with pytest.raises(ValueError, match=limit):
         TrajectoryConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, limit", [
+    ({"bohm_form": "curvature"}, "bohm_form must be one of"),
+    ({"floor_rel": 0.0}, "floor_rel must be finite and > 0"),
+    ({"floor_rel": float("inf")}, "floor_rel must be finite and > 0"),
+    ({"pointwise_floor_rel": -1e-6}, "pointwise_floor_rel must be finite and > 0"),
+    ({"pointwise_floor_rel": float("nan")}, "pointwise_floor_rel must be finite and > 0"),
+])
+def test_scenario_names_its_limit(kwargs, limit):
+    with pytest.raises(ValueError, match=limit):
+        replace(scenario_by_name("free_gaussian"), **kwargs)
 
 
 def test_trajectory_config_accepts_valid_values():

@@ -135,6 +135,28 @@ def test_worker_exceptions_keep_their_type(monkeypatch, capsys, exc, rc):
     assert pooled[0] == rc
 
 
+class _TwoArgumentError(Exception):
+    """Pickles, but cannot be rebuilt: unpickling calls it with one argument."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+@fork_only
+def test_an_exception_that_cannot_be_rebuilt_arrives_as_an_error(monkeypatch):
+    def raising(scenario):
+        raise _TwoArgumentError("bad state", scenario.name)
+
+    monkeypatch.setattr(harness, "run_scenario", raising)
+    _cpus(monkeypatch, 2)
+    created = _count_pools(monkeypatch)
+    with pytest.raises(RuntimeError) as info:
+        list(run_scenarios(builtin_scenarios()))
+    assert created == [2]
+    assert type(info.value) is RuntimeError  # not a WorkerDiedError
+    assert str(info.value) == "_TwoArgumentError: bad state in plane_wave"
+
+
 @fork_only
 def test_scenarios_reach_workers_without_pickling(monkeypatch):
     # a lambda cannot be pickled; the scenarios must fail in the workers as
