@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from madelung import propagator
 from madelung.grid import RealField, make_grid
 from madelung.potentials import PotentialSpec, evaluate_potential
 from madelung.propagator import PropagatorConfig, evolve, step
@@ -99,13 +102,100 @@ def test_kinetic_phase_bound_reads_the_state_not_the_grid(natural_units):
     assert abs(out.norm() - 1.0) < 1e-13
 
 
+def _free_gaussian(x, t, x0, sigma0, k0):
+    """Exact free evolution (hbar = m = 1) of gaussian_packet(x0, sigma0, k0)."""
+    a = 1.0 + 1j * t / (2.0 * sigma0**2)
+    return ((2.0 * math.pi * sigma0**2) ** -0.25 / np.sqrt(a)
+            * np.exp(-(x - x0 - k0 * t) ** 2 / (4.0 * sigma0**2 * a)
+                     + 1j * (k0 * x - 0.5 * k0**2 * t)))
+
+
 def test_wide_domain_packet_is_accepted(natural_units):
     # a moving packet on the 65536-point wide domain, dt = 1e-3
     g = make_grid(65536, -1536.0, 1536.0)
     wf = gaussian_packet(g, natural_units, 4.0, 1.0, 2.5)
     U = RealField(np.zeros(g.n), g)
-    out = evolve(wf, U, PropagatorConfig(1e-3, 2), [])
+    out = evolve(wf, U, PropagatorConfig(1e-3, 200), [])
+    exact = _free_gaussian(g.x, 0.2, 4.0, 1.0, 2.5)
+    assert np.sqrt(np.sum(np.abs(out.psi.values - exact) ** 2) * g.dx) < 1e-10
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+# Grids at and above the blocked-transform threshold: 32768 is the
+# non-square (128, 256) split, the others are square.
+BLOCKED_NS = [8192, 16384, 32768, 65536]
+
+
+def _large_case(n, kind, natural_units):
+    g = make_grid(n, -0.025 * n, 0.025 * n)
+    wf = gaussian_packet(g, natural_units, 1.0, 1.0, 2.0)
+    if kind == "harmonic":
+        U = evaluate_potential(PotentialSpec("harmonic", omega=0.02), g, natural_units)
+    else:
+        table = RealField(0.5 * np.cos(0.3 * g.x), g)
+        U = evaluate_potential(PotentialSpec("tabulated", table=table), g, natural_units)
+    return wf, U
+
+
+def _plain_steps(wf, U, dt, n_steps):
+    """The unblocked Strang step, built here from the grid's wavenumbers."""
+    half_v = np.exp(-0.5j * U.values * dt)
+    kinetic = np.exp(-0.5j * wf.grid.wavenumbers**2 * dt)
+    values = wf.psi.values
+    for _ in range(n_steps):
+        values = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * values))
+    return values
+
+
+def test_blocked_threshold_lies_between_the_tested_sizes():
+    # the sizes below stand on both sides of the threshold
+    assert 4096 < propagator._BLOCKED_MIN_N <= 8192
+    assert propagator._block_shape(32768) == (128, 256)
+    assert propagator._block_shape(65536) == (256, 256)
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "cosine_table"])
+@pytest.mark.parametrize("n", BLOCKED_NS)
+def test_blocked_transform_matches_plain_transforms(n, kind, natural_units):
+    wf, U = _large_case(n, kind, natural_units)
+    dt = 1e-3
+    one = step(wf, U, dt).psi.values
+    assert np.max(np.abs(one - _plain_steps(wf, U, dt, 1))) < 1e-13
+    fifty = evolve(wf, U, PropagatorConfig(dt, 50, 50)).psi.values
+    assert np.max(np.abs(fifty - _plain_steps(wf, U, dt, 50))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [512, 4096, 8192, 32768])
+def test_step_equals_one_step_evolve_bitwise(n, natural_units):
+    wf, U = _large_case(n, "cosine_table", natural_units)
+    one = step(wf, U, 1e-3).psi.values
+    assert np.array_equal(one, evolve(wf, U, PropagatorConfig(1e-3, 1)).psi.values)
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_apply_below_threshold_is_the_plain_expression(n):
+    rng = np.random.default_rng(n)
+    values, half_v, kinetic = np.exp(2j * np.pi * rng.random((3, n)))
+    plain = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * values))
+    assert np.array_equal(propagator._apply(values, half_v, kinetic), plain)
+
+
+def test_snapshots_own_their_arrays_on_a_blocked_grid(natural_units):
+    g = make_grid(65536, -1536.0, 1536.0)
+    wf = gaussian_packet(g, natural_units, 4.0, 1.0, 2.5)
+    before = wf.psi.values.copy()
+    U = RealField(np.zeros(g.n), g)
+    kept = []
+    out = evolve(wf, U, PropagatorConfig(1e-3, 5, 2), [lambda t, w: kept.append(w.psi.values)])
+    assert len(kept) == 3 and kept[0] is wf.psi.values
+    arrays = kept + [out.psi.values]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(wf.psi.values, before)
+    assert not np.array_equal(kept[1], kept[2])
+    assert not np.shares_memory(step(wf, U, 1e-3).psi.values, wf.psi.values)
+    assert np.array_equal(wf.psi.values, before)
 
 
 def test_evolve_zero_steps_notifies_once(desk_grid, natural_units, free_potential):
