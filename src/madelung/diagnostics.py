@@ -99,8 +99,6 @@ class ExpectationReport:
     accel: float
     vi_mean: float
     Pi_integral: float
-    bernoulli_residual_max: float | None = None
-    nonspread_residual: float | None = None
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .trajectories import (
     FlowHistory,
     FlowSample,
     ParcelEnsemble,
+    _same_time,
     _StreamedFlow,
     action_check,
     advect,
@@ -165,19 +167,48 @@ class TrajectoryConfig:
             )
 
 
+class _Mode(NamedTuple):  # how a check mode judges its tolerance
+    pair: bool  # the tolerance is a (lo, hi) pair
+    passes: Callable[[float, object], bool]  # (measured, tolerance) -> verdict
+    bound: Callable[[object], str]  # the bound's text
+
+
+_MODES = {
+    "below": _Mode(False, lambda x, tol: x <= tol, lambda tol: f"<= {tol:g}"),
+    # negative controls: the identity must be violated
+    "above": _Mode(False, lambda x, tol: x > tol, lambda tol: f"> {tol:g}"),
+    "range": _Mode(True, lambda x, tol: tol[0] <= x <= tol[1],
+                   lambda tol: f"in [{tol[0]:g}, {tol[1]:g}]"),
+}
+
+
 @dataclass(frozen=True)
 class CheckSpec:
-    """One named check: measured value compared against a threshold.
+    """One named check: measured value compared against a tolerance.
 
     mode "below": pass iff measured <= tolerance.
     mode "above": pass iff measured >  tolerance (negative controls).
-    mode "range": pass iff params["lo"] <= measured <= params["hi"].
+    mode "range": pass iff lo <= measured <= hi, tolerance = (lo, hi).
+
+    A NaN measurement fails in every mode.  The spec is checked when built:
+    a registered id, a known mode, and a pair tolerance exactly for "range".
     """
 
     id: str
-    tolerance: float
+    tolerance: float | tuple[float, float]
     mode: str = "below"
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.id not in _CHECKS:
+            raise ValueError(f"unregistered check {self.id!r}")
+        if self.mode not in _MODES:
+            raise ValueError(f"check {self.id!r}: unknown mode {self.mode!r}, "
+                             f"not one of {list(_MODES)}")
+        tol, pair = self.tolerance, _MODES[self.mode].pair
+        if isinstance(tol, tuple) != pair or (pair and len(tol) != 2):
+            want = "a (lo, hi) pair" if pair else "one number"
+            raise ValueError(f"check {self.id!r}: a {self.mode} tolerance is {want}, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -218,11 +249,9 @@ class CheckResult:
 
     id: str
     measured: float | None
-    tolerance: float
+    tolerance: float | tuple[float, float]
     mode: str
     passed: bool
-    lo: float | None = None  # set for range-mode checks
-    hi: float | None = None
     error: str | None = None
 
 
@@ -260,7 +289,7 @@ def _check_payload(c: CheckResult) -> dict:
     out = {
         "id": c.id,
         "measured": c.measured,
-        "tolerance": c.tolerance if c.mode != "range" else [c.lo, c.hi],
+        "tolerance": list(c.tolerance) if _MODES[c.mode].pair else c.tolerance,
         "mode": c.mode,
         "pass": c.passed,
     }
@@ -359,19 +388,20 @@ def collect_flow(
 class ScenarioRun:
     """Lazily evaluated artifacts of one scenario execution.
 
-    Everything is computed on first use and kept, so the checks and the
-    artifact writers read the same numbers:
+    Everything is computed on first use and kept (`_memo`), so the checks
+    and the artifact writers read the same numbers:
 
     - the snapshots of the propagation and their `expectations` reports;
     - per snapshot, the scalars the pointwise checks take from the pointwise
       fields (`pointwise`: the enthalpy and non-spreading residuals, the
       peak |u| and |div u|), all taken in the one evaluation of the fields,
-      which are then let go; a scalar whose evaluation raised raises the
-      same exception on every read;
+      which are then let go;
     - per snapshot, the peak one-step Bernoulli residual (`bernoulli_max`);
     - the main parcel track (`trajectory`, and `flow` with `u` and `rho` at
-      every whole step), or the exception it raised, which every later
-      reader gets again.
+      every whole step).
+
+    A quantity whose computation raised keeps the exception instead, and
+    every later reader gets it again, so it fails once, with one message.
     """
 
     def __init__(self, scenario: Scenario):
@@ -383,70 +413,66 @@ class ScenarioRun:
         self.region_mask = (
             scenario.region.build(self.grid) if scenario.region is not None else None
         )
-        self._snapshots: list | None = None
-        self._reports: list | None = None
-        self._per_snapshot: dict = {}  # (quantity, snapshot index) -> value
-        self._tracking: tuple[FlowHistory, ParcelEnsemble] | Exception | None = None
+        self._memos: dict = {}  # key -> value, or the exception computing it raised
+
+    def _memo(self, key, compute):
+        """compute() once per key; an exception it raised is raised again on
+        every read."""
+        if key not in self._memos:
+            try:
+                self._memos[key] = compute()
+            except Exception as exc:
+                self._memos[key] = exc
+        value = self._memos[key]
+        if isinstance(value, Exception):
+            # its frames would hold the computation's arrays, and a re-raise
+            # would stack each reader's frames on them
+            raise value.with_traceback(None)
+        return value
 
     # -- state access ------------------------------------------------------
 
     def snapshots(self) -> list:
-        if self._snapshots is None:
-            cfg = self.scenario.propagation
-            if cfg is None:
-                self._snapshots = [(0.0, self.wf0)]
-            else:
-                snaps: list = []
-                evolve(self.wf0, self.U, cfg, [lambda t, w: snaps.append((t, w))])
-                self._snapshots = snaps
-        return self._snapshots
+        return self._memo("snapshots", self._evolve)
+
+    def _evolve(self) -> list:
+        if self.scenario.propagation is None:
+            return [(0.0, self.wf0)]
+        snaps: list = []
+        evolve(self.wf0, self.U, self.scenario.propagation,
+               [lambda t, w: snaps.append((t, w))])
+        return snaps
 
     def _snapshot_index(self, t: float) -> int:
         for i, (ts, _) in enumerate(self.snapshots()):
-            if abs(ts - t) <= 1e-9 * max(1.0, abs(t)) + 1e-12:
+            if _same_time(ts, t):
                 return i
         raise KeyError(f"no snapshot at t = {t!r} in scenario {self.scenario.name!r}")
 
     def state_at(self, t: float) -> WaveFunction:
         return self.snapshots()[self._snapshot_index(t)][1]
 
-    def _memo(self, quantity: str, t: float, compute):
-        key = (quantity, self._snapshot_index(t))
-        if key not in self._per_snapshot:
-            self._per_snapshot[key] = compute(t)
-        return self._per_snapshot[key]
-
     def reports(self) -> list:
-        if self._reports is None:
-            self._reports = [
-                expectations(
-                    w, self.U, self.scenario.floor_rel, t=t,
-                    bohm_form=self.scenario.bohm_form,
-                )
-                for t, w in self.snapshots()
-            ]
-        return self._reports
-
-    def pointwise_fields(self, t: float):
-        return madelung_fields(
-            self.state_at(t),
-            self.scenario.pointwise_floor_rel,
-            bohm_form=self.scenario.bohm_form,
-            region_mask=self.region_mask,
-        )
+        s = self.scenario
+        return self._memo("reports", lambda: [
+            expectations(w, self.U, s.floor_rel, t=t, bohm_form=s.bohm_form)
+            for t, w in self.snapshots()
+        ])
 
     def pointwise(self, quantity: str, t: float) -> float:
         """A scalar of the pointwise fields at snapshot t: "enthalpy",
         "nonspreading", "u_max" or "div_u_max"."""
-        value = self._memo("pointwise", t, self._pointwise_scalars)[quantity]
-        if isinstance(value, Exception):
-            raise value
-        return value
+        scalars = self._memo(("pointwise", self._snapshot_index(t)),
+                             lambda: self._pointwise_scalars(t))
+        if isinstance(scalars[quantity], Exception):
+            raise scalars[quantity].with_traceback(None)
+        return scalars[quantity]
 
     def _pointwise_scalars(self, t: float) -> dict:
         # the scalars are small, the fields are not: keeping only the
         # scalars keeps memory flat in the number of snapshots
-        fields = self.pointwise_fields(t)
+        fields = madelung_fields(self.state_at(t), self.scenario.pointwise_floor_rel,
+                                 bohm_form=self.scenario.bohm_form, region_mask=self.region_mask)
         out = {}
         for quantity, fn in _POINTWISE.items():
             try:
@@ -458,7 +484,7 @@ class ScenarioRun:
     def bernoulli_max(self, t: float) -> float:
         """Peak |Bernoulli residual| over one propagation step from snapshot t."""
         s = self.scenario
-        return self._memo("bernoulli", t, lambda t: _bernoulli_peak(
+        return self._memo(("bernoulli", self._snapshot_index(t)), lambda: _bernoulli_peak(
             self.state_at(t), self.U, s.propagation.dt, s.floor_rel, s.bohm_form))
 
     # -- trajectory machinery ---------------------------------------------
@@ -491,17 +517,11 @@ class ScenarioRun:
         return flow, ens
 
     def _main_track(self) -> tuple[FlowHistory, ParcelEnsemble]:
-        if self._tracking is None:
-            cfg = self.scenario.trajectories
-            if cfg is None:
-                raise ValueError(f"scenario {self.scenario.name!r} has no trajectory config")
-            try:
-                self._tracking = self.track(self.scenario.propagation.dt, cfg.duration)
-            except Exception as exc:
-                self._tracking = exc
-        if isinstance(self._tracking, Exception):
-            raise self._tracking
-        return self._tracking
+        cfg = self.scenario.trajectories
+        if cfg is None:
+            raise ValueError(f"scenario {self.scenario.name!r} has no trajectory config")
+        dt = self.scenario.propagation.dt
+        return self._memo("track", lambda: self.track(dt, cfg.duration))
 
     def trajectory(self) -> ParcelEnsemble:
         return self._main_track()[1]
@@ -522,26 +542,13 @@ class ScenarioRun:
         start = time.perf_counter()
         results = []
         for spec in scenario.checks:
-            if spec.id not in _CHECKS:
-                raise ValueError(
-                    f"scenario {scenario.name!r} references unregistered check {spec.id!r}"
-                )
             try:
                 measured, error = float(_CHECKS[spec.id](self, spec)), None
             except Exception as exc:
                 measured, error = None, f"{type(exc).__name__}: {exc}"
-            results.append(
-                CheckResult(
-                    id=spec.id,
-                    measured=measured,
-                    tolerance=spec.tolerance,
-                    mode=spec.mode,
-                    passed=error is None and _passes(spec, measured),
-                    lo=spec.params.get("lo") if spec.mode == "range" else None,
-                    hi=spec.params.get("hi") if spec.mode == "range" else None,
-                    error=error,
-                )
-            )
+            passed = error is None and _MODES[spec.mode].passes(measured, spec.tolerance)
+            results.append(CheckResult(spec.id, measured, spec.tolerance, spec.mode,
+                                       passed, error))
         prop = scenario.propagation
         return VerificationReport(
             scenario=scenario.name,
@@ -617,16 +624,10 @@ _POINTWISE = {
 }
 
 
-def _check_enthalpy_pointwise(run, spec):
-    return max(run.pointwise("enthalpy", t) for t in _times_param(run, spec))
-
-
-def _check_nonspreading(run, spec):
-    return max(run.pointwise("nonspreading", t) for t in _times_param(run, spec))
-
-
-def _check_nonspreading_violated(run, spec):
-    return run.pointwise("nonspreading", spec.params.get("time", 1.0))
+def _pointwise_check(quantity: str):
+    """The check judging the peak of one `_POINTWISE` scalar over
+    params["times"] (default: every snapshot)."""
+    return lambda run, spec: max(run.pointwise(quantity, t) for t in _times_param(run, spec))
 
 
 def _density_moments(w: WaveFunction):
@@ -658,10 +659,7 @@ def _check_drift_law(run, spec):
 
 
 def _check_bernoulli_max(run, spec):
-    worst = 0.0
-    for t in _times_param(run, spec):
-        worst = max(worst, run.bernoulli_max(t))
-    return worst
+    return max(run.bernoulli_max(t) for t in _times_param(run, spec))
 
 
 def _bernoulli_peak(w, U, dt, floor_rel, bohm_form) -> float:
@@ -795,10 +793,6 @@ def _check_incompressibility_parcels(run, spec):
     return float(np.max(np.abs(run.trajectory().div_u_records)))
 
 
-def _check_incompressibility_field(run, spec):
-    return run.pointwise("div_u_max", spec.params.get("time", 0.0))
-
-
 def _peak_position(run, w: WaveFunction) -> float:
     rho = w.density().values
     search = np.where(run.region_mask, rho, 0.0) if run.region_mask is not None else rho
@@ -829,10 +823,6 @@ def _check_density_node_at_wall(run, spec):
     return float(rho[j] / rho.max())
 
 
-def _check_velocity_zero(run, spec):
-    return run.pointwise("u_max", spec.params.get("time", 0.0))
-
-
 _CHECKS = {
     "norm_drift": _check_norm_drift,
     "energy_drift": _check_energy_drift,
@@ -841,10 +831,10 @@ _CHECKS = {
     "pressure_internal_identity": _check_pressure_internal,
     "fisher_score_zero": _check_fisher_score,
     "acceleration_zero": _check_acceleration,
-    "enthalpy_pointwise": _check_enthalpy_pointwise,
-    "nonspreading": _check_nonspreading,
-    "nonspreading_evolved": _check_nonspreading,
-    "nonspreading_violated": _check_nonspreading_violated,
+    "enthalpy_pointwise": _pointwise_check("enthalpy"),
+    "nonspreading": _pointwise_check("nonspreading"),
+    "nonspreading_evolved": _pointwise_check("nonspreading"),
+    "nonspreading_violated": _pointwise_check("nonspreading"),
     "spreading_law": _check_spreading_law,
     "drift_law": _check_drift_law,
     "bernoulli_max": _check_bernoulli_max,
@@ -859,21 +849,11 @@ _CHECKS = {
     "parcel_density_constancy": _check_parcel_density_constancy,
     "incompressibility_scaled": _check_incompressibility_scaled,
     "incompressibility_parcels": _check_incompressibility_parcels,
-    "incompressibility_field": _check_incompressibility_field,
+    "incompressibility_field": _pointwise_check("div_u_max"),
     "density_peak_tracking": _check_peak_tracking,
     "density_node_at_wall": _check_density_node_at_wall,
-    "velocity_zero": _check_velocity_zero,
+    "velocity_zero": _pointwise_check("u_max"),
 }
-
-
-def _passes(spec: CheckSpec, measured: float) -> bool:
-    if spec.mode == "below":
-        return measured <= spec.tolerance
-    if spec.mode == "above":
-        return measured > spec.tolerance
-    if spec.mode == "range":
-        return spec.params["lo"] <= measured <= spec.params["hi"]
-    raise ValueError(f"unknown check mode {spec.mode!r}")
 
 
 def run_scenario(scenario: Scenario) -> VerificationReport:
@@ -1008,7 +988,7 @@ def builtin_scenarios() -> list:
                 CheckSpec("spreading_law", 1e-4,
                           params={"sigma0": 1.0, "times": [0.5, 1.0, 2.0]}),
                 CheckSpec("nonspreading_violated", 1e-2, mode="above",
-                          params={"time": 1.0}),
+                          params={"times": [1.0]}),
                 CheckSpec("continuity_max", 1e-4),
                 CheckSpec("continuity_order", 3.5, mode="above",
                           params={"duration": 0.25}),
@@ -1039,11 +1019,10 @@ def builtin_scenarios() -> list:
                 CheckSpec("nonspreading_evolved", 1e-5,
                           params={"times": [0.5, 1.0]}),
                 CheckSpec("bernoulli_max", 1e-5),
-                CheckSpec("bernoulli_order", 4.5, mode="range",
-                          params={"lo": 3.5, "hi": 4.5}),
-                CheckSpec("propagator_order", 4.5, mode="range",
-                          params={"lo": 3.5, "hi": 4.5, "duration": 0.5}),
-                CheckSpec("velocity_zero", 1e-10, params={"time": 0.0}),
+                CheckSpec("bernoulli_order", (3.5, 4.5), mode="range"),
+                CheckSpec("propagator_order", (3.5, 4.5), mode="range",
+                          params={"duration": 0.5}),
+                CheckSpec("velocity_zero", 1e-10, params={"times": [0.0]}),
                 CheckSpec("parcel_stationary", 1e-7),
                 CheckSpec("continuity_max", 1e-10),
                 CheckSpec("action_identity", 1e-4),
@@ -1067,7 +1046,7 @@ def builtin_scenarios() -> list:
                 CheckSpec("fisher_score_zero", 1e-10),
                 CheckSpec("enthalpy_pointwise", 1e-7, params={"times": [0.0]}),
                 CheckSpec("nonspreading", 1e-3, params={"times": [0.0]}),
-                CheckSpec("incompressibility_field", 1e-8, params={"time": 0.0}),
+                CheckSpec("incompressibility_field", 1e-8, params={"times": [0.0]}),
                 CheckSpec("density_peak_tracking", 2e-3,
                           params={"times": [0.5, 1.0]}),
                 CheckSpec("parcel_density_constancy", 1e-3),
@@ -1106,7 +1085,7 @@ def builtin_scenarios() -> list:
                 CheckSpec("enthalpy_pointwise", 1e-7),
                 CheckSpec("fisher_score_zero", 1e-10),
                 CheckSpec("nonspreading_violated", 1e-2, mode="above",
-                          params={"time": 1.0}),
+                          params={"times": [1.0]}),
             ),
         ),
     ]
@@ -1172,14 +1151,8 @@ def format_report(report: VerificationReport) -> str:
             lines.append(f"  [ERROR] {c.id:<28} {c.error}")
             continue
         status = "PASS" if c.passed else "FAIL"
-        if c.mode == "range":
-            target = f"in [{c.lo:g}, {c.hi:g}]"
-        else:
-            rel = {"below": "<=", "above": ">"}[c.mode]
-            target = f"{rel} {c.tolerance:g}"
-        lines.append(
-            f"  [{status}] {c.id:<28} measured {c.measured:.6e} {target}"
-        )
+        lines.append(f"  [{status}] {c.id:<28} measured {c.measured:.6e} "
+                     f"{_MODES[c.mode].bound(c.tolerance)}")
     verdict = "PASS" if report.passed else "FAIL"
     lines.append(f"  => {verdict} ({report.runtime_seconds:.2f}s)")
     return "\n".join(lines)

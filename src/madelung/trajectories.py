@@ -54,12 +54,19 @@ class FlowSample:
     rho: RealField | None = None
 
 
+def _same_time(stored: float, t: float) -> bool:
+    """Whether a stored sample time answers a lookup at t: within
+    1e-9 * max(1, |t|) + 1e-12."""
+    return abs(stored - t) <= 1e-9 * max(1.0, abs(t)) + 1e-12
+
+
 class FlowHistory:
     """Time-keyed store of FlowSamples; the velocity provider for advection.
 
-    Lookups must match a stored time within 1e-9; anything else is a gap and
-    raises, because silently interpolating across a missing snapshot would
-    corrupt the convergence order of everything downstream.
+    Lookups must match a stored time within 1e-9 * max(1, |t|) + 1e-12
+    (`_same_time`); anything else is a gap and raises, because silently
+    interpolating across a missing snapshot would corrupt the convergence
+    order of everything downstream.
     """
 
     def __init__(self, grid: Grid, constants: PhysicalConstants):
@@ -78,7 +85,7 @@ class FlowHistory:
         times = self._times
         i = bisect.bisect_left(times, t)
         for j in (i - 1, i):
-            if 0 <= j < len(times) and abs(times[j] - t) <= 1e-9 * max(1.0, abs(t)) + 1e-12:
+            if 0 <= j < len(times) and _same_time(times[j], t):
                 return j
         raise ProviderGapError(f"no flow snapshot at t = {t!r}")
 

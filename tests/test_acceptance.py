@@ -182,7 +182,7 @@ def test_criterion_13_propagator_order_and_norm(suite_reports):
     results = [("harmonic_ground",
                 entry(suite_reports["harmonic_ground"], "propagator_order"))]
     c = results[0][1]
-    assert c.mode == "range" and c.lo == 3.5 and c.hi == 4.5
+    assert c.mode == "range" and c.tolerance == (3.5, 4.5)
     results += collect(suite_reports, PROPAGATED, "norm_drift")
     for name, c in results[1:]:
         assert c.tolerance == 1e-10

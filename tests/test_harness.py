@@ -87,12 +87,12 @@ def test_duplicate_check_ids_rejected():
 
 
 def test_unregistered_check_id_raises():
-    s = Scenario(
-        name="bad",
-        state=StateSpec("gaussian", {"x0": 0.0, "sigma0": 1.0, "k0": 0.0}),
-        checks=(CheckSpec("not_a_check", 1.0),),
-    )
     with pytest.raises(ValueError):
+        s = Scenario(
+            name="bad",
+            state=StateSpec("gaussian", {"x0": 0.0, "sigma0": 1.0, "k0": 0.0}),
+            checks=(CheckSpec("not_a_check", 1.0),),
+        )
         run_scenario(s)
 
 
@@ -348,3 +348,115 @@ def test_a_raising_pointwise_scalar_is_its_own_verdict(monkeypatch):
     assert len(calls) == len(run.snapshots())
     with pytest.raises(ValueError, match="fewer than 16"):
         run.pointwise("nonspreading", 0.0)
+
+
+# -- the mode table ----------------------------------------------------------
+
+GAUSSIAN = StateSpec("gaussian", {"x0": 0.0, "sigma0": 1.0, "k0": 0.0})
+
+
+@pytest.fixture
+def stub_check(monkeypatch):
+    """A registered check id whose measured value is params["value"]; a
+    value that is an exception is raised instead."""
+    from madelung import harness
+
+    def stub(run, spec):
+        value = spec.params["value"]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    monkeypatch.setitem(harness._CHECKS, "stub", stub)
+    return "stub"
+
+
+def judge(value, tolerance, mode):
+    spec = CheckSpec("stub", tolerance, mode=mode, params={"value": value})
+    return run_scenario(Scenario(name="modes", state=GAUSSIAN, checks=(spec,)))
+
+
+@pytest.mark.parametrize("mode, tolerance, value, passed", [
+    ("below", 1e-10, 1e-10, True),
+    ("below", 1e-10, 1.0000001e-10, False),
+    ("below", 1e-10, -1.0, True),
+    ("above", 0.01, 0.01, False),
+    ("above", 0.01, 0.0100001, True),
+    ("range", (3.5, 4.5), 3.5, True),
+    ("range", (3.5, 4.5), 4.5, True),
+    ("range", (3.5, 4.5), 4.0, True),
+    ("range", (3.5, 4.5), 3.4999999, False),
+    ("range", (3.5, 4.5), 4.5000001, False),
+    ("below", 1e-10, float("nan"), False),
+    ("above", 0.01, float("nan"), False),
+    ("range", (3.5, 4.5), float("nan"), False),
+])
+def test_mode_pass_rule(stub_check, mode, tolerance, value, passed):
+    report = judge(value, tolerance, mode)
+    (c,) = report.checks
+    assert c.passed is passed and report.passed is passed
+    assert c.error is None
+    entry = report.payload()["checks"][0]
+    assert entry["pass"] is passed
+    assert entry["tolerance"] == (list(tolerance) if mode == "range" else tolerance)
+
+
+@pytest.mark.parametrize("mode, tolerance, text", [
+    ("below", 1e-10, "<= 1e-10"),
+    ("above", 0.01, "> 0.01"),
+    ("range", (3.5, 4.5), "in [3.5, 4.5]"),
+])
+def test_format_report_states_the_bound(stub_check, mode, tolerance, text):
+    line = format_report(judge(4.0, tolerance, mode)).splitlines()[1]
+    assert line.endswith(f"measured 4.000000e+00 {text}")
+
+
+def test_a_raising_check_prints_an_error_line(stub_check):
+    report = judge(RuntimeError("kernel broke"), (3.5, 4.5), "range")
+    (c,) = report.checks
+    assert c.measured is None and not c.passed and c.error == "RuntimeError: kernel broke"
+    line = format_report(report).splitlines()[1]
+    assert line.startswith("  [ERROR] stub") and line.endswith("RuntimeError: kernel broke")
+    assert report.payload()["checks"][0]["error"] == c.error
+
+
+@pytest.mark.parametrize("check_id, tolerance, mode, message", [
+    ("not_a_check", 1.0, "below", "unregistered check 'not_a_check'"),
+    ("stub", 1.0, "between", "check 'stub': unknown mode 'between'"),
+    ("stub", 4.5, "range", "check 'stub': a range tolerance is a \\(lo, hi\\) pair"),
+    ("stub", (3.5,), "range", "check 'stub': a range tolerance is a \\(lo, hi\\) pair"),
+    ("stub", (3.5, 4.0, 4.5), "range", "check 'stub': a range tolerance is a \\(lo, hi\\)"),
+    ("stub", (3.5, 4.5), "below", "check 'stub': a below tolerance is one number"),
+    ("stub", (3.5, 4.5), "above", "check 'stub': a above tolerance is one number"),
+])
+def test_malformed_spec_raises_when_built(stub_check, check_id, tolerance, mode, message):
+    with pytest.raises(ValueError, match=message):
+        CheckSpec(check_id, tolerance, mode=mode)
+
+
+# -- the memo ----------------------------------------------------------------
+
+SNAPSHOT_CHECKS = ("bohm_fisher_identity", "pressure_internal_identity", "enthalpy_pointwise",
+                   "fisher_score_zero", "acceleration_zero", "energy_drift",
+                   "energy_forms_gap", "norm_drift", "spreading_law", "nonspreading_violated")
+
+
+def test_a_failed_evolution_fails_once_with_one_message(monkeypatch):
+    from madelung import harness
+
+    calls = []
+
+    def broken_evolve(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("evolution broke")
+
+    monkeypatch.setattr(harness, "evolve", broken_evolve)
+    checks = {c.id: c for c in run_scenario(scenario_by_name("free_gaussian")).checks}
+    errors = {cid for cid, c in checks.items() if c.error is not None}
+    assert errors == set(SNAPSHOT_CHECKS)
+    for cid in SNAPSHOT_CHECKS:
+        assert checks[cid].error == "RuntimeError: evolution broke", cid
+        assert not checks[cid].passed
+    assert len(calls) == 1
+    # the parcel tracks take their own evolution, not the snapshots
+    assert checks["continuity_max"].passed
