@@ -181,9 +181,9 @@ def _cmd_verify(args) -> int:
 def _cmd_list(args) -> int:
     for s in builtin_scenarios():
         tags = []
-        if s.diagnostic_only:
+        if s.propagation is None:
             tags.append("diagnostic-only")
-        if s.non_normalizable:
+        if not s.state.build(s.grid.build(), s.constants).normalizable:
             tags.append("non-normalizable")
         suffix = f"  [{', '.join(tags)}]" if tags else ""
         print(f"{s.name}{suffix}")

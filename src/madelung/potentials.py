@@ -1,4 +1,4 @@
-"""External potentials: free, linear, harmonic, or tabulated."""
+"""External potentials: free, linear, |x|-linear, harmonic, or tabulated."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from .states import PhysicalConstants
 
 __all__ = ["PotentialSpec", "evaluate_potential", "load_potential_table"]
 
-KINDS = ("free", "linear", "harmonic", "tabulated")
+KINDS = ("free", "linear", "abs_linear", "harmonic", "tabulated")
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class PotentialSpec:
     """Which potential to apply; only the active kind's parameters are read."""
 
     kind: str
-    g: float = 0.0          # linear slope, U = m g x
+    g: float = 0.0          # linear slope, U = m g x (abs_linear: U = m g |x|)
     omega: float = 0.0      # harmonic frequency, U = m omega^2 x^2 / 2
     table: RealField | None = None
 
@@ -35,6 +35,8 @@ def evaluate_potential(
         return RealField(np.zeros(grid.n), grid)
     if spec.kind == "linear":
         return RealField(constants.mass * spec.g * grid.x, grid)
+    if spec.kind == "abs_linear":
+        return RealField(constants.mass * spec.g * np.abs(grid.x), grid)
     if spec.kind == "harmonic":
         if not spec.omega > 0.0:
             raise ValueError("harmonic potential requires omega > 0")

@@ -124,15 +124,13 @@ def _apply(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.nd
 
 def step(wf: WaveFunction, U: RealField, dt: float) -> WaveFunction:
     """Advance one Strang step of size dt (dt = 0 returns the state unchanged)."""
-    check_potential_grid(U.grid, wf.grid)
     if dt < 0.0:
         raise ValueError("dt must be >= 0")
     if dt == 0.0:
+        check_potential_grid(U.grid, wf.grid)
         return wf
-    _check_kinetic_phase(wf, dt)
-    half_v, kinetic = _factors(wf, U, dt)
-    out = _apply(wf.psi.values, half_v, kinetic)
-    return WaveFunction(ComplexField(out, wf.grid), wf.constants, wf.normalizable)
+    _, values = _states(wf, U, PropagatorConfig(dt, 1))
+    return WaveFunction(ComplexField(values, wf.grid), wf.constants, wf.normalizable)
 
 
 def _states(wf: WaveFunction, U: RealField, config: PropagatorConfig):

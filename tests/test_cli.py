@@ -25,6 +25,17 @@ def test_list_names_all_scenarios(capsys):
         assert name in out
 
 
+def test_list_derives_its_tags(capsys):
+    assert main(["list"]) == EXIT_OK
+    names = [line for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("    ")]
+    assert names == [
+        "plane_wave", "free_gaussian", "moving_gaussian", "harmonic_ground",
+        "airy_packet  [non-normalizable]", "quantum_bouncer  [diagnostic-only]",
+        "spreading_negative_control",
+    ]
+
+
 def test_unknown_scenario_exits_2(capsys):
     assert main(["run", "--scenario", "nope", "--out", "/tmp/never"]) == EXIT_USAGE
 
@@ -51,14 +62,13 @@ def test_verify_subset_passes(capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    from madelung import cli, harness
+    from madelung import cli, harness, potentials
 
     impossible = harness.Scenario(
         name="quantum_bouncer",
         state=harness.StateSpec("bouncer", {"g": 1.0}),
-        potential=harness.PotentialDef("abs_linear", g=1.0),
+        potential=potentials.PotentialSpec("abs_linear", g=1.0),
         grid=harness.GridSpec(2048, -20.0, 20.0),
-        diagnostic_only=True,
         checks=(harness.CheckSpec("density_node_at_wall", -1.0),),
     )
     monkeypatch.setattr(cli, "scenario_by_name", lambda name: impossible)
@@ -166,11 +176,11 @@ def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports):
     calls = []
     real_states = propagator._states
 
-    def counting_states(*args, **kwargs):
-        calls.append(1)
-        return real_states(*args, **kwargs)
+    def counting_states(wf, U, config):
+        calls.append(config.n_steps)
+        return real_states(wf, U, config)
 
-    # the one Strang loop, as evolve and the flow stream bind it
+    # the one Strang loop, as evolve, step and the flow stream bind it
     monkeypatch.setattr(propagator, "_states", counting_states)
     monkeypatch.setattr(harness, "_states", counting_states)
     rc = main([
@@ -180,7 +190,9 @@ def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports):
     assert rc == EXIT_OK
     # snapshots, the parcel flow, and continuity_order's dt/2 flow: its dt
     # track is a prefix of the parcel flow's
-    assert len(calls) == 3
+    assert len([n for n in calls if n > 1]) == 3
+    # and one Bernoulli step per snapshot, shared by the check and the CSV
+    assert calls.count(1) == len(calls) - 3 == 2000 // 100 + 1
     with open(tmp_path / "report.json") as fh:
         report = json.load(fh)
     assert report["checks"] == suite_reports["free_gaussian"].payload()["checks"]

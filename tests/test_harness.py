@@ -5,7 +5,6 @@ import pytest
 
 from madelung.harness import (
     CheckSpec,
-    PotentialDef,
     RegionSpec,
     Scenario,
     StateSpec,
@@ -15,6 +14,7 @@ from madelung.harness import (
     run_scenario,
     scenario_by_name,
 )
+from madelung.potentials import PotentialSpec
 from madelung.propagator import PropagatorConfig
 
 EXPECTED_NAMES = [
@@ -35,13 +35,12 @@ def test_builtin_names_and_order():
 
 
 def test_bouncer_is_diagnostic_only():
-    s = scenario_by_name("quantum_bouncer")
-    assert s.diagnostic_only
-    assert s.propagation is None
+    assert scenario_by_name("quantum_bouncer").propagation is None
 
 
 def test_airy_flagged_non_normalizable():
-    assert scenario_by_name("airy_packet").non_normalizable
+    s = scenario_by_name("airy_packet")
+    assert not s.state.build(s.grid.build(), s.constants).normalizable
 
 
 def test_unknown_scenario():
@@ -65,16 +64,6 @@ def test_empty_check_list_trivially_passes():
     report = run_scenario(s)
     assert report.passed
     assert report.checks == ()
-
-
-def test_diagnostic_only_rejects_propagation():
-    with pytest.raises(ValueError):
-        Scenario(
-            name="bad",
-            state=StateSpec("bouncer", {"g": 1.0}),
-            diagnostic_only=True,
-            propagation=PropagatorConfig(1e-3, 10),
-        )
 
 
 def test_duplicate_check_ids_rejected():
@@ -135,11 +124,6 @@ def test_region_spec_window_and_exclude(desk_grid):
     assert not np.any((desk_grid.x[exc] > -1.0) & (desk_grid.x[exc] < 1.0))
 
 
-def test_potential_def_abs_linear(desk_grid, natural_units):
-    U = PotentialDef("abs_linear", g=2.0).build(desk_grid, natural_units)
-    assert np.allclose(U.values, 2.0 * np.abs(desk_grid.x))
-
-
 class TestOverrides:
     def test_grid_override(self):
         s = apply_overrides(scenario_by_name("harmonic_ground"), {"grid.n": 1024})
@@ -168,6 +152,83 @@ class TestOverrides:
     def test_propagation_override_without_propagation(self):
         with pytest.raises(ValueError):
             apply_overrides(scenario_by_name("quantum_bouncer"), {"propagation.dt": 1e-3})
+
+    @pytest.mark.parametrize("key, value, cast", [
+        ("grid.n", 1024.0, int),
+        ("grid.x_min", -30, float),
+        ("grid.x_max", 30, float),
+        ("propagation.dt", 1, float),
+        ("propagation.n_steps", 20.0, int),
+        ("propagation.snapshot_every", 5.0, int),
+        ("potential.g", 2, float),
+        ("potential.omega", 2, float),
+        ("constants.hbar", 2, float),
+        ("constants.mass", 2, float),
+        ("trajectories.n_parcels", 4.0, int),
+        ("trajectories.duration", 1, float),
+        ("floor_rel", 1, float),
+        ("pointwise_floor_rel", 1, float),
+        ("bohm_form", "wavefunction", str),
+    ])
+    def test_every_key_takes_its_cast(self, key, value, cast):
+        s = apply_overrides(scenario_by_name("free_gaussian"), {key: value})
+        head, _, tail = key.partition(".")
+        got = getattr(getattr(s, head), tail) if tail else getattr(s, head)
+        assert type(got) is cast and got == cast(value)
+
+    @pytest.mark.parametrize("name, param, value, cast", [
+        ("plane_wave", "mode_index", 4.0, int),
+        ("free_gaussian", "sigma0", 2, float),
+    ])
+    def test_state_param_keeps_its_type(self, name, param, value, cast):
+        s = apply_overrides(scenario_by_name(name), {f"state.{param}": value})
+        got = s.state.params[param]
+        assert type(got) is cast and got == value
+
+    @pytest.mark.parametrize("name, key, reason", [
+        ("free_gaussian", "grid.shape", "unknown override key"),
+        ("free_gaussian", "potential.kind", "unknown override key"),
+        ("free_gaussian", "trajectories.seed_lo", "unknown override key"),
+        ("free_gaussian", "region.lo", "unknown override key"),
+        ("free_gaussian", "name", "unknown override key"),
+        ("free_gaussian", "grid", "unknown override key"),
+        ("free_gaussian", "state.nope", "state parameter 'nope' not in"),
+        ("quantum_bouncer", "propagation.n_steps", "has no propagation"),
+        ("moving_gaussian", "trajectories.duration", "has no trajectories"),
+    ])
+    def test_rejected_keys(self, name, key, reason):
+        with pytest.raises(ValueError, match=reason):
+            apply_overrides(scenario_by_name(name), {key: 1})
+
+
+# Each of these overrides changes the state or grid a closed-form check reads
+# (the packet width, the group drift, a plane wave's parcel speed).
+STATE_OVERRIDES = [
+    ("free_gaussian", {"state.sigma0": 1.5}),
+    ("moving_gaussian", {"state.k0": 1.0}),
+    ("plane_wave", {"state.mode_index": 4}),
+    ("plane_wave", {"grid.x_min": -30.0, "grid.x_max": 30.0}),
+]
+
+
+@pytest.mark.parametrize("name, overrides", STATE_OVERRIDES)
+def test_closed_forms_judge_the_overridden_state(name, overrides):
+    report = run_scenario(apply_overrides(scenario_by_name(name), overrides))
+    assert [(c.id, c.measured, c.error) for c in report.checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("check, params", [
+    ("spreading_law", {"times": [0.5]}),
+    ("drift_law", {"time": 1.0}),
+])
+def test_a_closed_form_without_its_state_parameter_is_an_error(check, params):
+    report = run_scenario(Scenario(
+        name="harmonic", state=StateSpec("harmonic_ground", {"omega": 1.0}),
+        potential=PotentialSpec("harmonic", omega=1.0),
+        propagation=PropagatorConfig(1e-3, 1000, 500),
+        checks=(CheckSpec(check, 1.0, params=params),)))
+    (c,) = report.checks
+    assert not c.passed and c.error.startswith("KeyError")
 
 
 @pytest.mark.slow
@@ -428,6 +489,12 @@ def test_a_raising_check_prints_an_error_line(stub_check):
     ("stub", (3.5, 4.0, 4.5), "range", "check 'stub': a range tolerance is a \\(lo, hi\\)"),
     ("stub", (3.5, 4.5), "below", "check 'stub': a below tolerance is one number"),
     ("stub", (3.5, 4.5), "above", "check 'stub': a above tolerance is one number"),
+    ("stub", None, "below", "check 'stub': tolerance bounds are real numbers"),
+    ("stub", "1e-10", "above", "check 'stub': tolerance bounds are real numbers"),
+    ("stub", float("nan"), "below", "check 'stub': tolerance bounds are real numbers"),
+    ("stub", (3.5, float("nan")), "range", "check 'stub': tolerance bounds are real numbers"),
+    ("stub", (None, 4.5), "range", "check 'stub': tolerance bounds are real numbers"),
+    ("stub", (4.5, 3.5), "range", "check 'stub': .* with lo <= hi"),
 ])
 def test_malformed_spec_raises_when_built(stub_check, check_id, tolerance, mode, message):
     with pytest.raises(ValueError, match=message):
@@ -460,3 +527,119 @@ def test_a_failed_evolution_fails_once_with_one_message(monkeypatch):
     assert len(calls) == 1
     # the parcel tracks take their own evolution, not the snapshots
     assert checks["continuity_max"].passed
+
+
+def test_spec_bounds_may_be_negative_or_infinite():
+    assert CheckSpec("norm_drift", -1.0).tolerance == -1.0
+    assert CheckSpec("norm_drift", (-np.inf, 4.5), mode="range").tolerance[0] == -np.inf
+    assert CheckSpec("norm_drift", (4.0, 4.0), mode="range").tolerance == (4.0, 4.0)
+
+
+# -- every fold over times, reports and parcels propagates NaN ---------------
+
+NAN = float("nan")
+REPORT_FIELDS = ("norm", "E", "E_hamiltonian", "Q", "FI", "Pi_integral", "I", "vi_mean",
+                 "accel")
+
+
+def fake_run(**attrs):
+    from types import SimpleNamespace
+
+    from madelung.states import PhysicalConstants
+
+    state = StateSpec("gaussian", {"x0": 0.0, "sigma0": 1.0, "k0": 0.0, "scale_B": 1.0})
+    return SimpleNamespace(constants=PhysicalConstants(),
+                           scenario=SimpleNamespace(state=state), **attrs)
+
+
+def measure(check, run, **params):
+    from madelung import harness
+
+    return harness._CHECKS[check](run, CheckSpec(check, 1.0, params=params))
+
+
+@pytest.mark.parametrize("check", ["norm_drift", "energy_drift", "energy_forms_gap",
+                                   "bohm_fisher_identity", "pressure_internal_identity",
+                                   "fisher_score_zero", "acceleration_zero"])
+def test_a_nan_report_fails_its_check(check):
+    from types import SimpleNamespace
+
+    good = SimpleNamespace(**dict.fromkeys(REPORT_FIELDS, 1.0))
+    bad = SimpleNamespace(**dict.fromkeys(REPORT_FIELDS, NAN))
+    assert np.isnan(measure(check, fake_run(reports=lambda: [good, bad])))
+
+
+@pytest.mark.parametrize("check, method", [
+    ("nonspreading_evolved", "pointwise"),
+    ("velocity_zero", "pointwise"),
+    ("bernoulli_max", "bernoulli_max"),
+])
+def test_a_nan_at_a_later_time_fails_its_check(check, method):
+    values = {0.5: 1e-7, 1.0: NAN}
+    run = fake_run(**{method: lambda *args: values[args[-1]]})
+    assert np.isnan(measure(check, run, times=[0.5, 1.0]))
+
+
+def test_a_nan_width_fails_the_spreading_law(monkeypatch):
+    from madelung import harness
+
+    exact = {0.5: np.sqrt(1.0 + 0.25**2), 1.0: NAN}  # sigma0 = hbar = m = 1
+    monkeypatch.setattr(harness, "_density_moments", lambda t: (0.0, exact[t]))
+    run = fake_run(state_at=lambda t: t)
+    assert measure("spreading_law", run, times=[0.5]) < 1e-15
+    assert np.isnan(measure("spreading_law", run, times=[0.5, 1.0]))
+
+
+def test_a_nan_peak_fails_the_peak_tracking(monkeypatch):
+    from madelung import harness
+
+    peaks = {0.0: 0.0, 0.5: 0.25 * 0.25, 1.0: NAN}  # x = hbar^2 B^3 t^2 / 4 m^2
+    monkeypatch.setattr(harness, "_peak_position", lambda run, t: peaks[t])
+    run = fake_run(state_at=lambda t: t)
+    assert measure("density_peak_tracking", run, times=[0.5]) == 0.0
+    assert np.isnan(measure("density_peak_tracking", run, times=[0.5, 1.0]))
+
+
+def test_a_nan_parcel_fails_the_quantile_preservation(monkeypatch):
+    from types import SimpleNamespace
+
+    from madelung import harness
+
+    class Cdf:  # the mass left of x is x itself
+        total = 1.0
+
+        def __init__(self, rho):
+            pass
+
+        @staticmethod
+        def value(x):
+            return float(x)
+
+    monkeypatch.setattr(harness, "DensityCdf", Cdf)
+    quantiles = np.array([0.25, 0.5])
+    traj = SimpleNamespace(times=np.array([0.0, 1.0]), quantiles=quantiles, n_parcels=2,
+                           x_records=np.array([quantiles, [0.25, NAN]]))
+    zero = SimpleNamespace(values=np.zeros(4))
+    flow = SimpleNamespace(sample_at=lambda t: SimpleNamespace(rho=zero, u=zero))
+    run = fake_run(trajectory=lambda: traj, flow=lambda: flow)
+    assert np.isnan(measure("quantile_preservation", run))
+    traj.x_records[1, 1] = 0.5
+    assert measure("quantile_preservation", run) == 0.0
+
+
+def test_an_empty_times_list_is_an_error_verdict():
+    checks = (CheckSpec("spreading_law", 1e-4, params={"times": []}),
+              CheckSpec("nonspreading_violated", 1e-2, mode="above", params={"times": []}),
+              CheckSpec("bernoulli_max", 1e-5, params={"times": []}))
+    s = replace(scenario_by_name("free_gaussian"), checks=checks,
+                propagation=PropagatorConfig(1e-3, 10, 10))
+    for c in run_scenario(s).checks:
+        assert not c.passed and c.error == "ValueError: nothing to judge (an empty times list?)"
+
+
+def test_an_empty_times_list_fails_the_peak_tracking(monkeypatch):
+    from madelung import harness
+
+    monkeypatch.setattr(harness, "_peak_position", lambda run, t: 0.0)
+    with pytest.raises(ValueError, match="nothing to judge"):
+        measure("density_peak_tracking", fake_run(state_at=lambda t: t), times=[])

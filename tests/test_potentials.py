@@ -37,6 +37,11 @@ def test_linear_scales_with_mass(grid):
     assert np.allclose(U.values, 6.0 * grid.x)
 
 
+def test_abs_linear_value(desk_grid, natural_units):
+    U = evaluate_potential(PotentialSpec("abs_linear", g=2.0), desk_grid, natural_units)
+    assert np.allclose(U.values, 2.0 * np.abs(desk_grid.x))
+
+
 def test_linear_zero_slope_reduces_to_free(grid, natural_units):
     U = evaluate_potential(PotentialSpec("linear", g=0.0), grid, natural_units)
     assert np.count_nonzero(U.values) == 0
