@@ -52,10 +52,9 @@ from .trajectories import (
     FlowHistory,
     FlowSample,
     ParcelEnsemble,
+    _advect,
     _same_time,
-    _StreamedFlow,
     action_check,
-    advect,
     continuity_residual,
     seed_parcels,
 )
@@ -295,7 +294,7 @@ def _flow_chunks(
     floor_rel: float = 1e-12,
     bohm_form: str = "amplitude",
 ):
-    """Evolve at dt/2 and yield the flow samples chunk by chunk, in time
+    """Evolve at dt/2 and yield the flow samples one at a time, in time
     order: velocity at every half step, the full record bundle at every
     whole step.
 
@@ -339,14 +338,12 @@ def _flow_chunks(
         rows[:, 4] = 0.5 * wk.u * wk.u - wk.Q - u_ext
         rows[:, 5] = wk.rho
         del wk  # the kernel's arrays do not wait in this frame while the chunk is read
-        chunk = []
         for j, t in enumerate(t_whole):
-            chunk.append(FlowSample(t, *(RealField._unchecked(r, grid) for r in rows[j])))
+            yield FlowSample(t, *(RealField._unchecked(r, grid) for r in rows[j]))
             if j < nh:
-                chunk.append(FlowSample(t=t_half[j], u=RealField._unchecked(half[j], grid)))
+                yield FlowSample(t=t_half[j], u=RealField._unchecked(half[j], grid))
         t_whole.clear()
         t_half.clear()
-        yield chunk
 
 
 def collect_flow(
@@ -361,13 +358,12 @@ def collect_flow(
     step, the full record bundle (u, div_u, ln_rho, S_tilde, lagrangian,
     rho) at every whole step.
 
-    This drains the stream `ScenarioRun.track` reads lazily and keeps all of
-    it, 7 rows of n floats per whole step.
+    This drains the stream `ScenarioRun.track` advects through and keeps all
+    of it, 7 rows of n floats per whole step.
     """
     flow = FlowHistory(wf0.grid, wf0.constants)
-    for chunk in _flow_chunks(wf0, U, dt, n_steps, floor_rel, bohm_form):
-        for sample in chunk:
-            flow.add(sample)
+    for sample in _flow_chunks(wf0, U, dt, n_steps, floor_rel, bohm_form):
+        flow.add(sample)
     return flow
 
 
@@ -487,20 +483,28 @@ class ScenarioRun:
         """Advect parcels through the flow over `duration` at step dt.
 
         Parcels are seeded first, so a seeding failure costs no propagation.
-        The flow is evolved and evaluated a chunk at a time, as advection
-        reaches it, and the samples advection has passed keep only u and
-        rho.  The returned history therefore holds u and rho at every whole
-        step, (n_steps + 1) x 2 rows of n floats, and nothing else.
+        Advection reads the flow stream once, in time order, so the flow is
+        evolved and evaluated a chunk at a time as advection reaches it.  The
+        returned history holds u and rho at every whole step, copied as each
+        passes into one (n_steps + 1, 2, n) block, and nothing else.
         """
         n = int(round(duration / dt))
         cfg = self.scenario.trajectories or TrajectoryConfig()
         ens = seed_parcels(self._seed_density(), cfg.n_parcels)
-        chunks = _flow_chunks(self.wf0, self.U, dt, n, self.scenario.floor_rel,
-                              self.scenario.bohm_form)
-        flow = _StreamedFlow(self.grid, self.constants, chunks, n + 1)
-        ens = advect(ens, flow, dt, n)
-        flow.close()
-        return flow, ens
+        flow = FlowHistory(self.grid, self.constants)
+        kept = iter(np.empty((n + 1, 2, self.grid.n)))
+
+        def samples():
+            for smp in _flow_chunks(self.wf0, self.U, dt, n, self.scenario.floor_rel,
+                                    self.scenario.bohm_form):
+                if smp.rho is not None:  # a whole step
+                    u, rho = next(kept)
+                    u[:], rho[:] = smp.u.values, smp.rho.values
+                    flow.add(FlowSample(smp.t, u=RealField._unchecked(u, self.grid),
+                                        rho=RealField._unchecked(rho, self.grid)))
+                yield smp
+
+        return flow, _advect(ens, samples(), self.constants, dt, n)
 
     def _main_track(self) -> tuple[FlowHistory, ParcelEnsemble]:
         cfg = self.scenario.trajectories
@@ -1093,6 +1097,15 @@ _OVERRIDES = {
 }
 
 
+def _cast(key: str, kind: type, value):
+    """value as kind, or a ValueError naming the key: null, booleans, lists
+    and objects are refused, and so is a non-integral number for an int."""
+    if value is None or isinstance(value, (bool, list, dict)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"override {key!r} takes {kind.__name__} values, not {value!r}")
+    return kind(value)
+
+
 def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
     """Rebuild a scenario with dotted-key overrides: the keys of _OVERRIDES,
     and state.<param>, which keeps the type of the parameter it replaces."""
@@ -1103,14 +1116,14 @@ def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
             params = dict(s.state.params)
             if tail not in params:
                 raise ValueError(f"state parameter {tail!r} not in scenario {s.name!r}")
-            params[tail] = type(params[tail])(value)
+            params[tail] = _cast(key, type(params[tail]), value)
             s = replace(s, state=replace(s.state, params=params))
             continue
         if key not in _OVERRIDES:
             raise ValueError(f"unknown override key {key!r}")
         if tail and getattr(s, head) is None:
             raise ValueError(f"scenario {s.name!r} has no {head} to override")
-        value = _OVERRIDES[key](value)
+        value = _cast(key, _OVERRIDES[key], value)
         if tail:
             s = replace(s, **{head: replace(getattr(s, head), **{tail: value})})
         else:

@@ -41,14 +41,17 @@ def _ai_series(x: float) -> float:
     return _AI0 * f_sum - _AIP0 * g_sum
 
 
-def _u_coefficients(zeta: float, n_max: int = 60):
+# u_k of the asymptotic expansions, k < 60: running products of these factors
+_U_FACTORS = [(6 * k - 5) * (6 * k - 1) / (72.0 * k) for k in range(1, 60)]
+_U = [math.prod(_U_FACTORS[:k], start=1.0) for k in range(60)]
+
+
+def _u_coefficients(zeta: float):
     """Coefficients u_k / zeta^k of the asymptotic expansions, truncated
     just before the smallest term (the optimal Poincare truncation)."""
     terms = [1.0]
-    u = 1.0
-    for k in range(1, n_max):
-        u *= (6 * k - 5) * (6 * k - 1) / (72.0 * k)
-        t = u / zeta**k
+    for k in range(1, len(_U)):
+        t = _U[k] / zeta**k
         if t >= abs(terms[-1]) and k > 2:
             break
         terms.append(t)

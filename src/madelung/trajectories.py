@@ -96,61 +96,6 @@ class FlowHistory:
         return self._samples[self._index(t)].u
 
 
-class _StreamedFlow(FlowHistory):
-    """A FlowHistory filled from an iterator of sample chunks as it is read.
-
-    A lookup past the last sample pulls the next chunk.  Before it does, the
-    samples read so far are slimmed: a whole-step sample (one that carries
-    rho) keeps only u and rho, copied into one preallocated
-    (n_whole, 2, n) block, and a half-step sample is dropped.  Readers that
-    walk forward in time, as `advect` does, see every field; behind the
-    slimmed point a half-step lookup is a gap and a whole-step sample lacks
-    the record fields.
-    """
-
-    def __init__(self, grid: Grid, constants: PhysicalConstants, chunks, n_whole: int):
-        super().__init__(grid, constants)
-        self._chunks = chunks
-        self._kept = np.empty((n_whole, 2, grid.n))
-        self._n_kept = 0  # slim samples, at the head of the sample list
-
-    def _index(self, t: float) -> int:
-        while True:
-            try:
-                return super()._index(t)
-            except ProviderGapError:
-                if self._chunks is None or (self._times and t < self._times[-1]):
-                    raise
-            self._slim()
-            chunk = next(self._chunks, None)
-            if chunk is None:
-                self.close()
-            else:
-                for sample in chunk:
-                    self.add(sample)
-
-    def close(self) -> None:
-        """Slim every sample held and read no further chunks."""
-        self._slim()
-        self._chunks = None
-
-    def _slim(self) -> None:
-        k = self._n_kept
-        live = self._samples[k:]
-        del self._times[k:], self._samples[k:]
-        for smp in live:
-            if smp.rho is None:
-                continue
-            row = self._kept[self._n_kept]
-            row[0] = smp.u.values
-            row[1] = smp.rho.values
-            self._times.append(smp.t)
-            self._samples.append(FlowSample(
-                smp.t, u=RealField._unchecked(row[0], self.grid),
-                rho=RealField._unchecked(row[1], self.grid)))
-            self._n_kept += 1
-
-
 @dataclass
 class ParcelEnsemble:
     """Parcel positions plus along-trajectory records (rows = record times)."""
@@ -283,64 +228,68 @@ def _wrap(x: np.ndarray, grid: Grid) -> np.ndarray:
     return grid.x_min + np.mod(x - grid.x_min, grid.length)
 
 
-def advect(
-    ensemble: ParcelEnsemble,
-    flow: FlowHistory,
-    dt: float,
-    n_steps: int,
-    t0: float = 0.0,
-) -> ParcelEnsemble:
+def advect(ensemble: ParcelEnsemble, flow: FlowHistory, dt: float,
+           n_steps: int) -> ParcelEnsemble:
     """RK4-advect parcels through the flow, recording fields along the way.
 
-    The provider must hold samples at t0 + k dt/2 for every k; missing times
+    The provider must hold samples at k dt/2 for every k; missing times
     raise ProviderGapError.  Sampled phase records are matched to the nearest
     2 pi hbar / m branch of the previous record, and the action integral is
     accumulated by the trapezoid rule.
     """
+
+    def lookups():
+        yield flow.sample_at(0.0)
+        for k in range(n_steps):
+            t = k * dt
+            yield flow.sample_at(t + 0.5 * dt)
+            yield flow.sample_at(t + dt)
+
+    return _advect(ensemble, lookups(), flow.constants, dt, n_steps)
+
+
+def _advect(ensemble: ParcelEnsemble, samples, constants: PhysicalConstants,
+            dt: float, n_steps: int) -> ParcelEnsemble:
+    """The loop of `advect`, reading the flow from `samples`: an iterable of
+    the FlowSamples at 0, dt/2, dt, ..., n_steps dt, in time order, each read
+    when advection reaches it.  A whole-step sample must carry the record
+    fields; of a half-step sample only u is read."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     grid = ensemble.grid
-    period = 2.0 * np.pi * flow.constants.hbar / flow.constants.mass
+    period = 2.0 * np.pi * constants.hbar / constants.mass
     x = ensemble.positions.copy()
+    samples = iter(samples)
 
-    def record_at(t, x_now, prev_S):
-        smp = flow.sample_at(t)
-        if smp.div_u is None or smp.ln_rho is None or smp.S_tilde is None \
-                or smp.lagrangian is None:
+    def record_at(smp, t, x_now, prev_S):
+        fields = (smp.u, smp.div_u, smp.ln_rho, smp.lagrangian, smp.S_tilde)
+        if any(f is None for f in fields):
             raise ProviderGapError(f"flow sample at t = {t!r} lacks record fields")
-        fields = np.stack([smp.u.values, smp.div_u.values, smp.ln_rho.values,
-                           smp.lagrangian.values, smp.S_tilde.values])
-        u_p, div_p, ln_p, lag_p, S_p = _interp_cubic(fields, grid, x_now)
+        u_p, div_p, ln_p, lag_p, S_p = _interp_cubic(np.stack([f.values for f in fields]),
+                                                     grid, x_now)
         if prev_S is not None:
             S_p = S_p + period * np.round((prev_S - S_p) / period)
         return u_p, div_p, ln_p, lag_p, S_p
 
-    u0, div0, ln0, lag0, S0 = record_at(t0, x, None)
-    times = [t0]
-    xs, us, divs, lns, Ss, acts = [x.copy()], [u0], [div0], [ln0], [S0], [np.zeros_like(x)]
-    lag_prev = lag0
+    xs, us, divs, lns, Ss, acts = np.empty((6, n_steps + 1, x.size))
+    xs[0], acts[0] = x, 0.0
+    us[0], divs[0], lns[0], lag_prev, Ss[0] = record_at(next(samples), 0.0, x, None)
 
     for k in range(n_steps):
-        t = t0 + k * dt
-        u_m = flow.velocity_at(t + 0.5 * dt).values
-        u_b = flow.velocity_at(t + dt).values
-        k1 = us[-1]  # the velocity record at (t, x) is RK4's first stage
+        u_m = next(samples).u.values
+        end = next(samples)  # RK4's last stage, and the step's records
+        k1 = us[k]  # the velocity record at (t, x) is RK4's first stage
         k2 = _interp_cubic(u_m, grid, _wrap(x + 0.5 * dt * k1, grid))
         k3 = _interp_cubic(u_m, grid, _wrap(x + 0.5 * dt * k2, grid))
-        k4 = _interp_cubic(u_b, grid, _wrap(x + dt * k3, grid))
+        k4 = _interp_cubic(end.u.values, grid, _wrap(x + dt * k3, grid))
         x = _wrap(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), grid)
 
-        t_next = t0 + (k + 1) * dt
-        u_p, div_p, ln_p, lag_p, S_p = record_at(t_next, x, Ss[-1])
-        times.append(t_next)
-        xs.append(x.copy())
-        us.append(u_p)
-        divs.append(div_p)
-        lns.append(ln_p)
-        Ss.append(S_p)
-        acts.append(acts[-1] + 0.5 * dt * (lag_prev + lag_p))
+        xs[k + 1] = x
+        us[k + 1], divs[k + 1], lns[k + 1], lag_p, Ss[k + 1] = record_at(
+            end, (k + 1) * dt, x, Ss[k])
+        acts[k + 1] = acts[k] + 0.5 * dt * (lag_prev + lag_p)
         lag_prev = lag_p
 
     return ParcelEnsemble(
@@ -348,13 +297,13 @@ def advect(
         positions=x,
         quantiles=ensemble.quantiles.copy(),
         branch_period=period,
-        times=np.asarray(times),
-        x_records=np.vstack(xs),
-        u_records=np.vstack(us),
-        ln_rho_records=np.vstack(lns),
-        div_u_records=np.vstack(divs),
-        S_records=np.vstack(Ss),
-        action_records=np.vstack(acts),
+        times=np.arange(n_steps + 1) * dt,
+        x_records=xs,
+        u_records=us,
+        ln_rho_records=lns,
+        div_u_records=divs,
+        S_records=Ss,
+        action_records=acts,
     )
 
 

@@ -48,6 +48,14 @@ def test_bad_override_exits_2(tmp_path):
     assert rc == EXIT_USAGE
 
 
+def test_null_override_exits_2_naming_the_key(tmp_path, capsys):
+    rc = main(["run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
+               "--set", "propagation.n_steps=null"])
+    assert rc == EXIT_USAGE
+    assert "override 'propagation.n_steps' takes int values" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_io_failure_exits_3(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -185,6 +185,22 @@ class TestOverrides:
         got = s.state.params[param]
         assert type(got) is cast and got == value
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("free_gaussian", "propagation.n_steps", None),
+        ("free_gaussian", "grid.x_min", None),
+        ("free_gaussian", "bohm_form", None),
+        ("free_gaussian", "propagation.n_steps", True),
+        ("free_gaussian", "state.sigma0", True),
+        ("free_gaussian", "grid.n", [1024]),
+        ("free_gaussian", "constants.mass", {"value": 1.0}),
+        ("free_gaussian", "grid.n", 1024.5),
+        ("free_gaussian", "trajectories.n_parcels", float("inf")),
+        ("plane_wave", "state.mode_index", 4.7),
+    ])
+    def test_values_the_cast_would_change_are_rejected(self, name, key, value):
+        with pytest.raises(ValueError, match=f"override '{key}' takes"):
+            apply_overrides(scenario_by_name(name), {key: value})
+
     @pytest.mark.parametrize("name, key, reason", [
         ("free_gaussian", "grid.shape", "unknown override key"),
         ("free_gaussian", "potential.kind", "unknown override key"),

@@ -75,3 +75,30 @@ def test_array_input_shape():
     out = airy_ai(xs)
     assert out.shape == xs.shape
     assert abs(out[0, 0] - AI_VALUES[0.0]) < 1e-12
+
+
+def _u_coefficients_rebuilt(zeta, n_max=60):
+    """The asymptotic coefficients with the u_k products rebuilt on every call."""
+    terms = [1.0]
+    u = 1.0
+    for k in range(1, n_max):
+        u *= (6 * k - 5) * (6 * k - 1) / (72.0 * k)
+        t = u / zeta**k
+        if t >= abs(terms[-1]) and k > 2:
+            break
+        terms.append(t)
+    return terms
+
+
+def test_tabulated_coefficients_give_bit_identical_values(monkeypatch):
+    from madelung import special
+
+    # both asymptotic tails, each side of both crossovers, and the range ends
+    x = np.concatenate([np.linspace(-30.0, -7.0, 301), np.linspace(4.0, 30.0, 301),
+                        [special._SERIES_MIN, np.nextafter(special._SERIES_MIN, -np.inf),
+                         special._SERIES_MAX, np.nextafter(special._SERIES_MAX, np.inf)]])
+    for zeta in (2.0 / 3.0) * np.abs(x) ** 1.5:
+        assert special._u_coefficients(zeta) == _u_coefficients_rebuilt(zeta)
+    tabulated = airy_ai(x)
+    monkeypatch.setattr(special, "_u_coefficients", _u_coefficients_rebuilt)
+    assert np.array_equal(tabulated, airy_ai(x))

@@ -1,13 +1,13 @@
-"""The flow stream behind `ScenarioRun.track`: flow samples are evolved and
-evaluated a chunk at a time as advection reaches them, and the samples it has
-passed keep only u and rho."""
+"""The flow stream behind `ScenarioRun.track`: advection reads it once, in
+time order, so flow samples are evolved and evaluated a chunk at a time as
+advection reaches them, and the track keeps only u and rho at whole steps."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from madelung import harness, propagator
+from madelung import harness, propagator, trajectories
 from madelung.grid import NonFiniteFieldError
 from madelung.harness import (
     ScenarioRun,
@@ -16,7 +16,7 @@ from madelung.harness import (
     collect_flow,
     scenario_by_name,
 )
-from madelung.trajectories import ProviderGapError, _StreamedFlow, advect, seed_parcels
+from madelung.trajectories import ProviderGapError, advect, seed_parcels
 
 RECORDS = ("times", "positions", "quantiles", "x_records", "u_records", "ln_rho_records",
            "div_u_records", "S_records", "action_records")
@@ -73,59 +73,60 @@ def test_tracks_ending_at_chunk_edges(n_steps):
     _assert_same_track(run, dt, n_steps * dt)
 
 
-def _stream(run, dt, n):
-    chunks = harness._flow_chunks(run.wf0, run.U, dt, n, run.scenario.floor_rel,
-                                  run.scenario.bohm_form)
-    return _StreamedFlow(run.grid, run.constants, chunks, n + 1)
+def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
+    events = []
+    real_kernel, real_interp = harness._kernel, trajectories._interp_cubic
 
+    def kernel(*args, **kwargs):
+        events.append("kernel")
+        return real_kernel(*args, **kwargs)
 
-def test_chunks_arrive_as_lookups_pass_the_last_sample():
+    def interp(*args, **kwargs):
+        events.append("interp")
+        return real_interp(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_kernel", kernel)
+    monkeypatch.setattr(trajectories, "_interp_cubic", interp)
     run = ScenarioRun(scenario_by_name("free_gaussian"))
     dt, chunk = 1e-3, harness._FLOW_CHUNK
-    flow = _stream(run, dt, 3 * chunk)
-    assert flow._samples == []
-    assert flow.sample_at(0.0).div_u is not None
-    assert len(flow._samples) == 2 * chunk  # 8 whole steps and their 8 half steps
-    flow.velocity_at((chunk - 0.5) * dt)  # the first chunk's last sample
-    assert len(flow._samples) == 2 * chunk
-    assert flow.sample_at(chunk * dt).div_u is not None
-    # the first chunk kept its 8 whole steps, slimmed; the second is whole
-    assert len(flow._samples) == chunk + 2 * chunk
-    assert flow.sample_at((chunk - 1) * dt).div_u is None
+    run.track(dt, 3 * chunk * dt)
+    # two kernel calls per chunk, its half steps then its whole steps; the
+    # whole step at 24 dt ends the stream as a chunk of its own
+    assert events.count("kernel") == 3 * 2 + 1
+    first_step = 1 + 4  # the record at 0, then k2, k3, k4 and the record at dt
+    assert events[:2 + first_step] == ["kernel"] * 2 + ["interp"] * first_step
+    # the second chunk is evaluated when the step to its first sample, chunk dt,
+    # needs it: after the 1 + 4 (chunk - 1) interpolations of the steps before
+    assert events.index("kernel", 2) == 2 + 1 + 4 * (chunk - 1)
 
 
-def test_a_lookup_behind_the_slimmed_samples_is_a_gap():
+def test_the_returned_flow_holds_u_and_rho_at_every_whole_step():
     run = ScenarioRun(scenario_by_name("free_gaussian"))
-    dt, chunk = 1e-3, harness._FLOW_CHUNK
-    flow = _stream(run, dt, 3 * chunk)
-    flow.velocity_at((2 * chunk + 0.5) * dt)  # the third chunk arrives
-    held = list(flow._samples)
-    full = collect_flow(run.wf0, run.U, dt, 3 * chunk)
-    for k in (0, chunk - 1, chunk, 2 * chunk - 1):
-        with pytest.raises(ProviderGapError):
+    dt, n = 1e-3, 50
+    flow, ens = run.track(dt, n * dt)
+    full = collect_flow(run.wf0, run.U, dt, n)
+    assert [smp.t for smp in flow._samples] == list(ens.times)
+    assert len(flow._samples) == n + 1
+    for t in ens.times:
+        smp, banked = flow.sample_at(t), full.sample_at(t)
+        assert np.array_equal(smp.u.values, banked.u.values)
+        assert np.array_equal(smp.rho.values, banked.rho.values)
+        assert smp.div_u is smp.ln_rho is smp.S_tilde is smp.lagrangian is None
+
+
+def test_a_half_step_lookup_on_the_returned_flow_is_a_gap():
+    run = ScenarioRun(scenario_by_name("free_gaussian"))
+    dt, n = 1e-3, 50
+    flow, _ = run.track(dt, n * dt)
+    for k in (0, n // 2, n - 1):
+        with pytest.raises(ProviderGapError, match="no flow snapshot"):
             flow.velocity_at((k + 0.5) * dt)
-        smp = flow.sample_at(k * dt)
-        assert smp.div_u is None and smp.ln_rho is None
-        assert np.array_equal(smp.u.values, full.sample_at(k * dt).u.values)
-        assert np.array_equal(smp.rho.values, full.sample_at(k * dt).rho.values)
-    assert [id(s) for s in flow._samples] == [id(s) for s in held]  # nothing pulled
-    # advection from the start needs the record fields the samples dropped
+    with pytest.raises(ProviderGapError, match="no flow snapshot"):
+        flow.sample_at((n + 1) * dt)
+    # advection needs the record fields the kept samples do not carry
     ens = seed_parcels(run.wf0.density(), 2)
     with pytest.raises(ProviderGapError, match="lacks record fields"):
         advect(ens, flow, dt, 1)
-    # past the last sample of a finished stream
-    flow.sample_at(3 * chunk * dt)
-    with pytest.raises(ProviderGapError):
-        flow.velocity_at((3 * chunk + 0.5) * dt)
-
-
-def test_a_finished_track_holds_only_u_and_rho():
-    run = ScenarioRun(scenario_by_name("free_gaussian"))
-    flow, _ = run.track(1e-3, 0.05)
-    assert flow._chunks is None
-    assert flow._kept.shape == (51, 2, run.grid.n)
-    with pytest.raises(ProviderGapError):
-        flow.velocity_at(0.0495)
 
 
 TRACK_CHECKS = ("continuity_max", "continuity_order", "quantile_preservation",

@@ -383,7 +383,7 @@ def _interp_cubic_reference(values, grid, xq):
             + w1 * values[..., j1] + w2 * values[..., j2])
 
 
-def _advect_reference(ensemble, flow, dt, n_steps, t0=0.0):
+def _advect_reference(ensemble, flow, dt, n_steps):
     """RK4 with five interpolations per step: k1 is interpolated afresh
     instead of read from the velocity record at the same time and place."""
     grid = ensemble.grid
@@ -402,11 +402,11 @@ def _advect_reference(ensemble, flow, dt, n_steps, t0=0.0):
             S_p = S_p + period * np.round((prev_S - S_p) / period)
         return u_p, div_p, ln_p, lag_p, S_p
 
-    u0, div0, ln0, lag0, S0 = record_at(t0, x, None)
+    u0, div0, ln0, lag0, S0 = record_at(0.0, x, None)
     xs, us, divs, lns, Ss, acts = [x.copy()], [u0], [div0], [ln0], [S0], [np.zeros_like(x)]
     lag_prev = lag0
     for k in range(n_steps):
-        t = t0 + k * dt
+        t = k * dt
         u_a = flow.velocity_at(t).values
         u_m = flow.velocity_at(t + 0.5 * dt).values
         u_b = flow.velocity_at(t + dt).values
@@ -415,7 +415,7 @@ def _advect_reference(ensemble, flow, dt, n_steps, t0=0.0):
         k3 = _interp_cubic_reference(u_m, grid, wrap(x + 0.5 * dt * k2))
         k4 = _interp_cubic_reference(u_b, grid, wrap(x + dt * k3))
         x = wrap(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        u_p, div_p, ln_p, lag_p, S_p = record_at(t0 + (k + 1) * dt, x, Ss[-1])
+        u_p, div_p, ln_p, lag_p, S_p = record_at((k + 1) * dt, x, Ss[-1])
         xs.append(x.copy())
         us.append(u_p)
         divs.append(div_p)
