@@ -50,6 +50,14 @@ FIELD_COLUMNS = [
 ]
 
 
+# the JSON type of each run-config key; snapshot_every is cast as an override
+_CONFIG_TYPES = {
+    "scenario": (str, "a string"), "output_dir": (str, "a string"),
+    "emit_fields": (bool, "a boolean"), "emit_trajectories": (bool, "a boolean"),
+    "overrides": (dict, "an object"),
+}
+
+
 @dataclass
 class RunConfig:
     scenario: str
@@ -63,13 +71,17 @@ class RunConfig:
     def from_file(path: str) -> "RunConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        known = {"scenario", "output_dir", "snapshot_every", "emit_fields",
-                 "emit_trajectories", "overrides"}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a run config is a JSON object, not {json.dumps(raw)}")
+        unknown = set(raw) - set(_CONFIG_TYPES) - {"snapshot_every"}
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         if "scenario" not in raw:
             raise ValueError(f"{path}: config must name a scenario")
+        for key, (kind, name) in _CONFIG_TYPES.items():
+            if key in raw and not isinstance(raw[key], kind):
+                raise ValueError(f"{path}: config key {key!r} takes {name}, "
+                                 f"not {json.dumps(raw[key])}")
         return RunConfig(
             scenario=raw["scenario"],
             output_dir=raw.get("output_dir", _default_out()),

@@ -21,8 +21,9 @@ which keeps integration-by-parts identities exact at the quadrature level
 and stays finite next to density nodes.  The Bohm potential has three
 equivalent forms, chosen by ``bohm_form``: "amplitude" is the default,
 "wavefunction" (curvature of psi itself) is the right choice for states
-whose sqrt(rho) has kinks at nodes, and "log" is the cross-check form used
-by the pointwise enthalpy identity.
+whose sqrt(rho) has kinks at nodes, and "log" builds Q~ from the same
+quotient-form log derivatives as Pi.  A scenario names its form, and every
+check on it, the pointwise enthalpy identity among them, reads that one.
 
 One kernel computes every field from psi.  The public routes read it:
 madelung_fields (the whole bundle), velocity (u alone), expectations (the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, RealField, check_potential_grid, derivative_from_transform
+from .grid import Grid, RealField, _fft, check_potential_grid, derivative_from_transform
 from .grid import derivative_values, nearest_fill, nearest_index, same_grid
 from .states import (
     DEFAULT_DENSITY_FLOOR,
@@ -110,7 +111,7 @@ class _Kernel:
     grid: Grid
     constants: PhysicalConstants
     psi: np.ndarray
-    psi_hat: np.ndarray     # fft(psi)
+    psi_hat: np.ndarray     # _fft(psi)
     rho: np.ndarray
     rho_f: np.ndarray
     floor_mask: np.ndarray  # rho >= floor
@@ -159,7 +160,7 @@ def _kernel(
     rho_f = np.maximum(rho, floor)
     fill = nearest_index(mask)
 
-    psi_hat = np.fft.fft(psi)
+    psi_hat = _fft(psi.copy())
     J = (hbar / m) * (psi.conj() * derivative_from_transform(psi_hat, grid, 1)).imag
     u_raw = J / rho_f
     front = dict(
@@ -187,7 +188,7 @@ def _kernel(
         S = np.take_along_axis(_unwrapped_phase(psi, floor_mask, hbar), S_fill, axis=-1)
 
     half = hbar / (2.0 * m)
-    rho_hat = np.fft.fft(rho)
+    rho_hat = _fft(rho.astype(np.complex128))
     drho = derivative_from_transform(rho_hat, grid, 1).real
     ddrho = derivative_from_transform(rho_hat, grid, 2).real
     del rho_hat

@@ -1099,11 +1099,15 @@ _OVERRIDES = {
 
 def _cast(key: str, kind: type, value):
     """value as kind, or a ValueError naming the key: null, booleans, lists
-    and objects are refused, and so is a non-integral number for an int."""
-    if value is None or isinstance(value, (bool, list, dict)) or (
-            kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"override {key!r} takes {kind.__name__} values, not {value!r}")
-    return kind(value)
+    and objects are refused, and so are a non-integral number for an int and
+    any value the conversion itself rejects."""
+    if not (value is None or isinstance(value, (bool, list, dict)) or (
+            kind is int and isinstance(value, float) and not value.is_integer())):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"override {key!r} takes {kind.__name__} values, not {value!r}")
 
 
 def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:

@@ -7,26 +7,15 @@ wavenumber space, and the second potential half:
 
 The kinetic factor is exact, so the only time-discretization error is the
 second-order splitting commutator; norm is preserved to roundoff.
-
-On grids of at least _BLOCKED_MIN_N (8192) points, where a 1-D transform no
-longer fits in cache, the transforms are cache-blocked (Bailey's four-step FFT,
-J. Supercomputing 4, 1990).  psi is viewed as an (n1, n2) block with
-n1 = 2^floor(log2(n) / 2); a forward transform is an FFT along axis 0, a
-twiddle multiply and an FFT along axis 1, which leaves the spectrum in
-transposed order: block[c, d] holds mode c + n1 d.  The kinetic factor is
-stored in that same order, so no transpose is ever made, and the inverse
-runs the steps backwards.  Every transform works in place on the one array a
-step allocates.  Smaller grids take the plain fft/ifft pair.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, RealField, check_potential_grid
+from .grid import ComplexField, RealField, _fft, _ifft, _spectral, check_potential_grid
 from .states import WaveFunction
 
 __all__ = ["PropagatorConfig", "step", "evolve"]
@@ -57,8 +46,8 @@ def _check_kinetic_phase(wf: WaveFunction, dt: float) -> None:
     wavenumber the state occupies: past that, per-step phases alias and the
     phase rate between snapshots is no longer defined.  The grid's own
     Nyquist mode does not count, because the kinetic factor is exact."""
-    amp = np.abs(np.fft.fft(wf.psi.values))
-    k_max = float(np.max(np.abs(wf.grid.wavenumbers[amp >= _OCCUPIED_REL * amp.max()])))
+    amp = np.abs(_fft(wf.psi.values.copy()))
+    k_max = float(np.max(np.abs(_spectral(wf.grid)[0][amp >= _OCCUPIED_REL * amp.max()])))
     phase = wf.constants.hbar * k_max**2 * dt / (2.0 * wf.constants.mass)
     if phase >= np.pi:
         raise ValueError(
@@ -67,59 +56,20 @@ def _check_kinetic_phase(wf: WaveFunction, dt: float) -> None:
         )
 
 
-# Grids of at least this many points take the blocked transform.  numpy's
-# 1-D FFT costs more per n log n point above 16384; at 8192 the blocked step
-# already runs faster than the plain pair.
-_BLOCKED_MIN_N = 8192
-
-
-def _block_shape(n: int) -> tuple[int, int]:
-    """(n1, n2) with n1 = 2^floor(log2(n) / 2), for a power-of-two n."""
-    n1 = 1 << ((n.bit_length() - 1) // 2)
-    return n1, n // n1
-
-
-@functools.lru_cache(maxsize=4)
-def _twiddle(n: int) -> np.ndarray:
-    """The four-step twiddle table exp(-2 pi i c b / n) on the (n1, n2) block."""
-    n1, n2 = _block_shape(n)
-    table = np.exp((-2j * np.pi / n) * (np.arange(n1)[:, None] * np.arange(n2)))
-    table.flags.writeable = False  # shared by every step on this n
-    return table
-
-
 def _factors(wf: WaveFunction, U: RealField, dt: float):
-    """The potential half-step phase and the kinetic factor; on blocked grids
-    the kinetic factor is an (n1, n2) block in the blocked spectrum's order."""
+    """The potential half-step phase and the kinetic factor, the latter in
+    the order of the grid's spectrum."""
     hbar, m = wf.constants.hbar, wf.constants.mass
     half_v = np.exp(-0.5j * U.values * dt / hbar)
-    k = wf.grid.wavenumbers
-    if k.size >= _BLOCKED_MIN_N:
-        n1, n2 = _block_shape(k.size)
-        k = np.ascontiguousarray(k.reshape(n2, n1).T)
+    k = _spectral(wf.grid)[0]
     kinetic = np.exp(-0.5j * hbar * k**2 * dt / m)
     return half_v, kinetic
 
 
 def _apply(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
-    out = half_v * values
-    if kinetic.ndim == 1:
-        out = np.fft.ifft(kinetic * np.fft.fft(out))
-        return half_v * out
-    block = out.reshape(kinetic.shape)  # a view: every step below is in place
-    twiddle = _twiddle(out.size)
-    np.fft.fft(block, axis=0, out=block)
-    block *= twiddle
-    np.fft.fft(block, axis=1, out=block)
-    block *= kinetic
-    np.fft.ifft(block, axis=1, out=block)
-    # times conj(twiddle), exactly, without a second table
-    np.conjugate(block, out=block)
-    block *= twiddle
-    np.conjugate(block, out=block)
-    np.fft.ifft(block, axis=0, out=block)
-    out *= half_v
-    return out
+    out = _fft(half_v * values)  # the one array a step allocates
+    np.multiply(kinetic, out, out=out)
+    return np.multiply(half_v, _ifft(out), out=out)
 
 
 def step(wf: WaveFunction, U: RealField, dt: float) -> WaveFunction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, RealField
+from .grid import Grid, RealField, _fft, _ifft, _spectral
 from .states import PhysicalConstants
 
 __all__ = [
@@ -128,14 +128,12 @@ class DensityCdf:
     def __init__(self, rho: RealField):
         grid = rho.grid
         vals = rho.values
-        rhohat = np.fft.fft(vals)
+        rhohat = _fft(vals.astype(np.complex128))
         mean = rhohat[0].real / grid.n
-        k = grid.wavenumbers.copy()
-        k[0] = 1.0
-        coef = rhohat / (1j * k)
-        coef[0] = 0.0
-        coef[grid.n // 2] = 0.0
-        g = np.fft.ifft(coef).real
+        # the antiderivative; ik is zero on the zero and Nyquist modes alone
+        ik = _spectral(grid)[1]
+        coef = np.divide(rhohat, ik, out=np.zeros_like(rhohat), where=ik != 0)
+        g = _ifft(coef).real
         self.grid = grid
         self.rho = vals
         self.F = mean * (grid.x - grid.x[0]) + (g - g[0])

@@ -159,6 +159,25 @@ def test_run_with_config_file(tmp_path):
     assert names == {"timeseries.csv", "report.json"}
 
 
+@pytest.mark.parametrize("config, reason", [
+    ({"scenario": "free_gaussian", "output_dir": None}, "'output_dir' takes a string, not null"),
+    ({"scenario": "free_gaussian", "overrides": [1, 2]}, "'overrides' takes an object"),
+    (5, "a run config is a JSON object, not 5"),
+    (None, "a run config is a JSON object, not null"),
+    ({"scenario": "free_gaussian", "emit_fields": "no"}, "'emit_fields' takes a boolean"),
+    ({"scenario": "free_gaussian", "emit_trajectories": 1}, "'emit_trajectories' takes a boolean"),
+    ({"scenario": ["free_gaussian"]}, "'scenario' takes a string"),
+])
+def test_bad_config_file_exits_2(tmp_path, capsys, config, reason):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(path) in err and reason in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_override_changes_grid(tmp_path):
     out = tmp_path / "o"
     rc = main([

@@ -444,6 +444,13 @@ class TestBatchedKernel:
             assert np.array_equal(batch.mask[i], f.valid_mask)
             assert np.array_equal(batch.div_u[i], f.div_u.values)
 
+    @pytest.mark.parametrize("n", [8192, 32768])
+    def test_blocked_grid_rows(self, n, natural_units):
+        g = make_grid(n, -0.025 * n, 0.025 * n)
+        stack = np.stack([gaussian_packet(g, natural_units, x0, s, k0).psi.values
+                          for x0, s, k0 in ((1.0, 1.0, 2.0), (-2.0, 1.5, -1.0), (0.0, 0.7, 0.0))])
+        self.assert_rows_match(stack, g, natural_units, 1e-10, "amplitude")
+
     def test_every_row_is_checked(self, desk_grid, natural_units):
         from madelung.diagnostics import _kernel
 
@@ -469,3 +476,33 @@ class TestBatchedKernel:
             if isinstance(values, np.ndarray):
                 assert np.array_equal(values, getattr(full, name)), name
         assert front.Q is None and front.div_u is None and front.S is None
+
+
+@pytest.fixture
+def plain_transforms(monkeypatch):
+    """Every transform takes the plain np.fft pair and the natural order,
+    whatever the grid size: the reference for the blocked layer."""
+    from madelung import grid
+
+    grid._spectral_table.cache_clear()
+    monkeypatch.setattr(grid, "_BLOCKED_MIN_N", 1 << 62)
+    yield
+    monkeypatch.undo()
+    grid._spectral_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", [8192, 32768, 65536])
+def test_blocked_fields_match_plain_transforms(n, natural_units, request):
+    g = make_grid(n, -0.025 * n, 0.025 * n)
+    wf = gaussian_packet(g, natural_units, 1.0, 1.0, 2.0)
+    U = RealField(0.5 * np.cos(0.3 * g.x), g)
+    fields, report = madelung_fields(wf), expectations(wf, U)
+    request.getfixturevalue("plain_transforms")
+    ref_fields, ref_report = madelung_fields(wf), expectations(wf, U)
+    occupied = ref_fields.rho.values >= 1e-6 * ref_fields.rho.values.max()
+    for name in ("u", "Q_tilde", "Pi", "S"):
+        got = getattr(fields, name).values[occupied]
+        ref = getattr(ref_fields, name).values[occupied]
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+    for name, ref in vars(ref_report).items():
+        assert getattr(report, name) == pytest.approx(ref, rel=1e-13, abs=1e-15), name

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from madelung import grid
 from madelung.grid import (
     ComplexField,
     RealField,
@@ -192,3 +193,63 @@ def test_nearest_index_rejects_an_empty_row():
     masks[1] = False
     with pytest.raises(ValueError, match="no valid entries"):
         nearest_index(masks)
+
+
+# The transform pair: plain below _BLOCKED_MIN_N, four-step from it on.
+
+def _block_order(n):
+    """The flat index into the natural-order spectrum of each entry of the
+    blocked spectrum: entry c n2 + d holds mode c + n1 d."""
+    n1, n2 = grid._block_shape(n)
+    return np.arange(n).reshape(n2, n1).T.ravel()
+
+
+@pytest.mark.parametrize("n", [8192, 32768, 65536])
+def test_blocked_transform_pair_on_a_stack(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    spectrum = grid._fft(a.copy())
+    plain = np.fft.fft(a)[:, _block_order(n)]
+    assert np.max(np.abs(spectrum - plain)) < 1e-14 * np.max(np.abs(plain))
+    assert np.max(np.abs(grid._ifft(spectrum) - a)) < 1e-14
+    k = grid._spectral(make_grid(n, -1.0, 1.0))[0]
+    assert np.array_equal(k, make_grid(n, -1.0, 1.0).wavenumbers[_block_order(n)])
+
+
+@pytest.mark.parametrize("n", [512, 8192])
+def test_transforms_refuse_a_non_contiguous_stack(n):
+    a = np.ones((3, 2 * n), dtype=np.complex128)[:, ::2]
+    for transform in (grid._fft, grid._ifft):
+        with pytest.raises(ValueError, match="contiguous"):
+            transform(a)
+
+
+def test_spectral_factors_are_shared_and_read_only():
+    g = make_grid(512, -20.0, 20.0)
+    k, ik, minus_k2 = grid._spectral(g)
+    assert grid._spectral(make_grid(512, -20.0, 20.0))[0] is k
+    assert ik[256] == 0 and np.array_equal(ik[:256].imag, k[:256])
+    for factor in (k, ik, minus_k2):
+        assert not factor.flags.writeable
+
+
+def _plain_derivative(values, g, order):
+    """derivative_values as it was written before the transform pair."""
+    k = g.wavenumbers
+    if order == 1:
+        fac = 1j * k.copy()
+        fac[g.n // 2] = 0.0
+    else:
+        fac = -(k * k)
+    return np.fft.ifft(fac * np.fft.fft(values))
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_values_are_the_plain_expression(n, order):
+    g = make_grid(n, -20.0, 20.0)
+    rng = np.random.default_rng(n + order)
+    real = np.exp(-g.x**2) * rng.random(n)
+    for values in (real, real * np.exp(1j * g.x), np.stack([real, 2.0 * real])):
+        assert np.array_equal(grid.derivative_values(values, g, order),
+                              _plain_derivative(values, g, order))

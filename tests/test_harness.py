@@ -196,6 +196,7 @@ class TestOverrides:
         ("free_gaussian", "grid.n", 1024.5),
         ("free_gaussian", "trajectories.n_parcels", float("inf")),
         ("plane_wave", "state.mode_index", 4.7),
+        ("free_gaussian", "grid.n", "abc"),
     ])
     def test_values_the_cast_would_change_are_rejected(self, name, key, value):
         with pytest.raises(ValueError, match=f"override '{key}' takes"):

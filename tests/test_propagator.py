@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from madelung import propagator
+from madelung import grid, propagator
 from madelung.grid import RealField, make_grid
 from madelung.potentials import PotentialSpec, evaluate_potential
 from madelung.propagator import PropagatorConfig, evolve, step
@@ -149,9 +149,9 @@ def _plain_steps(wf, U, dt, n_steps):
 
 def test_blocked_threshold_lies_between_the_tested_sizes():
     # the sizes below stand on both sides of the threshold
-    assert 4096 < propagator._BLOCKED_MIN_N <= 8192
-    assert propagator._block_shape(32768) == (128, 256)
-    assert propagator._block_shape(65536) == (256, 256)
+    assert 4096 < grid._BLOCKED_MIN_N <= 8192
+    assert grid._block_shape(32768) == (128, 256)
+    assert grid._block_shape(65536) == (256, 256)
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "cosine_table"])

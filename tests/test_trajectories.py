@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from madelung.diagnostics import madelung_fields, velocity
-from madelung.grid import RealField
+from madelung.grid import RealField, make_grid
 from madelung.harness import collect_flow
 from madelung.propagator import PropagatorConfig, evolve
 from madelung.potentials import PotentialSpec, evaluate_potential
@@ -84,6 +84,22 @@ class TestDensityCdf:
         cdf = DensityCdf(wf.density())
         for p in (0.1, 0.5, 0.9):
             assert abs(cdf.value(cdf.quantile(p)) - p) < 1e-9
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_nodes_are_the_plain_antiderivative(self, n, natural_units):
+        g = make_grid(n, -20.0, 20.0)
+        rho = gaussian_packet(g, natural_units, 1.0, 0.8, 3.0).density()
+        # the node values as they were written before the transform pair
+        rhohat = np.fft.fft(rho.values)
+        k = g.wavenumbers.copy()
+        k[0] = 1.0
+        coef = rhohat / (1j * k)
+        coef[0] = 0.0
+        coef[n // 2] = 0.0
+        anti = np.fft.ifft(coef).real
+        mean = rhohat[0].real / n
+        F = mean * (g.x - g.x[0]) + (anti - anti[0])
+        assert np.array_equal(DensityCdf(rho).F, F)
 
     def test_quantile_bounds(self, desk_grid, natural_units):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
