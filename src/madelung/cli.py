@@ -144,15 +144,14 @@ def _cmd_run(args) -> int:
         except json.JSONDecodeError:
             config.overrides[key] = value
 
-    scenario = scenario_by_name(config.scenario)
-    if config.snapshot_every is not None and scenario.propagation is not None:
+    if config.snapshot_every is not None:
         # the dedicated setting (file or flag) beats a generic override key
         config.overrides["propagation.snapshot_every"] = config.snapshot_every
-    scenario = apply_overrides(scenario, config.overrides)
+    scenario = apply_overrides(scenario_by_name(config.scenario), config.overrides)
 
-    os.makedirs(config.output_dir, exist_ok=True)
     # one run serves the report and every artifact
     run = ScenarioRun(scenario)
+    os.makedirs(config.output_dir, exist_ok=True)
     report = run.verify()
     # the report goes first: if an artifact writer hits the error a check
     # already recorded as a verdict, the verdicts are still on disk

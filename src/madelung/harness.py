@@ -298,52 +298,37 @@ def _flow_chunks(
     order: velocity at every half step, the full record bundle at every
     whole step.
 
-    The states are buffered and evaluated in chunks: one batched kernel call
-    per _FLOW_CHUNK whole steps, one per as many half-step velocities, so
-    the per-call cost of small transforms is paid once per chunk.  A chunk's
-    samples are rows of one (whole steps, 6, n) and one (half steps, n)
-    block, so the chunk's memory goes when its last sample does.
+    The dt/2 states are evaluated in chunks of 2 * _FLOW_CHUNK (the last
+    ends on the final whole step): one batched kernel call for the half-step
+    velocities, one for the whole-step records, so the per-call cost of small
+    transforms is paid once per chunk.  A chunk's samples are rows of its
+    (steps, n) results, so the chunk's memory goes when its last sample does.
     """
     grid = wf0.grid
     constants = wf0.constants
     u_ext = U.values / constants.mass
     config = PropagatorConfig(dt / 2.0, 2 * n_steps)
-    # whole and half steps alternate, starting and ending on a whole step
-    psi_whole = np.empty((_FLOW_CHUNK, grid.n), dtype=complex)
-    psi_half = np.empty((_FLOW_CHUNK, grid.n), dtype=complex)
-    t_whole: list = []
-    t_half: list = []
+    psi = np.empty((2, _FLOW_CHUNK, grid.n), dtype=complex)  # [whole, half] steps
+    start = 0
     for i, values in enumerate(_states(wf0, U, config)):
         if i:
             ComplexField(values, grid)  # checked as evolve checks its snapshots
-        if i % 2:
-            psi_half[len(t_half)] = values
-            t_half.append(i * config.dt)
-        else:
-            psi_whole[len(t_whole)] = values
-            t_whole.append(i * config.dt)
-        if len(t_half) < _FLOW_CHUNK and i < config.n_steps:
+        psi[i % 2, (i - start) // 2] = values  # even i are whole steps
+        if i - start < 2 * _FLOW_CHUNK - 1 and i < config.n_steps:
             continue
-        nw, nh = len(t_whole), len(t_half)
-        # one kernel result alive at a time keeps the transient memory small
-        half = np.empty((nh, grid.n))
-        if nh:
-            half[:] = _kernel(psi_half[:nh], grid, constants, floor_rel).u
-        rows = np.empty((nw, 6, grid.n))  # rows in FlowSample field order
-        wk = _kernel(psi_whole[:nw], grid, constants, floor_rel, bohm_form, phase=True)
-        rows[:, 0] = wk.u
-        rows[:, 1] = wk.div_u
-        np.log(wk.rho_f, out=rows[:, 2])
-        np.divide(wk.S, constants.mass, out=rows[:, 3])
-        rows[:, 4] = 0.5 * wk.u * wk.u - wk.Q - u_ext
-        rows[:, 5] = wk.rho
-        del wk  # the kernel's arrays do not wait in this frame while the chunk is read
-        for j, t in enumerate(t_whole):
-            yield FlowSample(t, *(RealField._unchecked(r, grid) for r in rows[j]))
+        nw, nh = (i - start) // 2 + 1, (i - start + 1) // 2
+        half = _kernel(psi[1, :nh], grid, constants, floor_rel).u if nh else None
+        wk = _kernel(psi[0, :nw], grid, constants, floor_rel, bohm_form, phase=True)
+        whole = (wk.u, wk.div_u, np.log(wk.rho_f), wk.S / constants.mass,
+                 0.5 * wk.u * wk.u - wk.Q - u_ext, wk.rho)  # FlowSample field order
+        del wk  # the kernel's other arrays do not wait in this frame while the chunk is read
+        for j in range(nw):
+            yield FlowSample((start + 2 * j) * config.dt,
+                             *(RealField._unchecked(a[j], grid) for a in whole))
             if j < nh:
-                yield FlowSample(t=t_half[j], u=RealField._unchecked(half[j], grid))
-        t_whole.clear()
-        t_half.clear()
+                yield FlowSample((start + 2 * j + 1) * config.dt,
+                                 RealField._unchecked(half[j], grid))
+        start = i + 1
 
 
 def collect_flow(
@@ -367,6 +352,18 @@ def collect_flow(
     return flow
 
 
+def _whole_steps(duration: float, dt: float) -> int:
+    """duration / dt, which must be a whole number of steps, at least one,
+    within a relative 1e-9 as sample times are."""
+    steps = duration / dt
+    n, lo = round(steps), max(1, int(steps))
+    if n < 1 or abs(steps - n) > 1e-9 * steps:
+        raise ValueError(f"duration {duration!r} is not a whole number of steps of dt {dt!r}; "
+                         f"the nearest whole-step durations are {lo * dt:.12g} "
+                         f"and {(lo + 1) * dt:.12g}")
+    return n
+
+
 class ScenarioRun:
     """Lazily evaluated artifacts of one scenario execution.
 
@@ -387,6 +384,8 @@ class ScenarioRun:
     """
 
     def __init__(self, scenario: Scenario):
+        if scenario.trajectories is not None and scenario.propagation is not None:
+            _whole_steps(scenario.trajectories.duration, scenario.propagation.dt)
         self.scenario = scenario
         self.grid = scenario.grid.build()
         self.constants = scenario.constants
@@ -488,7 +487,7 @@ class ScenarioRun:
         returned history holds u and rho at every whole step, copied as each
         passes into one (n_steps + 1, 2, n) block, and nothing else.
         """
-        n = int(round(duration / dt))
+        n = _whole_steps(duration, dt)
         cfg = self.scenario.trajectories or TrajectoryConfig()
         ens = seed_parcels(self._seed_density(), cfg.n_parcels)
         flow = FlowHistory(self.grid, self.constants)
@@ -1126,7 +1125,7 @@ def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
         if key not in _OVERRIDES:
             raise ValueError(f"unknown override key {key!r}")
         if tail and getattr(s, head) is None:
-            raise ValueError(f"scenario {s.name!r} has no {head} to override")
+            raise ValueError(f"scenario {s.name!r} has no {head} for {key!r}")
         value = _cast(key, _OVERRIDES[key], value)
         if tail:
             s = replace(s, **{head: replace(getattr(s, head), **{tail: value})})

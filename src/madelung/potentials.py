@@ -12,11 +12,13 @@ from .states import PhysicalConstants
 __all__ = ["PotentialSpec", "evaluate_potential", "load_potential_table"]
 
 KINDS = ("free", "linear", "abs_linear", "harmonic", "tabulated")
+# each parameter and the kinds that read it; off them it stays unset (0 or None)
+_READ_BY = {"g": ("linear", "abs_linear"), "omega": ("harmonic",), "table": ("tabulated",)}
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Which potential to apply; only the active kind's parameters are read."""
+    """Which potential to apply; a parameter its kind does not read stays unset."""
 
     kind: str
     g: float = 0.0          # linear slope, U = m g x (abs_linear: U = m g |x|)
@@ -26,6 +28,9 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}, expected one of {KINDS}")
+        for name, kinds in _READ_BY.items():
+            if self.kind not in kinds and getattr(self, name) not in (0.0, None):
+                raise ValueError(f"potential kind {self.kind!r} does not read potential.{name}")
 
 
 def evaluate_potential(

@@ -118,15 +118,10 @@ def evolve(
         obs(0.0, wf)
     current = wf
     for i, values in enumerate(states, 1):
-        if i % config.snapshot_every == 0:
-            current = WaveFunction(
-                ComplexField(values, wf.grid), wf.constants, wf.normalizable
-            )
-            t = i * config.dt
+        snapshot = i % config.snapshot_every == 0
+        if snapshot or i == config.n_steps:
+            current = WaveFunction(ComplexField(values, wf.grid), wf.constants, wf.normalizable)
+        if snapshot:
             for obs in observers:
-                obs(t, current)
-    if config.n_steps % config.snapshot_every != 0:
-        current = WaveFunction(
-            ComplexField(values, wf.grid), wf.constants, wf.normalizable
-        )
+                obs(i * config.dt, current)
     return current

@@ -333,6 +333,10 @@ def test_bad_trajectory_config_exits_2_with_its_limit(tmp_path, capsys, override
     ("floor_rel=0", "floor_rel must be finite and > 0, got 0.0"),
     ("floor_rel=-1e-12", "floor_rel must be finite and > 0, got -1e-12"),
     ("pointwise_floor_rel=nan", "pointwise_floor_rel must be finite and > 0, got nan"),
+    # a potential parameter the kind never reads, a duration off the step grid
+    ("potential.omega=2.0", "potential kind 'free' does not read potential.omega"),
+    ("trajectories.duration=0.0015", "duration 0.0015 is not a whole number of steps of "
+     "dt 0.001; the nearest whole-step durations are 0.001 and 0.002"),
 ])
 def test_bad_scenario_setting_exits_2_before_evolving(tmp_path, capsys, monkeypatch,
                                                       override, message):
@@ -350,6 +354,26 @@ def test_bad_scenario_setting_exits_2_before_evolving(tmp_path, capsys, monkeypa
     assert rc == EXIT_USAGE
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, config_value", [
+    (["--snapshot-every", "0"], None),
+    ([], "often"),
+    (["--snapshot-every", "5"], None),
+])
+def test_snapshot_every_on_a_diagnostic_only_scenario_exits_2(tmp_path, capsys,
+                                                              flag, config_value):
+    config = {"scenario": "quantum_bouncer"}
+    if config_value is not None:
+        config["snapshot_every"] = config_value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(path), "--out", str(out)] + flag)
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: scenario 'quantum_bouncer' has no propagation "
+                                       "for 'propagation.snapshot_every'\n")
     assert not out.exists()
 
 

@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from madelung import harness
 from madelung.harness import (
     CheckSpec,
     RegionSpec,
     Scenario,
+    ScenarioRun,
     StateSpec,
     apply_overrides,
     builtin_scenarios,
@@ -171,7 +173,10 @@ class TestOverrides:
         ("bohm_form", "wavefunction", str),
     ])
     def test_every_key_takes_its_cast(self, key, value, cast):
-        s = apply_overrides(scenario_by_name("free_gaussian"), {key: value})
+        # a potential parameter is set on a kind that reads it
+        name = {"potential.g": "quantum_bouncer",
+                "potential.omega": "harmonic_ground"}.get(key, "free_gaussian")
+        s = apply_overrides(scenario_by_name(name), {key: value})
         head, _, tail = key.partition(".")
         got = getattr(getattr(s, head), tail) if tail else getattr(s, head)
         assert type(got) is cast and got == cast(value)
@@ -216,6 +221,51 @@ class TestOverrides:
     def test_rejected_keys(self, name, key, reason):
         with pytest.raises(ValueError, match=reason):
             apply_overrides(scenario_by_name(name), {key: 1})
+
+    @pytest.mark.parametrize("name, key, reason", [
+        ("free_gaussian", "potential.omega", "potential kind 'free' does not read potential.omega"),
+        ("free_gaussian", "potential.g", "potential kind 'free' does not read potential.g"),
+        ("harmonic_ground", "potential.g", "kind 'harmonic' does not read potential.g"),
+        ("quantum_bouncer", "potential.omega", "kind 'abs_linear' does not read potential.omega"),
+    ])
+    def test_a_potential_parameter_its_kind_does_not_read_is_rejected(self, name, key, reason):
+        with pytest.raises(ValueError, match=reason):
+            apply_overrides(scenario_by_name(name), {key: 2.0})
+        # zero is the unset value, which every kind accepts
+        assert apply_overrides(scenario_by_name(name), {key: 0.0}) is not None
+
+
+class TestWholeStepDurations:
+    @pytest.mark.parametrize("overrides", [
+        {"propagation.dt": 1.5e-3, "trajectories.duration": 0.003},
+        {"trajectories.duration": 0.003, "propagation.dt": 1.5e-3},
+    ])
+    def test_the_check_reads_the_overridden_pair_in_any_order(self, overrides):
+        run = ScenarioRun(apply_overrides(scenario_by_name("free_gaussian"), overrides))
+        assert run.scenario.trajectories.duration == 0.003
+
+    @pytest.mark.parametrize("overrides, nearest", [
+        ({"trajectories.duration": 0.0015}, "0.001 and 0.002"),
+        ({"trajectories.duration": 0.0004}, "0.001 and 0.002"),
+        ({"propagation.dt": 1.5e-3}, "0.4995 and 0.501"),  # duration 0.5 stays
+    ])
+    def test_a_duration_off_the_step_grid_is_rejected_before_evolving(
+            self, monkeypatch, overrides, nearest):
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("the scenario was evolved")
+
+        monkeypatch.setattr(harness, "_states", no_evolution)
+        monkeypatch.setattr(harness, "evolve", no_evolution)
+        scenario = apply_overrides(scenario_by_name("free_gaussian"), overrides)
+        with pytest.raises(ValueError, match="is not a whole number of steps of dt") as info:
+            ScenarioRun(scenario)
+        assert str(info.value).endswith(f"the nearest whole-step durations are {nearest}")
+
+    def test_builtin_and_benchmark_durations_are_whole_steps(self):
+        # 1.6 / 1e-3 is 1600.0000000000002 in floating point
+        assert harness._whole_steps(1.6, 1e-3) == 1600
+        for s in builtin_scenarios():
+            ScenarioRun(s)
 
 
 # Each of these overrides changes the state or grid a closed-form check reads

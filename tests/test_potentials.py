@@ -57,6 +57,17 @@ def test_unknown_kind_rejected():
         PotentialSpec("quartic")
 
 
+@pytest.mark.parametrize("kind, param, value", [
+    ("free", "g", 1.0), ("harmonic", "g", 1.0), ("free", "omega", 1.0),
+    ("linear", "omega", 1.0), ("abs_linear", "omega", float("nan")), ("harmonic", "table", 0),
+])
+def test_a_parameter_the_kind_does_not_read_is_rejected(grid, kind, param, value):
+    if param == "table":
+        value = RealField(np.zeros(grid.n), grid)
+    with pytest.raises(ValueError, match=f"kind {kind!r} does not read potential.{param}"):
+        PotentialSpec(kind, **{param: value})
+
+
 def test_tabulated_copy(grid, natural_units):
     table = RealField(np.abs(grid.x), grid)
     U = evaluate_potential(PotentialSpec("tabulated", table=table), grid, natural_units)

@@ -213,6 +213,21 @@ def test_evolve_snapshot_cadence(desk_grid, natural_units, free_potential):
     assert seen == [0.0, 0.004, 0.008]
 
 
+@pytest.mark.parametrize("n_steps", [10, 12])
+def test_evolve_returns_the_last_step_between_snapshots(desk_grid, natural_units,
+                                                        harmonic_potential, n_steps):
+    wf = gaussian_packet(desk_grid, natural_units, 0.5, 1.0, 1.0)
+    seen = []
+    out = evolve(wf, harmonic_potential, PropagatorConfig(1e-3, n_steps, 4),
+                 [lambda t, w: seen.append(w)])
+    stepped = wf
+    for _ in range(n_steps):
+        stepped = step(stepped, harmonic_potential, 1e-3)
+    assert np.array_equal(out.psi.values, stepped.psi.values)
+    # the last step is the last snapshot only when snapshot_every divides n_steps
+    assert (out is seen[-1]) == (n_steps % 4 == 0)
+
+
 def test_observer_failure_aborts(desk_grid, natural_units, free_potential):
     wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
 

@@ -100,6 +100,30 @@ def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
     assert events.index("kernel", 2) == 2 + 1 + 4 * (chunk - 1)
 
 
+@pytest.mark.parametrize("n_steps, batches", [
+    (0, [("records", 1)]),
+    (1, [("u", 1), ("records", 2)]),
+    (8, [("u", 8), ("records", 8), ("records", 1)]),
+    (9, [("u", 8), ("records", 8), ("u", 1), ("records", 2)]),
+    (17, [("u", 8), ("records", 8)] * 2 + [("u", 1), ("records", 2)]),
+])
+def test_the_stream_evaluates_chunks_of_sixteen_dt2_states(monkeypatch, n_steps, batches):
+    real_kernel, seen = harness._kernel, []
+
+    def kernel(psi, *args, **kwargs):
+        seen.append(("records" if kwargs.get("phase") else "u", psi.shape[0]))
+        return real_kernel(psi, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_kernel", kernel)
+    run = ScenarioRun(scenario_by_name("free_gaussian"))
+    dt = 1e-3
+    samples = list(harness._flow_chunks(run.wf0, run.U, dt, n_steps))
+    assert seen == batches
+    # dt/2 state i is sampled at i * dt/2, whole steps (even i) with their records
+    assert [smp.t for smp in samples] == [i * (dt / 2.0) for i in range(2 * n_steps + 1)]
+    assert [smp.rho is not None for smp in samples] == [i % 2 == 0 for i in range(2 * n_steps + 1)]
+
+
 def test_the_returned_flow_holds_u_and_rho_at_every_whole_step():
     run = ScenarioRun(scenario_by_name("free_gaussian"))
     dt, n = 1e-3, 50
