@@ -364,6 +364,14 @@ def _whole_steps(duration: float, dt: float) -> int:
     return n
 
 
+class TrackFlow(NamedTuple):
+    """What a track keeps of its flow, all that `quantile_preservation` reads."""
+
+    seam_flux: np.ndarray  # rho[0] * u[0] at every whole step, (n_steps + 1,)
+    cdf_steps: range  # the whole steps whose CDF the check reads: every max(1, n_steps // 8)-th
+    rho: list[RealField]  # rho at each of cdf_steps
+
+
 class ScenarioRun:
     """Lazily evaluated artifacts of one scenario execution.
 
@@ -376,8 +384,8 @@ class ScenarioRun:
       peak |u| and |div u|), all taken in the one evaluation of the fields,
       which are then let go;
     - per snapshot, the peak one-step Bernoulli residual (`bernoulli_max`);
-    - the main parcel track (`trajectory`, and `flow` with `u` and `rho` at
-      every whole step).
+    - the main parcel track (`trajectory`, and `flow`: the seam flux at
+      every whole step and `rho` at the steps `quantile_preservation` samples).
 
     A quantity whose computation raised keeps the exception instead, and
     every later reader gets it again, so it fails once, with one message.
@@ -478,34 +486,32 @@ class ScenarioRun:
         keep = (self.grid.x >= cfg.seed_lo) & (self.grid.x <= cfg.seed_hi)
         return RealField(np.where(keep, rho.values, 0.0), self.grid)
 
-    def track(self, dt: float, duration: float) -> tuple[FlowHistory, ParcelEnsemble]:
+    def track(self, dt: float, duration: float) -> tuple[TrackFlow, ParcelEnsemble]:
         """Advect parcels through the flow over `duration` at step dt.
 
         Parcels are seeded first, so a seeding failure costs no propagation.
         Advection reads the flow stream once, in time order, so the flow is
-        evolved and evaluated a chunk at a time as advection reaches it.  The
-        returned history holds u and rho at every whole step, copied as each
-        passes into one (n_steps + 1, 2, n) block, and nothing else.
+        evolved and evaluated a chunk at a time as advection reaches it.  Of
+        the flow the track keeps only rho[0] * u[0] at every whole step and a
+        copy of rho at every max(1, n_steps // 8)-th one (`TrackFlow`).
         """
         n = _whole_steps(duration, dt)
         cfg = self.scenario.trajectories or TrajectoryConfig()
         ens = seed_parcels(self._seed_density(), cfg.n_parcels)
-        flow = FlowHistory(self.grid, self.constants)
-        kept = iter(np.empty((n + 1, 2, self.grid.n)))
+        flow = TrackFlow(np.empty(n + 1), range(0, n + 1, max(1, n // 8)), [])
 
         def samples():
-            for smp in _flow_chunks(self.wf0, self.U, dt, n, self.scenario.floor_rel,
-                                    self.scenario.bohm_form):
-                if smp.rho is not None:  # a whole step
-                    u, rho = next(kept)
-                    u[:], rho[:] = smp.u.values, smp.rho.values
-                    flow.add(FlowSample(smp.t, u=RealField._unchecked(u, self.grid),
-                                        rho=RealField._unchecked(rho, self.grid)))
+            for i, smp in enumerate(_flow_chunks(self.wf0, self.U, dt, n, self.scenario.floor_rel,
+                                                 self.scenario.bohm_form)):
+                if smp.rho is not None:  # whole step i // 2 (state i is at i dt/2)
+                    flow.seam_flux[i // 2] = smp.rho.values[0] * smp.u.values[0]
+                    if i // 2 in flow.cdf_steps:
+                        flow.rho.append(RealField._unchecked(smp.rho.values.copy(), self.grid))
                 yield smp
 
         return flow, _advect(ens, samples(), self.constants, dt, n)
 
-    def _main_track(self) -> tuple[FlowHistory, ParcelEnsemble]:
+    def _main_track(self) -> tuple[TrackFlow, ParcelEnsemble]:
         cfg = self.scenario.trajectories
         if cfg is None:
             raise ValueError(f"scenario {self.scenario.name!r} has no trajectory config")
@@ -515,8 +521,8 @@ class ScenarioRun:
     def trajectory(self) -> ParcelEnsemble:
         return self._main_track()[1]
 
-    def flow(self) -> FlowHistory:
-        """The main track's flow: `u` and `rho` at every whole step (see `track`)."""
+    def flow(self) -> TrackFlow:
+        """What the main track kept of its flow (see `track`)."""
         return self._main_track()[0]
 
     # -- verification ------------------------------------------------------
@@ -723,20 +729,14 @@ def _check_continuity_order(run, spec):
 def _check_quantile_preservation(run, spec):
     """Mass to the left of each parcel, corrected for the probability flux
     wrapping through the periodic seam (nonzero only for traveling waves)."""
-    traj = run.trajectory()
-    flow = run.flow()
-    times = traj.times
-    seam_flux = np.empty(times.size)
-    for i, t in enumerate(times):
-        smp = flow.sample_at(t)
-        seam_flux[i] = smp.rho.values[0] * smp.u.values[0]
+    traj, flow = run.trajectory(), run.flow()
+    times, seam_flux = traj.times, flow.seam_flux
     flux_int = np.concatenate(
         ([0.0], np.cumsum(0.5 * (seam_flux[1:] + seam_flux[:-1]) * np.diff(times)))
     )
-    stride = max(1, (times.size - 1) // 8)
     gaps = []
-    for i in range(0, times.size, stride):
-        cdf = DensityCdf(flow.sample_at(times[i]).rho)
+    for i, rho in zip(flow.cdf_steps, flow.rho, strict=True):
+        cdf = DensityCdf(rho)
         for p in range(traj.n_parcels):
             level = cdf.value(traj.x_records[i, p]) / cdf.total
             drift = level - flux_int[i] / cdf.total - traj.quantiles[p]

@@ -686,8 +686,7 @@ def test_a_nan_parcel_fails_the_quantile_preservation(monkeypatch):
     quantiles = np.array([0.25, 0.5])
     traj = SimpleNamespace(times=np.array([0.0, 1.0]), quantiles=quantiles, n_parcels=2,
                            x_records=np.array([quantiles, [0.25, NAN]]))
-    zero = SimpleNamespace(values=np.zeros(4))
-    flow = SimpleNamespace(sample_at=lambda t: SimpleNamespace(rho=zero, u=zero))
+    flow = harness.TrackFlow(seam_flux=np.zeros(2), cdf_steps=range(2), rho=[None, None])
     run = fake_run(trajectory=lambda: traj, flow=lambda: flow)
     assert np.isnan(measure("quantile_preservation", run))
     traj.x_records[1, 1] = 0.5

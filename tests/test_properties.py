@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from madelung.diagnostics import expectations
@@ -79,6 +79,10 @@ def tabulated(modes) -> RealField:
 superposed = st.lists(packets, min_size=1, max_size=3)
 single = st.lists(packets, min_size=1, max_size=1)
 modes = st.lists(cosine_modes, min_size=1, max_size=2)
+# the strict xfails' known counterexample, packets at x0 = -1 and 1 under one
+# cosine: stated, it fails first, so Hypothesis has no new example to save
+KNOWN_COUNTEREXAMPLE = example(
+    [(1.0, -1.0 / 12.0, 2.0, 1.0, 0.0), (1.0, 1.0 / 12.0, -1.5, 0.7, 0.4)], [(2, 1.3, 0.2)])
 
 
 def bohm_fisher_gap(r) -> float:
@@ -109,6 +113,7 @@ def test_pressure_integral_and_fisher_score(specs, table):
 ])
 @KNOWN_FAILURE
 @given(superposed, modes)
+@KNOWN_COUNTEREXAMPLE
 def test_bohm_fisher_and_energy_forms(bohm_form, specs, table):
     r = expectations(superposition(specs), tabulated(table), bohm_form=bohm_form)
     assert bohm_fisher_gap(r) <= TOL_BOHM_FISHER
@@ -130,6 +135,7 @@ def test_ehrenfest_single_packet(bohm_form, specs, table):
                                        "by the rectangle rule on the desk grid")
 @KNOWN_FAILURE
 @given(superposed, modes)
+@KNOWN_COUNTEREXAMPLE
 def test_ehrenfest_superposition(specs, table):
     wf, U = superposition(specs), tabulated(table)
     r = expectations(wf, U)

@@ -1,6 +1,7 @@
 """The flow stream behind `ScenarioRun.track`: advection reads it once, in
 time order, so flow samples are evolved and evaluated a chunk at a time as
-advection reaches them, and the track keeps only u and rho at whole steps."""
+advection reaches them, and the track keeps only what `quantile_preservation`
+reads: the seam flux rho[0] u[0] at every whole step and rho at a few."""
 
 import tracemalloc
 
@@ -16,7 +17,7 @@ from madelung.harness import (
     collect_flow,
     scenario_by_name,
 )
-from madelung.trajectories import ProviderGapError, advect, seed_parcels
+from madelung.trajectories import advect, seed_parcels
 
 RECORDS = ("times", "positions", "quantiles", "x_records", "u_records", "ln_rho_records",
            "div_u_records", "S_records", "action_records")
@@ -36,19 +37,25 @@ def _eager_track(run, dt, duration):
     return flow, advect(ens, flow, dt, n)
 
 
+def _assert_kept(flow, full, times):
+    """The track kept the banked rho[0] u[0] at every whole step, and the
+    banked rho at every max(1, n_steps // 8)-th one."""
+    banked = [full.sample_at(t) for t in times]
+    assert np.array_equal(flow.seam_flux, [smp.rho.values[0] * smp.u.values[0] for smp in banked])
+    n = times.size - 1
+    assert flow.cdf_steps == range(0, n + 1, max(1, n // 8))
+    assert len(flow.rho) == len(flow.cdf_steps)
+    for k, rho in zip(flow.cdf_steps, flow.rho):
+        assert np.array_equal(rho.values, banked[k].rho.values)
+
+
 def _assert_same_track(run, dt, duration):
     flow, ens = run.track(dt, duration)
     full, expected = _eager_track(run, dt, duration)
     for name in RECORDS:
         assert np.array_equal(getattr(ens, name), getattr(expected, name)), name
     assert ens.branch_period == expected.branch_period
-    # what the track keeps: u and rho at every whole step, nothing else
-    assert [smp.t for smp in flow._samples] == list(expected.times)
-    for smp in flow._samples:
-        kept = full.sample_at(smp.t)
-        assert np.array_equal(smp.u.values, kept.u.values)
-        assert np.array_equal(smp.rho.values, kept.rho.values)
-        assert smp.div_u is smp.ln_rho is smp.S_tilde is smp.lagrangian is None
+    _assert_kept(flow, full, expected.times)
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -124,33 +131,23 @@ def test_the_stream_evaluates_chunks_of_sixteen_dt2_states(monkeypatch, n_steps,
     assert [smp.rho is not None for smp in samples] == [i % 2 == 0 for i in range(2 * n_steps + 1)]
 
 
-def test_the_returned_flow_holds_u_and_rho_at_every_whole_step():
+def test_the_returned_flow_holds_the_seam_flux_and_rho_at_the_cdf_steps():
     run = ScenarioRun(scenario_by_name("free_gaussian"))
     dt, n = 1e-3, 50
     flow, ens = run.track(dt, n * dt)
     full = collect_flow(run.wf0, run.U, dt, n)
-    assert [smp.t for smp in flow._samples] == list(ens.times)
-    assert len(flow._samples) == n + 1
-    for t in ens.times:
-        smp, banked = flow.sample_at(t), full.sample_at(t)
-        assert np.array_equal(smp.u.values, banked.u.values)
-        assert np.array_equal(smp.rho.values, banked.rho.values)
-        assert smp.div_u is smp.ln_rho is smp.S_tilde is smp.lagrangian is None
+    assert flow.seam_flux.shape == (n + 1,)
+    assert list(flow.cdf_steps) == [0, 6, 12, 18, 24, 30, 36, 42, 48]
+    _assert_kept(flow, full, ens.times)
 
 
-def test_a_half_step_lookup_on_the_returned_flow_is_a_gap():
+def test_the_returned_flow_holds_nothing_else():
     run = ScenarioRun(scenario_by_name("free_gaussian"))
-    dt, n = 1e-3, 50
-    flow, _ = run.track(dt, n * dt)
-    for k in (0, n // 2, n - 1):
-        with pytest.raises(ProviderGapError, match="no flow snapshot"):
-            flow.velocity_at((k + 0.5) * dt)
-    with pytest.raises(ProviderGapError, match="no flow snapshot"):
-        flow.sample_at((n + 1) * dt)
-    # advection needs the record fields the kept samples do not carry
-    ens = seed_parcels(run.wf0.density(), 2)
-    with pytest.raises(ProviderGapError, match="lacks record fields"):
-        advect(ens, flow, dt, 1)
+    flow, _ = run.track(1e-3, 0.05)
+    assert flow._fields == ("seam_flux", "cdf_steps", "rho")
+    # each kept rho is a copy, so no chunk of the stream outlives its samples
+    for rho in flow.rho:
+        assert rho.values.base is None and rho.values.shape == (run.grid.n,)
 
 
 TRACK_CHECKS = ("continuity_max", "continuity_order", "quantile_preservation",
@@ -194,15 +191,36 @@ def test_a_non_finite_state_in_the_stream_is_a_numerical_failure(monkeypatch):
             "NonFiniteFieldError: field contains non-finite entries"), cid
 
 
-def test_a_long_track_keeps_its_memory_flat():
-    run = ScenarioRun(apply_overrides(scenario_by_name("free_gaussian"),
-                                      BENCH_FREE_GAUSSIAN))
+def _track_peak(run, duration):
+    """The tracemalloc peak of run.track(1e-3, duration), and its ensemble."""
     tracemalloc.start()
     try:
-        run.track(1e-3, 1.6)
+        ens = run.track(1e-3, duration)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the kept u and rho rows are 1601 x 2 x 512 floats, 12.5 MiB; banking
-    # every sample of the run took about 51 MiB
-    assert peak < 20 * 2**20
+    return peak, ens
+
+
+def _bench_run():
+    return ScenarioRun(apply_overrides(scenario_by_name("free_gaussian"), BENCH_FREE_GAUSSIAN))
+
+
+def test_a_long_track_keeps_its_memory_flat():
+    peak, _ = _track_peak(_bench_run(), 1.6)
+    # the records are 6 x 1601 x 16 floats, 1.2 MiB; keeping u and rho at
+    # every whole step took 12.5 MiB more, banking every sample about 51 MiB
+    assert peak < 4 * 2**20
+
+
+def test_a_longer_track_grows_by_its_records_alone():
+    run = _bench_run()
+    run.track(1e-3, 0.01)  # the spectral and Strang factors are cached from here on
+    short_peak, short = _track_peak(run, 0.4)
+    long_peak, long = _track_peak(run, 1.6)
+
+    def records(ens):
+        return sum(getattr(ens, name).nbytes for name in RECORDS)
+
+    # 1200 more whole steps: 0.88 MiB of records; keeping u and rho at each grew it 10.9 MiB
+    assert long_peak - short_peak <= records(long) - records(short) + 0.5 * 2**20
