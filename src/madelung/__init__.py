@@ -46,10 +46,12 @@ from .trajectories import (
     FlowSample,
     ParcelEnsemble,
     ProviderGapError,
+    TrackFlow,
     action_check,
     advect,
     continuity_residual,
     seed_parcels,
+    track,
     write_trajectory_csv,
 )
 from .harness import (

@@ -43,11 +43,11 @@ class NonFiniteFieldError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [x_min, x_max) with conjugate wavenumbers.
+    """Uniform periodic grid on [x_min, x_max).
 
     ``x`` holds the n sample points (x_max itself is excluded, it aliases
-    x_min).  ``wavenumbers`` follow the FFT ordering: entry 0 is the zero
-    mode, entries are symmetric up to the single Nyquist mode.
+    x_min).  The conjugate wavenumbers live in `_spectral`, in the order of
+    the transform pair.
     """
 
     n: int
@@ -55,7 +55,6 @@ class Grid:
     x_max: float
     dx: float
     x: np.ndarray
-    wavenumbers: np.ndarray
 
     @property
     def length(self) -> float:
@@ -122,8 +121,7 @@ def make_grid(n: int, x_min: float, x_max: float) -> Grid:
         raise ValueError(f"degenerate domain [{x_min}, {x_max}]")
     dx = (x_max - x_min) / n
     x = x_min + dx * np.arange(n)
-    wavenumbers = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    return Grid(n=n, x_min=x_min, x_max=x_max, dx=dx, x=x, wavenumbers=wavenumbers)
+    return Grid(n=n, x_min=x_min, x_max=x_max, dx=dx, x=x)
 
 
 def same_grid(a: Grid, b: Grid) -> bool:

@@ -29,15 +29,14 @@ import numpy as np
 
 from .diagnostics import (
     BOHM_FORMS,
-    _kernel,
     bernoulli_residual,
     expectations,
     madelung_fields,
     nonspreading_residual,
 )
-from .grid import ComplexField, Grid, RealField, make_grid
+from .grid import Grid, RealField, make_grid
 from .potentials import PotentialSpec, evaluate_potential
-from .propagator import PropagatorConfig, _states, evolve, step
+from .propagator import PropagatorConfig, evolve, step
 from .states import (
     PhysicalConstants,
     WaveFunction,
@@ -52,11 +51,14 @@ from .trajectories import (
     FlowHistory,
     FlowSample,
     ParcelEnsemble,
-    _advect,
+    TrackFlow,
+    _flow_stream,
+    _ROW,
     _same_time,
     action_check,
     continuity_residual,
     seed_parcels,
+    track,
 )
 
 __all__ = [
@@ -283,72 +285,23 @@ def _check_payload(c: CheckResult) -> dict:
     return out
 
 
-_FLOW_CHUNK = 8  # whole steps (and their half steps) per batched kernel call
-
-
-def _flow_chunks(
-    wf0: WaveFunction,
-    U: RealField,
-    dt: float,
-    n_steps: int,
-    floor_rel: float = 1e-12,
-    bohm_form: str = "amplitude",
-):
-    """Evolve at dt/2 and yield the flow samples one at a time, in time
-    order: velocity at every half step, the full record bundle at every
-    whole step.
-
-    The dt/2 states are evaluated in chunks of 2 * _FLOW_CHUNK (the last
-    ends on the final whole step): one batched kernel call for the half-step
-    velocities, one for the whole-step records, so the per-call cost of small
-    transforms is paid once per chunk.  A chunk's samples are rows of its
-    (steps, n) results, so the chunk's memory goes when its last sample does.
-    """
-    grid = wf0.grid
-    constants = wf0.constants
-    u_ext = U.values / constants.mass
-    config = PropagatorConfig(dt / 2.0, 2 * n_steps)
-    psi = np.empty((2, _FLOW_CHUNK, grid.n), dtype=complex)  # [whole, half] steps
-    start = 0
-    for i, values in enumerate(_states(wf0, U, config)):
-        if i:
-            ComplexField(values, grid)  # checked as evolve checks its snapshots
-        psi[i % 2, (i - start) // 2] = values  # even i are whole steps
-        if i - start < 2 * _FLOW_CHUNK - 1 and i < config.n_steps:
-            continue
-        nw, nh = (i - start) // 2 + 1, (i - start + 1) // 2
-        half = _kernel(psi[1, :nh], grid, constants, floor_rel).u if nh else None
-        wk = _kernel(psi[0, :nw], grid, constants, floor_rel, bohm_form, phase=True)
-        whole = (wk.u, wk.div_u, np.log(wk.rho_f), wk.S / constants.mass,
-                 0.5 * wk.u * wk.u - wk.Q - u_ext, wk.rho)  # FlowSample field order
-        del wk  # the kernel's other arrays do not wait in this frame while the chunk is read
-        for j in range(nw):
-            yield FlowSample((start + 2 * j) * config.dt,
-                             *(RealField._unchecked(a[j], grid) for a in whole))
-            if j < nh:
-                yield FlowSample((start + 2 * j + 1) * config.dt,
-                                 RealField._unchecked(half[j], grid))
-        start = i + 1
-
-
-def collect_flow(
-    wf0: WaveFunction,
-    U: RealField,
-    dt: float,
-    n_steps: int,
-    floor_rel: float = 1e-12,
-    bohm_form: str = "amplitude",
-) -> FlowHistory:
+def collect_flow(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
+                 floor_rel: float = 1e-12, bohm_form: str = "amplitude") -> FlowHistory:
     """Evolve at dt/2 and bank every flow sample: velocity at every half
     step, the full record bundle (u, div_u, ln_rho, S_tilde, lagrangian,
     rho) at every whole step.
 
-    This drains the stream `ScenarioRun.track` advects through and keeps all
-    of it, 7 rows of n floats per whole step.
+    This drains the stream `trajectories.track` advects through and keeps
+    all of it, 7 rows of n floats per whole step, as the FlowSamples that
+    `advect` looks up.
     """
-    flow = FlowHistory(wf0.grid, wf0.constants)
-    for sample in _flow_chunks(wf0, U, dt, n_steps, floor_rel, bohm_form):
-        flow.add(sample)
+    grid, half = wf0.grid, dt / 2.0
+    flow = FlowHistory(grid, wf0.constants)
+    for k, (row, u_half) in enumerate(_flow_stream(wf0, U, dt, n_steps, floor_rel, bohm_form)):
+        flow.add(FlowSample(2 * k * half, **{name: RealField._unchecked(values, grid)
+                                             for name, values in zip(_ROW, row)}))
+        if u_half is not None:
+            flow.add(FlowSample((2 * k + 1) * half, RealField._unchecked(u_half, grid)))
     return flow
 
 
@@ -362,14 +315,6 @@ def _whole_steps(duration: float, dt: float) -> int:
                          f"the nearest whole-step durations are {lo * dt:.12g} "
                          f"and {(lo + 1) * dt:.12g}")
     return n
-
-
-class TrackFlow(NamedTuple):
-    """What a track keeps of its flow, all that `quantile_preservation` reads."""
-
-    seam_flux: np.ndarray  # rho[0] * u[0] at every whole step, (n_steps + 1,)
-    cdf_steps: range  # the whole steps whose CDF the check reads: every max(1, n_steps // 8)-th
-    rho: list[RealField]  # rho at each of cdf_steps
 
 
 class ScenarioRun:
@@ -487,29 +432,13 @@ class ScenarioRun:
         return RealField(np.where(keep, rho.values, 0.0), self.grid)
 
     def track(self, dt: float, duration: float) -> tuple[TrackFlow, ParcelEnsemble]:
-        """Advect parcels through the flow over `duration` at step dt.
-
-        Parcels are seeded first, so a seeding failure costs no propagation.
-        Advection reads the flow stream once, in time order, so the flow is
-        evolved and evaluated a chunk at a time as advection reaches it.  Of
-        the flow the track keeps only rho[0] * u[0] at every whole step and a
-        copy of rho at every max(1, n_steps // 8)-th one (`TrackFlow`).
-        """
+        """`trajectories.track` of this run's parcels over `duration` at step
+        dt; they are seeded first, so a seeding failure costs no propagation."""
         n = _whole_steps(duration, dt)
         cfg = self.scenario.trajectories or TrajectoryConfig()
         ens = seed_parcels(self._seed_density(), cfg.n_parcels)
-        flow = TrackFlow(np.empty(n + 1), range(0, n + 1, max(1, n // 8)), [])
-
-        def samples():
-            for i, smp in enumerate(_flow_chunks(self.wf0, self.U, dt, n, self.scenario.floor_rel,
-                                                 self.scenario.bohm_form)):
-                if smp.rho is not None:  # whole step i // 2 (state i is at i dt/2)
-                    flow.seam_flux[i // 2] = smp.rho.values[0] * smp.u.values[0]
-                    if i // 2 in flow.cdf_steps:
-                        flow.rho.append(RealField._unchecked(smp.rho.values.copy(), self.grid))
-                yield smp
-
-        return flow, _advect(ens, samples(), self.constants, dt, n)
+        return track(self.wf0, self.U, dt, n, ens, self.scenario.floor_rel,
+                     self.scenario.bohm_form)
 
     def _main_track(self) -> tuple[TrackFlow, ParcelEnsemble]:
         cfg = self.scenario.trajectories
@@ -679,20 +608,17 @@ def _check_bernoulli_order(run, spec):
 
 
 def _check_propagator_order(run, spec):
-    duration = spec.params.get("duration", 0.5)
     dt = run.scenario.propagation.dt
+    n = _whole_steps(spec.params.get("duration", 0.5), dt)
 
-    def final_values(step_size):
-        n = int(round(duration / step_size))
-        out = evolve(run.wf0, run.U, PropagatorConfig(step_size, n, n), [])
-        return out.psi.values
+    def final_values(k):  # after n k steps of dt / k, so every run ends at n dt
+        return evolve(run.wf0, run.U, PropagatorConfig(dt / k, n * k, n * k), []).psi.values
 
-    def err(step_size):
-        a = final_values(step_size)
-        b = final_values(step_size / 4.0)
+    def err(k):
+        a, b = final_values(k), final_values(4 * k)
         return float(np.sqrt(np.sum(np.abs(a - b) ** 2) * run.grid.dx))
 
-    return err(dt) / err(dt / 2.0)
+    return err(1) / err(2)
 
 
 def _check_continuity(run, spec):
@@ -709,13 +635,13 @@ def _head(ens: ParcelEnsemble, m: int) -> ParcelEnsemble:
 def _check_continuity_order(run, spec):
     dt = run.scenario.propagation.dt
     duration = spec.params.get("duration", 0.25)
-    n = int(round(duration / dt))
+    n = _whole_steps(duration, dt)
     # Seeding, flow collection and advection go step by step the same way
     # whatever the run length, so track(dt, duration) is a bit-identical
     # prefix of the main trajectory whenever that one covers it.
     coarse = None
     cfg = run.scenario.trajectories
-    if cfg is not None and n <= int(round(cfg.duration / dt)):
+    if cfg is not None and n <= _whole_steps(cfg.duration, dt):
         try:
             coarse = _head(run.trajectory(), n + 1)
         except Exception:

@@ -12,20 +12,25 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, RealField, _fft, _ifft, _spectral
-from .states import PhysicalConstants
+from .diagnostics import _kernel
+from .grid import ComplexField, Grid, RealField, _fft, _ifft, _spectral
+from .propagator import PropagatorConfig, _states
+from .states import PhysicalConstants, WaveFunction
 
 __all__ = [
     "FlowSample",
     "FlowHistory",
     "ParcelEnsemble",
+    "TrackFlow",
     "DensityCdf",
     "ProviderGapError",
     "BranchMismatchError",
     "seed_parcels",
+    "track",
     "advect",
     "continuity_residual",
     "action_check",
@@ -226,32 +231,107 @@ def _wrap(x: np.ndarray, grid: Grid) -> np.ndarray:
     return grid.x_min + np.mod(x - grid.x_min, grid.length)
 
 
+_FLOW_CHUNK = 8  # whole steps (and their half steps) per batched kernel call
+
+# the fields of a record row, in row order: advection interpolates the first
+# five at the parcels, and the track reads rho
+_ROW = ("u", "div_u", "ln_rho", "lagrangian", "S_tilde", "rho")
+
+
+def _flow_stream(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
+                 floor_rel: float = 1e-12, bohm_form: str = "amplitude"):
+    """Evolve at dt/2 and yield, for each whole step k in time order, the
+    pair (record row at k dt, velocity at (k + 1/2) dt): the row stacks the
+    `_ROW` fields, and the velocity is None after the last step.
+
+    The dt/2 states are evaluated in chunks of 2 * _FLOW_CHUNK (the last
+    ends on the final whole step): one batched kernel call for the half-step
+    velocities, one for the whole-step records, so the per-call cost of small
+    transforms is paid once per chunk.  The pairs are rows of the chunk's
+    results, so the chunk's memory goes when its last pair does.
+    """
+    grid, constants = wf0.grid, wf0.constants
+    u_ext = U.values / constants.mass
+    config = PropagatorConfig(dt / 2.0, 2 * n_steps)
+    psi = np.empty((2, _FLOW_CHUNK, grid.n), dtype=complex)  # [whole, half] steps
+    start = 0
+    for i, values in enumerate(_states(wf0, U, config)):
+        if i:
+            ComplexField(values, grid)  # checked as evolve checks its snapshots
+        psi[i % 2, (i - start) // 2] = values  # even i are whole steps
+        if i - start < 2 * _FLOW_CHUNK - 1 and i < config.n_steps:
+            continue
+        nw, nh = (i - start) // 2 + 1, (i - start + 1) // 2
+        half = _kernel(psi[1, :nh], grid, constants, floor_rel).u if nh else None
+        wk = _kernel(psi[0, :nw], grid, constants, floor_rel, bohm_form, phase=True)
+        u, div_u, ln_rho, Q, S, rho = wk.u, wk.div_u, np.log(wk.rho_f), wk.Q, wk.S, wk.rho
+        del wk  # the kernel's other arrays go before the rows are made
+        rows = np.stack((u, div_u, ln_rho, 0.5 * u * u - Q - u_ext, S / constants.mass, rho),
+                        axis=1)  # (steps, len(_ROW), n), in _ROW order
+        del u, div_u, ln_rho, Q, S, rho  # only the rows wait in this frame while they are read
+        for j in range(nw):
+            yield rows[j], half[j] if j < nh else None
+        start = i + 1
+
+
+class TrackFlow(NamedTuple):
+    """What a track keeps of its flow, all that `quantile_preservation` reads."""
+
+    seam_flux: np.ndarray  # rho[0] * u[0] at every whole step, (n_steps + 1,)
+    cdf_steps: range  # the whole steps whose CDF the check reads: every max(1, n_steps // 8)-th
+    rho: list[RealField]  # rho at each of cdf_steps
+
+
+def track(wf0: WaveFunction, U: RealField, dt: float, n_steps: int, ensemble: ParcelEnsemble,
+          floor_rel: float = 1e-12,
+          bohm_form: str = "amplitude") -> tuple[TrackFlow, ParcelEnsemble]:
+    """RK4-advect the parcels of `ensemble` for n_steps steps of dt through
+    the flow of wf0 in the potential U, recording fields along the way.
+
+    Advection reads the flow stream once, in time order, so the flow is
+    evolved at dt/2 and evaluated a chunk at a time as advection reaches it.
+    Of the flow the track keeps only rho[0] * u[0] at every whole step and a
+    copy of rho at every max(1, n_steps // 8)-th one (`TrackFlow`).
+    """
+    flow = TrackFlow(np.empty(n_steps + 1), range(0, n_steps + 1, max(1, n_steps // 8)), [])
+
+    def stream():
+        for k, (row, u_half) in enumerate(_flow_stream(wf0, U, dt, n_steps, floor_rel, bohm_form)):
+            rho = row[-1]  # the last _ROW field
+            flow.seam_flux[k] = rho[0] * row[0, 0]
+            if k in flow.cdf_steps:
+                flow.rho.append(RealField._unchecked(rho.copy(), wf0.grid))
+            yield row, u_half
+
+    return flow, _advect(ensemble, stream(), wf0.constants, dt, n_steps)
+
+
 def advect(ensemble: ParcelEnsemble, flow: FlowHistory, dt: float,
            n_steps: int) -> ParcelEnsemble:
-    """RK4-advect parcels through the flow, recording fields along the way.
+    """RK4-advect parcels through a banked flow: the loop of `track`, fed by
+    time lookups.  The provider must hold samples at k dt/2 for every k, the
+    whole steps with their record fields; a missing time or field raises
+    ProviderGapError when advection reaches it."""
 
-    The provider must hold samples at k dt/2 for every k; missing times
-    raise ProviderGapError.  Sampled phase records are matched to the nearest
-    2 pi hbar / m branch of the previous record, and the action integral is
-    accumulated by the trapezoid rule.
-    """
-
-    def lookups():
-        yield flow.sample_at(0.0)
-        for k in range(n_steps):
+    def stream():
+        for k in range(n_steps + 1):
             t = k * dt
-            yield flow.sample_at(t + 0.5 * dt)
-            yield flow.sample_at(t + dt)
+            fields = [getattr(flow.sample_at(t), name) for name in _ROW[:5]]
+            if any(f is None for f in fields):
+                raise ProviderGapError(f"flow sample at t = {t!r} lacks record fields")
+            yield (np.stack([f.values for f in fields]),
+                   flow.velocity_at(t + 0.5 * dt).values if k < n_steps else None)
 
-    return _advect(ensemble, lookups(), flow.constants, dt, n_steps)
+    return _advect(ensemble, stream(), flow.constants, dt, n_steps)
 
 
-def _advect(ensemble: ParcelEnsemble, samples, constants: PhysicalConstants,
+def _advect(ensemble: ParcelEnsemble, stream, constants: PhysicalConstants,
             dt: float, n_steps: int) -> ParcelEnsemble:
-    """The loop of `advect`, reading the flow from `samples`: an iterable of
-    the FlowSamples at 0, dt/2, dt, ..., n_steps dt, in time order, each read
-    when advection reaches it.  A whole-step sample must carry the record
-    fields; of a half-step sample only u is read."""
+    """RK4 through `stream`, the pairs (record row at k dt, velocity at
+    (k + 1/2) dt) for k = 0, ..., n_steps, each read when advection reaches
+    it; of a row the first five `_ROW` fields are read.  Sampled phase
+    records are matched to the nearest 2 pi hbar / m branch of the previous
+    record, and the action integral is accumulated by the trapezoid rule."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 0:
@@ -259,36 +339,26 @@ def _advect(ensemble: ParcelEnsemble, samples, constants: PhysicalConstants,
     grid = ensemble.grid
     period = 2.0 * np.pi * constants.hbar / constants.mass
     x = ensemble.positions.copy()
-    samples = iter(samples)
-
-    def record_at(smp, t, x_now, prev_S):
-        fields = (smp.u, smp.div_u, smp.ln_rho, smp.lagrangian, smp.S_tilde)
-        if any(f is None for f in fields):
-            raise ProviderGapError(f"flow sample at t = {t!r} lacks record fields")
-        u_p, div_p, ln_p, lag_p, S_p = _interp_cubic(np.stack([f.values for f in fields]),
-                                                     grid, x_now)
-        if prev_S is not None:
-            S_p = S_p + period * np.round((prev_S - S_p) / period)
-        return u_p, div_p, ln_p, lag_p, S_p
+    stream = iter(stream)
 
     xs, us, divs, lns, Ss, acts = np.empty((6, n_steps + 1, x.size))
+    row, u_m = next(stream)
     xs[0], acts[0] = x, 0.0
-    us[0], divs[0], lns[0], lag_prev, Ss[0] = record_at(next(samples), 0.0, x, None)
+    us[0], divs[0], lns[0], lag_prev, Ss[0] = _interp_cubic(row[:5], grid, x)
 
     for k in range(n_steps):
-        u_m = next(samples).u.values
-        end = next(samples)  # RK4's last stage, and the step's records
+        row, u_next = next(stream)  # RK4's last stage, and the step's records
         k1 = us[k]  # the velocity record at (t, x) is RK4's first stage
         k2 = _interp_cubic(u_m, grid, _wrap(x + 0.5 * dt * k1, grid))
         k3 = _interp_cubic(u_m, grid, _wrap(x + 0.5 * dt * k2, grid))
-        k4 = _interp_cubic(end.u.values, grid, _wrap(x + dt * k3, grid))
+        k4 = _interp_cubic(row[0], grid, _wrap(x + dt * k3, grid))
         x = _wrap(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), grid)
 
         xs[k + 1] = x
-        us[k + 1], divs[k + 1], lns[k + 1], lag_p, Ss[k + 1] = record_at(
-            end, (k + 1) * dt, x, Ss[k])
+        us[k + 1], divs[k + 1], lns[k + 1], lag_p, S_p = _interp_cubic(row[:5], grid, x)
+        Ss[k + 1] = S_p + period * np.round((Ss[k] - S_p) / period)
         acts[k + 1] = acts[k] + 0.5 * dt * (lag_prev + lag_p)
-        lag_prev = lag_p
+        lag_prev, u_m = lag_p, u_next
 
     return ParcelEnsemble(
         grid=grid,

@@ -198,7 +198,7 @@ def test_env_var_default_out(tmp_path, monkeypatch):
 
 
 def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports):
-    from madelung import harness, propagator
+    from madelung import propagator, trajectories
 
     calls = []
     real_states = propagator._states
@@ -209,7 +209,7 @@ def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports):
 
     # the one Strang loop, as evolve, step and the flow stream bind it
     monkeypatch.setattr(propagator, "_states", counting_states)
-    monkeypatch.setattr(harness, "_states", counting_states)
+    monkeypatch.setattr(trajectories, "_states", counting_states)
     rc = main([
         "run", "--scenario", "free_gaussian", "--trajectories", "--no-fields",
         "--out", str(tmp_path),
@@ -340,13 +340,13 @@ def test_bad_trajectory_config_exits_2_with_its_limit(tmp_path, capsys, override
 ])
 def test_bad_scenario_setting_exits_2_before_evolving(tmp_path, capsys, monkeypatch,
                                                       override, message):
-    from madelung import harness, propagator
+    from madelung import propagator, trajectories
 
     def no_evolution(*args, **kwargs):
         raise AssertionError("the scenario was evolved")
 
     monkeypatch.setattr(propagator, "_states", no_evolution)
-    monkeypatch.setattr(harness, "_states", no_evolution)
+    monkeypatch.setattr(trajectories, "_states", no_evolution)
     out = tmp_path / "out"
     rc = main(["run", "--scenario", "free_gaussian", "--trajectories",
                "--out", str(out), "--set", override])

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from madelung import harness
+from madelung import harness, trajectories
 from madelung.harness import (
     CheckSpec,
     RegionSpec,
@@ -254,7 +254,7 @@ class TestWholeStepDurations:
         def no_evolution(*args, **kwargs):
             raise AssertionError("the scenario was evolved")
 
-        monkeypatch.setattr(harness, "_states", no_evolution)
+        monkeypatch.setattr(trajectories, "_states", no_evolution)
         monkeypatch.setattr(harness, "evolve", no_evolution)
         scenario = apply_overrides(scenario_by_name("free_gaussian"), overrides)
         with pytest.raises(ValueError, match="is not a whole number of steps of dt") as info:
@@ -266,6 +266,24 @@ class TestWholeStepDurations:
         assert harness._whole_steps(1.6, 1e-3) == 1600
         for s in builtin_scenarios():
             ScenarioRun(s)
+
+    @pytest.mark.parametrize("name, check, message", [
+        # rounded, the order study's dt run would end at 0.501 and its dt/4 run
+        # at 0.50025, and the second-order step measured 2.0007
+        ("harmonic_ground", "propagator_order",
+         "duration 0.5 is not a whole number of steps of dt 0.003; "
+         "the nearest whole-step durations are 0.498 and 0.501"),
+        ("free_gaussian", "continuity_order",
+         "duration 0.25 is not a whole number of steps of dt 0.003; "
+         "the nearest whole-step durations are 0.249 and 0.252"),
+    ])
+    def test_an_order_study_off_the_step_grid_is_an_error_verdict(self, name, check, message):
+        scenario = apply_overrides(scenario_by_name(name),
+                                   {"propagation.dt": 3e-3, "trajectories.duration": 0.6})
+        checks = tuple(c for c in scenario.checks if c.id == check)
+        (result,) = run_scenario(replace(scenario, checks=checks)).checks
+        assert result.measured is None and not result.passed
+        assert result.error == f"ValueError: {message}"
 
 
 # Each of these overrides changes the state or grid a closed-form check reads
@@ -365,7 +383,7 @@ class TestContinuityOrderTracks:
         head = harness._head(run.trajectory(), fresh.times.size)
         for name in RECORD_FIELDS:
             assert np.array_equal(getattr(head, name), getattr(fresh, name)), name
-        calls = _counting(monkeypatch, harness, "_flow_chunks")
+        calls = _counting(monkeypatch, trajectories, "_flow_stream")
         measured = harness._CHECKS["continuity_order"](run, self.SPEC)
         assert len(calls) == 1  # only the dt/2 track; the dt track is sliced
         monkeypatch.undo()
@@ -378,7 +396,7 @@ class TestContinuityOrderTracks:
                                    {"trajectories.duration": 0.1})
         run = harness.ScenarioRun(scenario)
         run.trajectory()
-        calls = _counting(monkeypatch, harness, "_flow_chunks")
+        calls = _counting(monkeypatch, trajectories, "_flow_stream")
         measured = harness._CHECKS["continuity_order"](run, self.SPEC)
         assert len(calls) == 2
         monkeypatch.undo()
@@ -398,7 +416,7 @@ def test_a_failed_main_track_fails_once_with_one_message(monkeypatch):
         calls.append(1)
         raise RuntimeError("flow broke")
 
-    monkeypatch.setattr(harness, "_flow_chunks", broken_flow)
+    monkeypatch.setattr(trajectories, "_flow_stream", broken_flow)
     checks = {c.id: c for c in run_scenario(scenario_by_name("free_gaussian")).checks}
     for cid in TRACK_CHECKS:
         assert checks[cid].error == "RuntimeError: flow broke", cid
@@ -414,7 +432,7 @@ def test_seeding_fails_before_any_flow_collection(monkeypatch):
         raise ValueError("need at least one parcel")
 
     monkeypatch.setattr(harness, "seed_parcels", no_parcels)
-    calls = _counting(monkeypatch, harness, "_flow_chunks")
+    calls = _counting(monkeypatch, trajectories, "_flow_stream")
     checks = {c.id: c for c in run_scenario(scenario_by_name("free_gaussian")).checks}
     for cid in TRACK_CHECKS:
         assert checks[cid].error == "ValueError: need at least one parcel", cid
@@ -686,7 +704,7 @@ def test_a_nan_parcel_fails_the_quantile_preservation(monkeypatch):
     quantiles = np.array([0.25, 0.5])
     traj = SimpleNamespace(times=np.array([0.0, 1.0]), quantiles=quantiles, n_parcels=2,
                            x_records=np.array([quantiles, [0.25, NAN]]))
-    flow = harness.TrackFlow(seam_flux=np.zeros(2), cdf_steps=range(2), rho=[None, None])
+    flow = trajectories.TrackFlow(seam_flux=np.zeros(2), cdf_steps=range(2), rho=[None, None])
     run = fake_run(trajectory=lambda: traj, flow=lambda: flow)
     assert np.isnan(measure("quantile_preservation", run))
     traj.x_records[1, 1] = 0.5

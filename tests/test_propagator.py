@@ -138,9 +138,10 @@ def _large_case(n, kind, natural_units):
 
 
 def _plain_steps(wf, U, dt, n_steps):
-    """The unblocked Strang step, built here from the grid's wavenumbers."""
+    """The unblocked Strang step, built here from the natural-order wavenumbers."""
     half_v = np.exp(-0.5j * U.values * dt)
-    kinetic = np.exp(-0.5j * wf.grid.wavenumbers**2 * dt)
+    k = 2.0 * np.pi * np.fft.fftfreq(wf.grid.n, wf.grid.dx)
+    kinetic = np.exp(-0.5j * k**2 * dt)
     values = wf.psi.values
     for _ in range(n_steps):
         values = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * values))

@@ -1,6 +1,6 @@
-"""The flow stream behind `ScenarioRun.track`: advection reads it once, in
-time order, so flow samples are evolved and evaluated a chunk at a time as
-advection reaches them, and the track keeps only what `quantile_preservation`
+"""The flow stream behind `trajectories.track`: advection reads it once, in
+time order, so the flow is evolved and evaluated a chunk at a time as
+advection reaches it, and the track keeps only what `quantile_preservation`
 reads: the seam flux rho[0] u[0] at every whole step and rho at a few."""
 
 import tracemalloc
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from madelung import harness, propagator, trajectories
-from madelung.grid import NonFiniteFieldError
+from madelung.grid import NonFiniteFieldError, make_grid
 from madelung.harness import (
     ScenarioRun,
     TrajectoryConfig,
@@ -17,6 +17,8 @@ from madelung.harness import (
     collect_flow,
     scenario_by_name,
 )
+from madelung.potentials import PotentialSpec, evaluate_potential
+from madelung.states import PhysicalConstants, gaussian_packet
 from madelung.trajectories import advect, seed_parcels
 
 RECORDS = ("times", "positions", "quantiles", "x_records", "u_records", "ln_rho_records",
@@ -27,14 +29,17 @@ BENCH_FREE_GAUSSIAN = {"trajectories.duration": 1.6, "trajectories.n_parcels": 1
                        "state.x0": 0.7, "state.k0": -0.4}
 
 
+def _seeded(run):
+    cfg = run.scenario.trajectories or TrajectoryConfig()
+    return seed_parcels(run._seed_density(), cfg.n_parcels)
+
+
 def _eager_track(run, dt, duration):
     """The whole flow banked first, then advection through it."""
     n = int(round(duration / dt))
-    cfg = run.scenario.trajectories or TrajectoryConfig()
-    ens = seed_parcels(run._seed_density(), cfg.n_parcels)
     flow = collect_flow(run.wf0, run.U, dt, n, floor_rel=run.scenario.floor_rel,
                         bohm_form=run.scenario.bohm_form)
-    return flow, advect(ens, flow, dt, n)
+    return flow, advect(_seeded(run), flow, dt, n)
 
 
 def _assert_kept(flow, full, times):
@@ -50,7 +55,8 @@ def _assert_kept(flow, full, times):
 
 
 def _assert_same_track(run, dt, duration):
-    flow, ens = run.track(dt, duration)
+    flow, ens = trajectories.track(run.wf0, run.U, dt, int(round(duration / dt)), _seeded(run),
+                                   run.scenario.floor_rel, run.scenario.bohm_form)
     full, expected = _eager_track(run, dt, duration)
     for name in RECORDS:
         assert np.array_equal(getattr(ens, name), getattr(expected, name)), name
@@ -82,7 +88,7 @@ def test_tracks_ending_at_chunk_edges(n_steps):
 
 def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
     events = []
-    real_kernel, real_interp = harness._kernel, trajectories._interp_cubic
+    real_kernel, real_interp = trajectories._kernel, trajectories._interp_cubic
 
     def kernel(*args, **kwargs):
         events.append("kernel")
@@ -92,18 +98,18 @@ def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
         events.append("interp")
         return real_interp(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "_kernel", kernel)
+    monkeypatch.setattr(trajectories, "_kernel", kernel)
     monkeypatch.setattr(trajectories, "_interp_cubic", interp)
     run = ScenarioRun(scenario_by_name("free_gaussian"))
-    dt, chunk = 1e-3, harness._FLOW_CHUNK
+    dt, chunk = 1e-3, trajectories._FLOW_CHUNK
     run.track(dt, 3 * chunk * dt)
     # two kernel calls per chunk, its half steps then its whole steps; the
     # whole step at 24 dt ends the stream as a chunk of its own
     assert events.count("kernel") == 3 * 2 + 1
     first_step = 1 + 4  # the record at 0, then k2, k3, k4 and the record at dt
     assert events[:2 + first_step] == ["kernel"] * 2 + ["interp"] * first_step
-    # the second chunk is evaluated when the step to its first sample, chunk dt,
-    # needs it: after the 1 + 4 (chunk - 1) interpolations of the steps before
+    # the second chunk is evaluated when the step to its first record row,
+    # at chunk dt, needs it: after the 1 + 4 (chunk - 1) interpolations of the steps before
     assert events.index("kernel", 2) == 2 + 1 + 4 * (chunk - 1)
 
 
@@ -115,20 +121,42 @@ def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
     (17, [("u", 8), ("records", 8)] * 2 + [("u", 1), ("records", 2)]),
 ])
 def test_the_stream_evaluates_chunks_of_sixteen_dt2_states(monkeypatch, n_steps, batches):
-    real_kernel, seen = harness._kernel, []
+    real_kernel, seen = trajectories._kernel, []
 
     def kernel(psi, *args, **kwargs):
         seen.append(("records" if kwargs.get("phase") else "u", psi.shape[0]))
         return real_kernel(psi, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_kernel", kernel)
+    monkeypatch.setattr(trajectories, "_kernel", kernel)
     run = ScenarioRun(scenario_by_name("free_gaussian"))
-    dt = 1e-3
-    samples = list(harness._flow_chunks(run.wf0, run.U, dt, n_steps))
+    pairs = list(trajectories._flow_stream(run.wf0, run.U, 1e-3, n_steps))
     assert seen == batches
-    # dt/2 state i is sampled at i * dt/2, whole steps (even i) with their records
-    assert [smp.t for smp in samples] == [i * (dt / 2.0) for i in range(2 * n_steps + 1)]
-    assert [smp.rho is not None for smp in samples] == [i % 2 == 0 for i in range(2 * n_steps + 1)]
+    # one pair per whole step: its record row, and the velocity half a step
+    # on, which the last step has not
+    row_shape = (len(trajectories._ROW), run.grid.n)
+    assert [row.shape for row, _ in pairs] == [row_shape] * (n_steps + 1)
+    assert [u is None for _, u in pairs] == [k == n_steps for k in range(n_steps + 1)]
+    assert all(u.shape == (run.grid.n,) for _, u in pairs[:-1])
+
+
+def test_the_library_track_is_the_scenario_runs():
+    # built from the library alone, with the scenario's floor and Bohm form
+    # overridden, so the run has to hand both on
+    overrides = {**BENCH_FREE_GAUSSIAN, "floor_rel": 1e-10, "bohm_form": "wavefunction"}
+    run = ScenarioRun(apply_overrides(scenario_by_name("free_gaussian"), overrides))
+    grid, constants = make_grid(512, -20.0, 20.0), PhysicalConstants()
+    wf0 = gaussian_packet(grid, constants, 0.7, 1.0, -0.4)
+    U = evaluate_potential(PotentialSpec("free"), grid, constants)
+    dt, n = 1e-3, 50
+    flow, ens = trajectories.track(wf0, U, dt, n, seed_parcels(wf0.density(), 16),
+                                   floor_rel=1e-10, bohm_form="wavefunction")
+    run_flow, run_ens = run.track(dt, n * dt)
+    for name in RECORDS:
+        assert np.array_equal(getattr(ens, name), getattr(run_ens, name)), name
+    assert np.array_equal(flow.seam_flux, run_flow.seam_flux)
+    assert flow.cdf_steps == run_flow.cdf_steps
+    for rho, run_rho in zip(flow.rho, run_flow.rho, strict=True):
+        assert np.array_equal(rho.values, run_rho.values)
 
 
 def test_the_returned_flow_holds_the_seam_flux_and_rho_at_the_cdf_steps():
@@ -160,7 +188,7 @@ def _payload_with(monkeypatch, track):
 
 
 def test_a_kernel_failing_in_the_third_chunk_gives_the_banked_flows_verdicts(monkeypatch):
-    real_kernel = harness._kernel
+    real_kernel = trajectories._kernel
     calls = []
 
     def failing(*args, **kwargs):
@@ -169,7 +197,7 @@ def test_a_kernel_failing_in_the_third_chunk_gives_the_banked_flows_verdicts(mon
             raise RuntimeError("kernel broke")
         return real_kernel(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "_kernel", failing)
+    monkeypatch.setattr(trajectories, "_kernel", failing)
     streamed = _payload_with(monkeypatch, ScenarioRun.track)
     calls.clear()
     banked = _payload_with(monkeypatch, _eager_track)

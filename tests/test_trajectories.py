@@ -20,6 +20,7 @@ from madelung.trajectories import (
     advect,
     continuity_residual,
     seed_parcels,
+    track,
     write_trajectory_csv,
 )
 
@@ -39,6 +40,12 @@ def gaussian_quantile_oracle(p):
 @pytest.fixture
 def free_U(desk_grid):
     return RealField(np.zeros(desk_grid.n), desk_grid)
+
+
+def _track(wf, U, dt, n_steps, n_parcels):
+    """The product route: parcels seeded at the density quantiles of wf,
+    then tracked through its flow."""
+    return track(wf, U, dt, n_steps, seed_parcels(wf.density(), n_parcels))[1]
 
 
 class TestSeeding:
@@ -91,7 +98,7 @@ class TestDensityCdf:
         rho = gaussian_packet(g, natural_units, 1.0, 0.8, 3.0).density()
         # the node values as they were written before the transform pair
         rhohat = np.fft.fft(rho.values)
-        k = g.wavenumbers.copy()
+        k = 2.0 * np.pi * np.fft.fftfreq(n, g.dx)
         k[0] = 1.0
         coef = rhohat / (1j * k)
         coef[0] = 0.0
@@ -114,9 +121,7 @@ class TestAdvection:
     def test_plane_wave_uniform_drift(self, desk_grid, natural_units, free_U):
         wf = plane_wave(desk_grid, natural_units, 8)
         k = 2.0 * np.pi * 8 / desk_grid.length
-        flow = collect_flow(wf, free_U, 1e-3, 200)
-        ens = seed_parcels(wf.density(), 4)
-        adv = advect(ens, flow, 1e-3, 200)
+        adv = _track(wf, free_U, 1e-3, 200, 4)
         disp = np.mod(adv.x_records[-1, :] - adv.x_records[0, :], desk_grid.length)
         assert np.max(np.abs(disp - k * 0.2)) < 1e-10
 
@@ -126,25 +131,20 @@ class TestAdvection:
             harmonic_ground_state(desk_grid, natural_units, 1.0).constants,
         )
         wf = harmonic_ground_state(desk_grid, natural_units, 1.0)
-        flow = collect_flow(wf, U, 1e-3, 200)
-        ens = seed_parcels(wf.density(), 8)
-        adv = advect(ens, flow, 1e-3, 200)
+        adv = _track(wf, U, 1e-3, 200, 8)
         assert np.max(np.abs(adv.x_records - adv.x_records[0:1, :])) < 1e-7
 
     def test_free_gaussian_follows_self_similar_map(self, desk_grid, natural_units, free_U):
         # oracle: parcels ride the similarity flow x(t) = x(0) sigma(t)/sigma0
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
         T, dt = 0.5, 1e-3
-        flow = collect_flow(wf, free_U, dt, int(T / dt))
-        ens = seed_parcels(wf.density(), 8)
-        adv = advect(ens, flow, dt, int(T / dt))
+        adv = _track(wf, free_U, dt, int(T / dt), 8)
         stretch = math.sqrt(1.0 + (T / 2.0) ** 2)
-        assert np.max(np.abs(adv.x_records[-1, :] - ens.positions * stretch)) < 1e-6
+        assert np.max(np.abs(adv.x_records[-1, :] - adv.x_records[0, :] * stretch)) < 1e-6
 
     def test_record_shapes(self, desk_grid, natural_units, free_U):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
-        flow = collect_flow(wf, free_U, 1e-3, 50)
-        adv = advect(seed_parcels(wf.density(), 3), flow, 1e-3, 50)
+        adv = _track(wf, free_U, 1e-3, 50, 3)
         assert adv.times.shape == (51,)
         for rec in (adv.x_records, adv.u_records, adv.ln_rho_records,
                     adv.div_u_records, adv.S_records, adv.action_records):
@@ -152,8 +152,7 @@ class TestAdvection:
 
     def test_positions_stay_in_domain(self, desk_grid, natural_units, free_U):
         wf = plane_wave(desk_grid, natural_units, 12)
-        flow = collect_flow(wf, free_U, 1e-3, 300)
-        adv = advect(seed_parcels(wf.density(), 4), flow, 1e-3, 300)
+        adv = _track(wf, free_U, 1e-3, 300, 4)
         assert np.all(adv.x_records >= desk_grid.x_min)
         assert np.all(adv.x_records < desk_grid.x_max)
 
@@ -168,8 +167,7 @@ class TestAdvection:
 class TestContinuity:
     def test_plane_wave_floor(self, desk_grid, natural_units, free_U):
         wf = plane_wave(desk_grid, natural_units, 8)
-        flow = collect_flow(wf, free_U, 1e-3, 100)
-        adv = advect(seed_parcels(wf.density(), 4), flow, 1e-3, 100)
+        adv = _track(wf, free_U, 1e-3, 100, 4)
         assert continuity_residual(adv).max() < 1e-10
         # incompressible flow conserves density along every parcel
         assert np.max(np.ptp(adv.ln_rho_records, axis=0)) < 1e-6
@@ -178,9 +176,7 @@ class TestContinuity:
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
 
         def residual(dt):
-            n = int(round(0.25 / dt))
-            flow = collect_flow(wf, free_U, dt, n)
-            adv = advect(seed_parcels(wf.density(), 8), flow, dt, n)
+            adv = _track(wf, free_U, dt, int(round(0.25 / dt)), 8)
             return continuity_residual(adv).max()
 
         coarse = residual(1e-3)
@@ -189,8 +185,7 @@ class TestContinuity:
 
     def test_needs_three_records(self, desk_grid, natural_units, free_U):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
-        flow = collect_flow(wf, free_U, 1e-3, 1)
-        adv = advect(seed_parcels(wf.density(), 2), flow, 1e-3, 1)
+        adv = _track(wf, free_U, 1e-3, 1, 2)
         with pytest.raises(ValueError):
             continuity_residual(adv)
 
@@ -201,8 +196,7 @@ class TestAction:
         wf = plane_wave(desk_grid, natural_units, 8)
         k = 2.0 * np.pi * 8 / desk_grid.length
         T, dt = 0.5, 1e-3
-        flow = collect_flow(wf, free_U, dt, int(T / dt))
-        adv = advect(seed_parcels(wf.density(), 4), flow, dt, int(T / dt))
+        adv = _track(wf, free_U, dt, int(T / dt), 4)
         d_s = adv.S_records[-1, :] - adv.S_records[0, :]
         assert np.max(np.abs(d_s - 0.5 * k * k * T)) < 1e-10
         assert action_check(adv).max() < 1e-10
@@ -214,22 +208,19 @@ class TestAction:
         )
         wf = harmonic_ground_state(desk_grid, natural_units, 1.0)
         T, dt = 0.5, 1e-3
-        flow = collect_flow(wf, U, dt, int(T / dt))
-        adv = advect(seed_parcels(wf.density(), 4), flow, dt, int(T / dt))
+        adv = _track(wf, U, dt, int(T / dt), 4)
         d_s = adv.S_records[-1, :] - adv.S_records[0, :]
         assert np.max(np.abs(d_s + 0.5 * T)) < 1e-7
         assert action_check(adv).max() < 1e-7
 
     def test_zero_steps_trivial(self, desk_grid, natural_units, free_U):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
-        flow = collect_flow(wf, free_U, 1e-3, 0)
-        adv = advect(seed_parcels(wf.density(), 2), flow, 1e-3, 0)
+        adv = _track(wf, free_U, 1e-3, 0, 2)
         assert np.all(action_check(adv) == 0.0)
 
     def test_branch_mismatch_detected(self, desk_grid, natural_units, free_U):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
-        flow = collect_flow(wf, free_U, 1e-3, 2)
-        adv = advect(seed_parcels(wf.density(), 2), flow, 1e-3, 2)
+        adv = _track(wf, free_U, 1e-3, 2, 2)
         adv.S_records[1, :] += 0.6 * adv.branch_period  # corrupt one sample
         with pytest.raises(BranchMismatchError):
             action_check(adv)
@@ -251,9 +242,7 @@ def test_trajectory_csv_roundtrip(tmp_path, desk_grid, natural_units):
     import csv
 
     wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
-    U = RealField(np.zeros(desk_grid.n), desk_grid)
-    flow = collect_flow(wf, U, 1e-3, 5)
-    adv = advect(seed_parcels(wf.density(), 2), flow, 1e-3, 5)
+    adv = _track(wf, RealField(np.zeros(desk_grid.n), desk_grid), 1e-3, 5, 2)
     path = tmp_path / "trajectories.csv"
     write_trajectory_csv(adv, path)
     with open(path) as fh:
