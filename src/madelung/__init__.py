@@ -42,13 +42,9 @@ from .diagnostics import (
 from .trajectories import (
     BranchMismatchError,
     DensityCdf,
-    FlowHistory,
-    FlowSample,
     ParcelEnsemble,
-    ProviderGapError,
     TrackFlow,
     action_check,
-    advect,
     continuity_residual,
     seed_parcels,
     track,

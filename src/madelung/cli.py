@@ -170,6 +170,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.all and args.scenarios:
+        raise ValueError(f"--all runs every scenario; drop it to run only {args.scenarios}")
     if args.all or not args.scenarios:
         scenarios = builtin_scenarios()
     else:

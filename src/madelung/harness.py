@@ -663,11 +663,9 @@ def _check_quantile_preservation(run, spec):
     gaps = []
     for i, rho in zip(flow.cdf_steps, flow.rho, strict=True):
         cdf = DensityCdf(rho)
-        for p in range(traj.n_parcels):
-            level = cdf.value(traj.x_records[i, p]) / cdf.total
-            drift = level - flux_int[i] / cdf.total - traj.quantiles[p]
-            gaps.append(abs(drift - np.round(drift)))
-    return _peak(gaps)
+        drift = cdf.value(traj.x_records[i]) / cdf.total - flux_int[i] / cdf.total - traj.quantiles
+        gaps.append(np.abs(drift - np.round(drift)))
+    return _peak(np.concatenate(gaps))
 
 
 def _check_action_identity(run, spec):
@@ -1024,15 +1022,23 @@ _OVERRIDES = {
 
 def _cast(key: str, kind: type, value):
     """value as kind, or a ValueError naming the key: null, booleans, lists
-    and objects are refused, and so are a non-integral number for an int and
-    any value the conversion itself rejects."""
+    and objects are refused, and so are a non-integral number for an int, a
+    NaN or an infinity for a state or potential parameter, and any value the
+    conversion itself rejects."""
+    # no later check bounds those parameters: a non-finite one would first
+    # show as a non-finite field, after the evolution
+    finite = kind is float and key.startswith(("state.", "potential."))
     if not (value is None or isinstance(value, (bool, list, dict)) or (
             kind is int and isinstance(value, float) and not value.is_integer())):
         try:
-            return kind(value)
+            cast = kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValueError(f"override {key!r} takes {kind.__name__} values, not {value!r}")
+        else:
+            if not finite or np.isfinite(cast):
+                return cast
+    raise ValueError(f"override {key!r} takes {'finite ' * finite}{kind.__name__} values, "
+                     f"not {value!r}")
 
 
 def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:

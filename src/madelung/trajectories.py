@@ -144,54 +144,58 @@ class DensityCdf:
         self.F = mean * (grid.x - grid.x[0]) + (g - g[0])
         self.total = mean * grid.length
 
-    def _cell(self, j: int):
+    def _cell(self, j: np.ndarray):
         jp = (j + 1) % self.grid.n
-        f0 = self.F[j]
-        f1 = self.F[jp] if jp != 0 else self.total  # F(x_max) closes the domain
-        return f0, f1, self.rho[j], self.rho[jp]
+        f1 = np.where(jp != 0, self.F[jp], self.total)  # F(x_max) closes the domain
+        return self.F[j], f1, self.rho[j], self.rho[jp]
 
-    def _hermite(self, j: int, s: np.ndarray | float):
+    def _hermite(self, j: np.ndarray, s: np.ndarray):
         f0, f1, d0, d1 = self._cell(j)
         h = self.grid.dx
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
+        # products, not powers: s**k of an array and of a float can differ in the last bit
+        s2 = s * s
+        s3 = s2 * s
+        h00 = 2 * s3 - 3 * s2 + 1
+        h10 = s3 - 2 * s2 + s
+        h01 = -2 * s3 + 3 * s2
+        h11 = s3 - s2
         return h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1
 
-    def value(self, x: float) -> float:
-        """Cumulative mass from x_min to x."""
+    def value(self, x):
+        """Cumulative mass from x_min to x: a float for a float, else an array."""
         grid = self.grid
-        xw = grid.x_min + (x - grid.x_min) % grid.length
-        j = min(int((xw - grid.x_min) / grid.dx), grid.n - 1)
-        s = (xw - grid.x[j]) / grid.dx
-        return float(self._hermite(j, s))
+        xw = grid.x_min + (np.asarray(x, dtype=float) - grid.x_min) % grid.length
+        q = (xw - grid.x_min) / grid.dx
+        j = np.where(q < grid.n - 1, q, grid.n - 1).astype(int)  # a NaN x stays NaN
+        v = self._hermite(j, (xw - grid.x[j]) / grid.dx)
+        return float(v) if np.ndim(x) == 0 else v
 
-    def quantile(self, p: float) -> float:
-        """Position x with cumulative mass p * total to its left."""
-        if not 0.0 < p < 1.0:
+    def quantile(self, p):
+        """Position x with cumulative mass p * total to its left: a float for a
+        float, else an array."""
+        levels = np.asarray(p, dtype=float)
+        if not np.all((0.0 < levels) & (levels < 1.0)):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
-        target = p * self.total
+        target = levels * self.total
         grid = self.grid
-        j = int(np.searchsorted(self.F, target)) - 1
-        j = min(max(j, 0), grid.n - 2)
-        denom = max(self.rho[j], self.total / grid.length * 1e-12)
-        s = (target - self.F[j]) / (denom * grid.dx)
-        s = min(max(s, 0.0), 1.0)
+        j = np.clip(np.searchsorted(self.F, target) - 1, 0, grid.n - 2)
+        denom = np.maximum(self.rho[j], self.total / grid.length * 1e-12)
+        s = np.clip((target - self.F[j]) / (denom * grid.dx), 0.0, 1.0)
         for _ in range(6):  # Newton on the Hermite cell polynomial
             f = self._hermite(j, s) - target
-            d = max(self._hermite_deriv(j, s), 1e-300)
-            s -= f / (d * grid.dx)
-            s = min(max(s, 0.0), 1.0)
-        return float(grid.x[j] + s * grid.dx)
+            d = np.maximum(self._hermite_deriv(j, s), 1e-300)
+            s = np.clip(s - f / (d * grid.dx), 0.0, 1.0)
+        x = grid.x[j] + s * grid.dx
+        return float(x) if np.ndim(p) == 0 else x
 
-    def _hermite_deriv(self, j: int, s: float) -> float:
+    def _hermite_deriv(self, j: np.ndarray, s: np.ndarray):
         f0, f1, d0, d1 = self._cell(j)
         h = self.grid.dx
-        dh00 = 6 * s**2 - 6 * s
-        dh10 = 3 * s**2 - 4 * s + 1
-        dh01 = -6 * s**2 + 6 * s
-        dh11 = 3 * s**2 - 2 * s
+        s2 = s * s
+        dh00 = 6 * s2 - 6 * s
+        dh10 = 3 * s2 - 4 * s + 1
+        dh01 = -6 * s2 + 6 * s
+        dh11 = 3 * s2 - 2 * s
         return (dh00 * f0 + dh10 * h * d0 + dh01 * f1 + dh11 * h * d1) / h
 
 
@@ -199,9 +203,8 @@ def seed_parcels(rho: RealField, n_parcels: int) -> ParcelEnsemble:
     """Place parcels at the density quantiles (i + 1/2)/n; deterministic."""
     if n_parcels < 1:
         raise ValueError("need at least one parcel")
-    cdf = DensityCdf(rho)
     levels = (np.arange(n_parcels) + 0.5) / n_parcels
-    positions = np.array([cdf.quantile(p) for p in levels])
+    positions = DensityCdf(rho).quantile(levels)
     return ParcelEnsemble(grid=rho.grid, positions=positions, quantiles=levels)
 
 

@@ -69,6 +69,14 @@ def test_verify_subset_passes(capsys):
     assert "all passed" in out
 
 
+def test_verify_all_with_names_exits_2(capsys):
+    assert main(["verify", "--all", "quantum_bouncer"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --all runs every scenario; drop it to run only "
+                            "['quantum_bouncer']\n")
+    assert captured.out == ""
+
+
 def test_verify_failure_exits_1(monkeypatch, capsys):
     from madelung import cli, harness, potentials
 
@@ -314,6 +322,14 @@ def test_non_finite_state_exits_4(tmp_path, monkeypatch, capsys):
     assert issubclass(NonFiniteFieldError, ValueError)
 
 
+def test_finite_override_that_overflows_exits_4(tmp_path, capsys):
+    # finite, so the cast takes it; the potential it builds is not
+    rc = main(["run", "--scenario", "quantum_bouncer", "--no-fields", "--out", str(tmp_path),
+               "--set", "potential.g=1e308"])
+    assert rc == EXIT_NUMERICAL
+    assert "non-finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override, limit", [
     ("trajectories.duration=-0.5", "trajectories.duration must be finite and > 0"),
     ("trajectories.duration=0", "trajectories.duration must be finite and > 0"),
@@ -337,6 +353,10 @@ def test_bad_trajectory_config_exits_2_with_its_limit(tmp_path, capsys, override
     ("potential.omega=2.0", "potential kind 'free' does not read potential.omega"),
     ("trajectories.duration=0.0015", "duration 0.0015 is not a whole number of steps of "
      "dt 0.001; the nearest whole-step durations are 0.001 and 0.002"),
+    # a non-finite parameter that no later check bounds is refused by the cast
+    ("state.x0=NaN", "override 'state.x0' takes finite float values, not nan"),
+    ("state.k0=-Infinity", "override 'state.k0' takes finite float values, not -inf"),
+    ("potential.g=Infinity", "override 'potential.g' takes finite float values, not inf"),
 ])
 def test_bad_scenario_setting_exits_2_before_evolving(tmp_path, capsys, monkeypatch,
                                                       override, message):

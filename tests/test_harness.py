@@ -202,6 +202,11 @@ class TestOverrides:
         ("free_gaussian", "trajectories.n_parcels", float("inf")),
         ("plane_wave", "state.mode_index", 4.7),
         ("free_gaussian", "grid.n", "abc"),
+        ("free_gaussian", "state.x0", float("nan")),
+        ("moving_gaussian", "state.k0", float("nan")),
+        ("quantum_bouncer", "potential.g", float("nan")),
+        ("quantum_bouncer", "potential.g", float("inf")),
+        ("harmonic_ground", "potential.omega", "-inf"),
     ])
     def test_values_the_cast_would_change_are_rejected(self, name, key, value):
         with pytest.raises(ValueError, match=f"override '{key}' takes"):
@@ -698,7 +703,7 @@ def test_a_nan_parcel_fails_the_quantile_preservation(monkeypatch):
 
         @staticmethod
         def value(x):
-            return float(x)
+            return np.asarray(x, float)
 
     monkeypatch.setattr(harness, "DensityCdf", Cdf)
     quantiles = np.array([0.25, 0.5])

@@ -90,15 +90,79 @@ def _u_coefficients_rebuilt(zeta, n_max=60):
     return terms
 
 
-def test_tabulated_coefficients_give_bit_identical_values(monkeypatch):
+def _series_reference(x):
+    """The Maclaurin series summed one point at a time, term by term."""
+    from madelung.special import _AI0, _AIP0
+
+    x3 = x * x * x
+    f_term, g_term = 1.0, x
+    f_sum, g_sum = f_term, g_term
+    for k in range(80):
+        f_term *= x3 / ((3 * k + 2) * (3 * k + 3))
+        g_term *= x3 / ((3 * k + 3) * (3 * k + 4))
+        f_sum += f_term
+        g_sum += g_term
+        if abs(f_term) < 1e-18 * abs(f_sum) + 1e-30 and abs(g_term) < 1e-18 * abs(g_sum) + 1e-30:
+            break
+    return _AI0 * f_sum - _AIP0 * g_sum
+
+
+def _tail_sums_reference(zeta, m):
+    """math.fsum of (-1)**(k // m) u_k / zeta**k over k = r (mod m), r < m."""
+    terms = _u_coefficients_rebuilt(zeta)
+    return [math.fsum((-1.0) ** (k // m) * t for k, t in enumerate(terms) if k % m == r)
+            for r in range(m)]
+
+
+def test_tabulated_coefficients_give_bit_identical_values():
     from madelung import special
 
     # both asymptotic tails, each side of both crossovers, and the range ends
     x = np.concatenate([np.linspace(-30.0, -7.0, 301), np.linspace(4.0, 30.0, 301),
                         [special._SERIES_MIN, np.nextafter(special._SERIES_MIN, -np.inf),
                          special._SERIES_MAX, np.nextafter(special._SERIES_MAX, np.inf)]])
-    for zeta in (2.0 / 3.0) * np.abs(x) ** 1.5:
-        assert special._u_coefficients(zeta) == _u_coefficients_rebuilt(zeta)
-    tabulated = airy_ai(x)
-    monkeypatch.setattr(special, "_u_coefficients", _u_coefficients_rebuilt)
-    assert np.array_equal(tabulated, airy_ai(x))
+    values = airy_ai(x)
+    series = (x >= special._SERIES_MIN) & (x <= special._SERIES_MAX)
+    assert np.array_equal(values[series], [_series_reference(v) for v in x[series]])
+    # the tails: fsums of the rebuilt coefficients, with the library's zeta and
+    # prefactors, so that only the running sums differ
+    pos, neg = x > special._SERIES_MAX, x < special._SERIES_MIN
+    zeta = (2.0 / 3.0) * x[pos] ** 1.5
+    s = np.array([_tail_sums_reference(z, 1) for z in zeta])[:, 0]
+    assert np.max(np.abs(special._asymptotic_sums(zeta, 1)[0] / s - 1.0)) <= 1e-14
+    ref = np.exp(-zeta) * s / (2.0 * math.sqrt(math.pi) * x[pos] ** 0.25)
+    assert np.max(np.abs(values[pos] / ref - 1.0)) <= 1e-14
+    t = -x[neg]
+    zeta = (2.0 / 3.0) * t**1.5
+    even, odd = np.array([_tail_sums_reference(z, 2) for z in zeta]).T
+    assert np.max(np.abs(special._asymptotic_sums(zeta, 2) - [even, odd])) <= 1e-14
+    envelope = 1.0 / (math.sqrt(math.pi) * t**0.25)
+    phase = zeta - 0.25 * math.pi
+    ref = (np.cos(phase) * even + np.sin(phase) * odd) * envelope
+    assert np.max(np.abs(values[neg] - ref) / envelope) <= 1e-14
+
+
+def test_an_array_gives_the_per_point_values():
+    from madelung import special
+
+    # both crossovers and their neighbours, the origin, both range ends
+    edges = [special._SERIES_MIN, special._SERIES_MAX]
+    x = np.concatenate([np.linspace(-30.0, 30.0, 6001), edges, np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf), [0.0, -0.0]])
+    assert np.array_equal(airy_ai(x), [airy_ai(v) for v in x])
+    assert all(type(airy_ai(v)) is float for v in (1, -10.0, 10.0, np.float64(0.5)))
+
+
+def test_first_zero_is_the_root_bisection_on_the_series_finds():
+    lo, hi = -3.0, -2.0
+    flo = airy_ai(lo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fmid = airy_ai(mid)
+        if flo * fmid <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+        if hi - lo < 1e-14:
+            break
+    assert airy_ai_first_zero() == 0.5 * (lo + hi)

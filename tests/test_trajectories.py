@@ -72,6 +72,21 @@ class TestSeeding:
         with pytest.raises(ValueError):
             seed_parcels(wf.density(), 0)
 
+    def test_ten_thousand_parcels_sit_at_their_levels(self, desk_grid, natural_units):
+        rho = gaussian_packet(desk_grid, natural_units, 0.7, 1.0, -0.4).density()
+        ens = seed_parcels(rho, 10_000)
+        assert np.all(np.diff(ens.positions) > 0.0)
+        cdf = DensityCdf(rho)
+        assert np.max(np.abs(cdf.value(ens.positions) / cdf.total - ens.quantiles)) < 1e-9
+
+
+def test_the_flow_bank_names_live_in_trajectories_alone():
+    import madelung
+    from madelung import trajectories
+
+    for name in ("FlowHistory", "FlowSample", "ProviderGapError", "advect"):
+        assert not hasattr(madelung, name) and hasattr(trajectories, name)
+
 
 class TestDensityCdf:
     def test_total_mass(self, desk_grid, natural_units):
@@ -115,6 +130,22 @@ class TestDensityCdf:
             cdf.quantile(0.0)
         with pytest.raises(ValueError):
             cdf.quantile(1.0)
+        with pytest.raises(ValueError):
+            cdf.quantile(np.array([0.5, 1.0]))
+
+    def test_arrays_give_the_per_element_values(self, desk_grid, natural_units):
+        cdf = DensityCdf(gaussian_packet(desk_grid, natural_units, 1.0, 0.8, 3.0).density())
+        # both seam sides, the last cell, outside the domain both ways, a NaN
+        xs = np.concatenate([np.linspace(-1.5 * desk_grid.length, 1.5 * desk_grid.length, 2001),
+                             desk_grid.x[[0, -1]], [desk_grid.x_max, np.nan]])
+        values = cdf.value(xs)
+        assert type(cdf.value(0.3)) is float
+        assert np.array_equal(values, [cdf.value(x) for x in xs], equal_nan=True)
+        assert np.isnan(values[-1])
+        levels = np.concatenate([np.linspace(1e-9, 1.0 - 1e-9, 2001), [0.5]])
+        positions = cdf.quantile(levels.reshape(-1, 1))
+        assert positions.shape == (levels.size, 1) and type(cdf.quantile(0.3)) is float
+        assert np.array_equal(positions[:, 0], [cdf.quantile(p) for p in levels])
 
 
 class TestAdvection:
