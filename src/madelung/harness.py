@@ -22,7 +22,7 @@ import dataclasses
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,7 +34,7 @@ from .diagnostics import (
     madelung_fields,
     nonspreading_residual,
 )
-from .grid import Grid, RealField, make_grid
+from .grid import Grid, NonFiniteFieldError, RealField, make_grid
 from .potentials import PotentialSpec, evaluate_potential
 from .propagator import PropagatorConfig, evolve, step
 from .states import (
@@ -54,7 +54,7 @@ from .trajectories import (
     TrackFlow,
     _flow_stream,
     _ROW,
-    _same_time,
+    _time_index,
     action_check,
     continuity_residual,
     seed_parcels,
@@ -175,15 +175,17 @@ class CheckSpec:
     mode "above": pass iff measured >  tolerance (negative controls).
     mode "range": pass iff lo <= measured <= hi, tolerance = (lo, hi).
 
-    A NaN measurement fails in every mode.  The spec is checked when built:
-    a registered id, a known mode, a pair tolerance exactly for "range", and
-    bounds that are real numbers, not NaN, with lo <= hi.
+    A check that judges snapshots measures the peak of its gap over
+    ``times`` (None: every snapshot).  A NaN measurement fails in every mode.
+    The spec is checked when built: a registered id, a known mode, a pair
+    tolerance exactly for "range", real, non-NaN bounds with lo <= hi, and
+    times, a tuple of real, non-NaN numbers, only on a check that takes them.
     """
 
     id: str
     tolerance: float | tuple[float, float]
     mode: str = "below"
-    params: dict = field(default_factory=dict)
+    times: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.id not in _CHECKS:
@@ -200,6 +202,12 @@ class CheckSpec:
         if not (real and bounds[0] <= bounds[-1]):
             raise ValueError(f"check {self.id!r}: tolerance bounds are real numbers, not NaN, "
                              f"with lo <= hi, got {tol!r}")
+        if self.times is not None and not isinstance(_CHECKS[self.id], _PerSnapshot):
+            raise ValueError(f"check {self.id!r} judges no snapshots, so it takes no times")
+        if self.times is not None and not (isinstance(self.times, tuple) and all(
+                isinstance(t, numbers.Real) and t == t for t in self.times)):
+            raise ValueError(f"check {self.id!r}: times are a tuple of real numbers, not NaN, "
+                             f"got {self.times!r}")
 
 
 @dataclass(frozen=True)
@@ -305,6 +313,16 @@ def collect_flow(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
     return flow
 
 
+def _build(spec, build):
+    """build() with numpy's warnings off; a result that overflows is a
+    NonFiniteFieldError naming the spec it was built from."""
+    try:
+        with np.errstate(all="ignore"):
+            return build()
+    except (OverflowError, NonFiniteFieldError) as exc:
+        raise NonFiniteFieldError(f"{spec} builds a field with non-finite entries") from exc
+
+
 def _whole_steps(duration: float, dt: float) -> int:
     """duration / dt, which must be a whole number of steps, at least one,
     within a relative 1e-9 as sample times are."""
@@ -323,7 +341,8 @@ class ScenarioRun:
     Everything is computed on first use and kept (`_memo`), so the checks
     and the artifact writers read the same numbers:
 
-    - the snapshots of the propagation and their `expectations` reports;
+    - the snapshots of the propagation and, per snapshot, its `expectations`
+      report (`report_at`);
     - per snapshot, the scalars the pointwise checks take from the pointwise
       fields (`pointwise`: the enthalpy and non-spreading residuals, the
       peak |u| and |div u|), all taken in the one evaluation of the fields,
@@ -342,8 +361,9 @@ class ScenarioRun:
         self.scenario = scenario
         self.grid = scenario.grid.build()
         self.constants = scenario.constants
-        self.U = evaluate_potential(scenario.potential, self.grid, self.constants)
-        self.wf0 = scenario.state.build(self.grid, self.constants)
+        p, state = scenario.potential, scenario.state
+        self.U = _build(p, lambda: evaluate_potential(p, self.grid, self.constants))
+        self.wf0 = _build(state, lambda: state.build(self.grid, self.constants))
         self.region_mask = (
             scenario.region.build(self.grid) if scenario.region is not None else None
         )
@@ -378,20 +398,23 @@ class ScenarioRun:
         return snaps
 
     def _snapshot_index(self, t: float) -> int:
-        for i, (ts, _) in enumerate(self.snapshots()):
-            if _same_time(ts, t):
-                return i
-        raise KeyError(f"no snapshot at t = {t!r} in scenario {self.scenario.name!r}")
+        i = _time_index(self._memo("times", lambda: [ts for ts, _ in self.snapshots()]), t)
+        if i is None:
+            raise KeyError(f"no snapshot at t = {t!r} in scenario {self.scenario.name!r}")
+        return i
 
     def state_at(self, t: float) -> WaveFunction:
         return self.snapshots()[self._snapshot_index(t)][1]
 
+    def report_at(self, t: float):
+        """The `expectations` report of snapshot t."""
+        s, i = self.scenario, self._snapshot_index(t)
+        ts, w = self.snapshots()[i]
+        return self._memo(("report", i), lambda: expectations(
+            w, self.U, s.floor_rel, t=ts, bohm_form=s.bohm_form))
+
     def reports(self) -> list:
-        s = self.scenario
-        return self._memo("reports", lambda: [
-            expectations(w, self.U, s.floor_rel, t=t, bohm_form=s.bohm_form)
-            for t, w in self.snapshots()
-        ])
+        return [self.report_at(t) for t, _ in self.snapshots()]
 
     def pointwise(self, quantity: str, t: float) -> float:
         """A scalar of the pointwise fields at snapshot t: "enthalpy",
@@ -424,11 +447,15 @@ class ScenarioRun:
     # -- trajectory machinery ---------------------------------------------
 
     def _seed_density(self) -> RealField:
-        cfg = self.scenario.trajectories
+        cfg, floor_rel = self.scenario.trajectories or TrajectoryConfig(), self.scenario.floor_rel
         rho = self.wf0.density()
         if cfg.seed_lo is None:
             return rho
         keep = (self.grid.x >= cfg.seed_lo) & (self.grid.x <= cfg.seed_hi)
+        if not np.any(rho.values[keep] >= floor_rel * rho.values.max()):
+            raise ValueError(f"the seeding window seed_lo = {cfg.seed_lo!r}, seed_hi = "
+                             f"{cfg.seed_hi!r} holds no density at or above floor_rel = "
+                             f"{floor_rel!r} times the peak")
         return RealField(np.where(keep, rho.values, 0.0), self.grid)
 
     def track(self, dt: float, duration: float) -> tuple[TrackFlow, ParcelEnsemble]:
@@ -487,12 +514,6 @@ class ScenarioRun:
 # -- check evaluators -------------------------------------------------------
 
 
-def _times_param(run: ScenarioRun, spec: CheckSpec):
-    if "times" in spec.params:
-        return spec.params["times"]
-    return [t for t, _ in run.snapshots()]
-
-
 def _peak(values) -> float:
     """The largest of values, NaN if any is NaN; no values is an error, not a pass."""
     values = np.fromiter(values, dtype=float)
@@ -501,36 +522,35 @@ def _peak(values) -> float:
     return float(np.max(values))
 
 
-def _check_norm_drift(run, spec):
-    return _peak(abs(r.norm - 1.0) for r in run.reports())
+class _PerSnapshot(NamedTuple):
+    """A check that judges snapshots: the peak of its gap over spec.times (None: all)."""
+
+    gap: Callable[[ScenarioRun, float], float]  # (run, t) -> the gap at snapshot t
+
+    def __call__(self, run: ScenarioRun, spec: CheckSpec) -> float:
+        times = [t for t, _ in run.snapshots()] if spec.times is None else spec.times
+        return _peak(self.gap(run, t) for t in times)
 
 
-def _check_energy_drift(run, spec):
-    reports = run.reports()
-    e0 = reports[0].E
-    return _peak(abs(r.E - e0) for r in reports) / max(abs(e0), 1e-300)
+def _energy_drift_gap(run, t):
+    e0 = run.report_at(0.0).E
+    return abs(run.report_at(t).E - e0) / max(abs(e0), 1e-300)
 
 
-def _check_energy_forms_gap(run, spec):
-    return _peak(abs(r.E - r.E_hamiltonian) for r in run.reports())
-
-
-def _check_bohm_fisher(run, spec):
-    c = run.constants
+def _bohm_fisher_gap(run, t):
+    r, c = run.report_at(t), run.constants
     pref = 0.5 * (c.hbar / (2.0 * c.mass)) ** 2
-    return _peak(abs(r.Q - pref * r.FI) / max(1.0, r.FI) for r in run.reports())
+    return abs(r.Q - pref * r.FI) / max(1.0, r.FI)
 
 
-def _check_pressure_internal(run, spec):
-    return _peak(abs(r.Pi_integral - 2.0 * r.I) / max(1.0, r.I) for r in run.reports())
+def _pressure_internal_gap(run, t):
+    r = run.report_at(t)
+    return abs(r.Pi_integral - 2.0 * r.I) / max(1.0, r.I)
 
 
-def _check_fisher_score(run, spec):
-    return _peak(abs(r.vi_mean) for r in run.reports())
-
-
-def _check_acceleration(run, spec):
-    return _peak(abs(r.accel) for r in run.reports())
+def _forms_gap(run, t):
+    r = run.report_at(t)
+    return abs(r.E - r.E_hamiltonian)
 
 
 def _enthalpy_residual(run, fields) -> float:
@@ -552,12 +572,6 @@ _POINTWISE = {
 }
 
 
-def _pointwise_check(quantity: str):
-    """The check judging the peak of one `_POINTWISE` scalar over
-    params["times"] (default: every snapshot)."""
-    return lambda run, spec: _peak(run.pointwise(quantity, t) for t in _times_param(run, spec))
-
-
 def _density_moments(w: WaveFunction):
     rho = w.density().values
     x = w.grid.x
@@ -568,28 +582,19 @@ def _density_moments(w: WaveFunction):
     return mean, np.sqrt(var)
 
 
-def _check_spreading_law(run, spec):
+def _spreading_gap(run, t):
     sigma0 = run.scenario.state.params["sigma0"]
     hbar, m = run.constants.hbar, run.constants.mass
-
-    def gap(t):
-        _, std = _density_moments(run.state_at(t))
-        exact = sigma0 * np.sqrt(1.0 + (hbar * t / (2.0 * m * sigma0**2)) ** 2)
-        return abs(std / exact - 1.0)
-
-    return _peak(gap(t) for t in spec.params["times"])
+    _, std = _density_moments(run.state_at(t))
+    exact = sigma0 * np.sqrt(1.0 + (hbar * t / (2.0 * m * sigma0**2)) ** 2)
+    return abs(std / exact - 1.0)
 
 
-def _check_drift_law(run, spec):
-    t = spec.params["time"]
+def _drift_gap(run, t):
     c = run.constants
     mean0, _ = _density_moments(run.state_at(0.0))
     mean1, _ = _density_moments(run.state_at(t))
     return abs((mean1 - mean0) - c.hbar * run.scenario.state.params["k0"] * t / c.mass)
-
-
-def _check_bernoulli_max(run, spec):
-    return _peak(run.bernoulli_max(t) for t in _times_param(run, spec))
 
 
 def _bernoulli_peak(w, U, dt, floor_rel, bohm_form) -> float:
@@ -601,7 +606,7 @@ def _bernoulli_peak(w, U, dt, floor_rel, bohm_form) -> float:
 def _check_bernoulli_order(run, spec):
     # measured above the pointwise floor: the far-mask-edge spatial noise is
     # dt-independent and would cap the ratio once dt gets small
-    dt = spec.params.get("dt", run.scenario.propagation.dt)
+    dt = run.scenario.propagation.dt
     floor = run.scenario.pointwise_floor_rel
     w, U, form = run.wf0, run.U, run.scenario.bohm_form
     return _bernoulli_peak(w, U, dt, floor, form) / _bernoulli_peak(w, U, dt / 2.0, floor, form)
@@ -609,7 +614,7 @@ def _check_bernoulli_order(run, spec):
 
 def _check_propagator_order(run, spec):
     dt = run.scenario.propagation.dt
-    n = _whole_steps(spec.params.get("duration", 0.5), dt)
+    n = _whole_steps(0.5, dt)  # the study's duration
 
     def final_values(k):  # after n k steps of dt / k, so every run ends at n dt
         return evolve(run.wf0, run.U, PropagatorConfig(dt / k, n * k, n * k), []).psi.values
@@ -633,8 +638,7 @@ def _head(ens: ParcelEnsemble, m: int) -> ParcelEnsemble:
 
 
 def _check_continuity_order(run, spec):
-    dt = run.scenario.propagation.dt
-    duration = spec.params.get("duration", 0.25)
+    dt, duration = run.scenario.propagation.dt, 0.25
     n = _whole_steps(duration, dt)
     # Seeding, flow collection and advection go step by step the same way
     # whatever the run length, so track(dt, duration) is a bit-identical
@@ -719,13 +723,12 @@ def _peak_position(run, w: WaveFunction) -> float:
     return float(grid.x[j] + 0.5 * grid.dx * (rho[jm] - rho[jp]) / denom)
 
 
-def _check_peak_tracking(run, spec):
+def _peak_tracking_gap(run, t):
     hbar, m = run.constants.hbar, run.constants.mass
     B = run.scenario.state.params["scale_B"]
     accel = hbar**2 * B**3 / (4.0 * m**2)
     x0 = _peak_position(run, run.state_at(0.0))
-    return _peak(abs((_peak_position(run, run.state_at(t)) - x0) - accel * t * t)
-                 for t in spec.params["times"])
+    return abs((_peak_position(run, run.state_at(t)) - x0) - accel * t * t)
 
 
 def _check_density_node_at_wall(run, spec):
@@ -735,20 +738,20 @@ def _check_density_node_at_wall(run, spec):
 
 
 _CHECKS = {
-    "norm_drift": _check_norm_drift,
-    "energy_drift": _check_energy_drift,
-    "energy_forms_gap": _check_energy_forms_gap,
-    "bohm_fisher_identity": _check_bohm_fisher,
-    "pressure_internal_identity": _check_pressure_internal,
-    "fisher_score_zero": _check_fisher_score,
-    "acceleration_zero": _check_acceleration,
-    "enthalpy_pointwise": _pointwise_check("enthalpy"),
-    "nonspreading": _pointwise_check("nonspreading"),
-    "nonspreading_evolved": _pointwise_check("nonspreading"),
-    "nonspreading_violated": _pointwise_check("nonspreading"),
-    "spreading_law": _check_spreading_law,
-    "drift_law": _check_drift_law,
-    "bernoulli_max": _check_bernoulli_max,
+    "norm_drift": _PerSnapshot(lambda run, t: abs(run.report_at(t).norm - 1.0)),
+    "energy_drift": _PerSnapshot(_energy_drift_gap),
+    "energy_forms_gap": _PerSnapshot(_forms_gap),
+    "bohm_fisher_identity": _PerSnapshot(_bohm_fisher_gap),
+    "pressure_internal_identity": _PerSnapshot(_pressure_internal_gap),
+    "fisher_score_zero": _PerSnapshot(lambda run, t: abs(run.report_at(t).vi_mean)),
+    "acceleration_zero": _PerSnapshot(lambda run, t: abs(run.report_at(t).accel)),
+    "enthalpy_pointwise": _PerSnapshot(lambda run, t: run.pointwise("enthalpy", t)),
+    "nonspreading": _PerSnapshot(lambda run, t: run.pointwise("nonspreading", t)),
+    "nonspreading_evolved": _PerSnapshot(lambda run, t: run.pointwise("nonspreading", t)),
+    "nonspreading_violated": _PerSnapshot(lambda run, t: run.pointwise("nonspreading", t)),
+    "spreading_law": _PerSnapshot(_spreading_gap),
+    "drift_law": _PerSnapshot(_drift_gap),
+    "bernoulli_max": _PerSnapshot(lambda run, t: run.bernoulli_max(t)),
     "bernoulli_order": _check_bernoulli_order,
     "propagator_order": _check_propagator_order,
     "continuity_max": _check_continuity,
@@ -760,10 +763,10 @@ _CHECKS = {
     "parcel_density_constancy": _check_parcel_density_constancy,
     "incompressibility_scaled": _check_incompressibility_scaled,
     "incompressibility_parcels": _check_incompressibility_parcels,
-    "incompressibility_field": _pointwise_check("div_u_max"),
-    "density_peak_tracking": _check_peak_tracking,
+    "incompressibility_field": _PerSnapshot(lambda run, t: run.pointwise("div_u_max", t)),
+    "density_peak_tracking": _PerSnapshot(_peak_tracking_gap),
     "density_node_at_wall": _check_density_node_at_wall,
-    "velocity_zero": _pointwise_check("u_max"),
+    "velocity_zero": _PerSnapshot(lambda run, t: run.pointwise("u_max", t)),
 }
 
 
@@ -895,12 +898,10 @@ def builtin_scenarios() -> list:
             trajectories=TrajectoryConfig(n_parcels=8, duration=0.5),
             checks=_IDENTITY_CHECKS
             + (
-                CheckSpec("spreading_law", 1e-4, params={"times": [0.5, 1.0, 2.0]}),
-                CheckSpec("nonspreading_violated", 1e-2, mode="above",
-                          params={"times": [1.0]}),
+                CheckSpec("spreading_law", 1e-4, times=(0.5, 1.0, 2.0)),
+                CheckSpec("nonspreading_violated", 1e-2, mode="above", times=(1.0,)),
                 CheckSpec("continuity_max", 1e-4),
-                CheckSpec("continuity_order", 3.5, mode="above",
-                          params={"duration": 0.25}),
+                CheckSpec("continuity_order", 3.5, mode="above"),
                 CheckSpec("quantile_preservation", 1e-4),
                 CheckSpec("action_identity", 1e-4),
             ),
@@ -911,8 +912,8 @@ def builtin_scenarios() -> list:
             propagation=PropagatorConfig(dt, 1000, 100),
             checks=_IDENTITY_CHECKS
             + (
-                CheckSpec("drift_law", 1e-6, params={"time": 1.0}),
-                CheckSpec("spreading_law", 1e-4, params={"times": [0.5, 1.0]}),
+                CheckSpec("drift_law", 1e-6, times=(1.0,)),
+                CheckSpec("spreading_law", 1e-4, times=(0.5, 1.0)),
             ),
         ),
         Scenario(
@@ -923,14 +924,12 @@ def builtin_scenarios() -> list:
             trajectories=TrajectoryConfig(n_parcels=8, duration=0.5),
             checks=_IDENTITY_CHECKS
             + (
-                CheckSpec("nonspreading", 1e-6, params={"times": [0.0]}),
-                CheckSpec("nonspreading_evolved", 1e-5,
-                          params={"times": [0.5, 1.0]}),
+                CheckSpec("nonspreading", 1e-6, times=(0.0,)),
+                CheckSpec("nonspreading_evolved", 1e-5, times=(0.5, 1.0)),
                 CheckSpec("bernoulli_max", 1e-5),
                 CheckSpec("bernoulli_order", (3.5, 4.5), mode="range"),
-                CheckSpec("propagator_order", (3.5, 4.5), mode="range",
-                          params={"duration": 0.5}),
-                CheckSpec("velocity_zero", 1e-10, params={"times": [0.0]}),
+                CheckSpec("propagator_order", (3.5, 4.5), mode="range"),
+                CheckSpec("velocity_zero", 1e-10, times=(0.0,)),
                 CheckSpec("parcel_stationary", 1e-7),
                 CheckSpec("continuity_max", 1e-10),
                 CheckSpec("action_identity", 1e-4),
@@ -951,11 +950,10 @@ def builtin_scenarios() -> list:
                 CheckSpec("energy_drift", 1e-8),
                 CheckSpec("energy_forms_gap", 1e-9),
                 CheckSpec("fisher_score_zero", 1e-10),
-                CheckSpec("enthalpy_pointwise", 1e-7, params={"times": [0.0]}),
-                CheckSpec("nonspreading", 1e-3, params={"times": [0.0]}),
-                CheckSpec("incompressibility_field", 1e-8, params={"times": [0.0]}),
-                CheckSpec("density_peak_tracking", 2e-3,
-                          params={"times": [0.5, 1.0]}),
+                CheckSpec("enthalpy_pointwise", 1e-7, times=(0.0,)),
+                CheckSpec("nonspreading", 1e-3, times=(0.0,)),
+                CheckSpec("incompressibility_field", 1e-8, times=(0.0,)),
+                CheckSpec("density_peak_tracking", 2e-3, times=(0.5, 1.0)),
                 CheckSpec("parcel_density_constancy", 1e-3),
                 CheckSpec("incompressibility_parcels", 1e-6),
             ),
@@ -972,8 +970,8 @@ def builtin_scenarios() -> list:
                 CheckSpec("norm_drift", 1e-10),
                 CheckSpec("density_node_at_wall", 1e-12),
                 CheckSpec("velocity_zero", 1e-10),
-                CheckSpec("nonspreading", 1e-6, params={"times": [0.0]}),
-                CheckSpec("enthalpy_pointwise", 1e-7, params={"times": [0.0]}),
+                CheckSpec("nonspreading", 1e-6, times=(0.0,)),
+                CheckSpec("enthalpy_pointwise", 1e-7, times=(0.0,)),
                 CheckSpec("fisher_score_zero", 1e-10),
                 CheckSpec("energy_forms_gap", 1e-9),
             ),
@@ -990,8 +988,7 @@ def builtin_scenarios() -> list:
                 CheckSpec("pressure_internal_identity", 1e-10),
                 CheckSpec("enthalpy_pointwise", 1e-7),
                 CheckSpec("fisher_score_zero", 1e-10),
-                CheckSpec("nonspreading_violated", 1e-2, mode="above",
-                          params={"times": [1.0]}),
+                CheckSpec("nonspreading_violated", 1e-2, mode="above", times=(1.0,)),
             ),
         ),
     ]

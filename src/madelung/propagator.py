@@ -30,10 +30,10 @@ class PropagatorConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
+        for name, least in (("n_steps", 0), ("snapshot_every", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # Spectral amplitudes below this fraction of the largest one are roundoff or

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import _kernel
-from .grid import ComplexField, Grid, RealField, _fft, _ifft, _spectral
+from .grid import Grid, NonFiniteFieldError, RealField, _fft, _ifft, _spectral
 from .propagator import PropagatorConfig, _states
 from .states import PhysicalConstants, WaveFunction
 
@@ -59,17 +59,20 @@ class FlowSample:
     rho: RealField | None = None
 
 
-def _same_time(stored: float, t: float) -> bool:
-    """Whether a stored sample time answers a lookup at t: within
-    1e-9 * max(1, |t|) + 1e-12."""
-    return abs(stored - t) <= 1e-9 * max(1.0, abs(t)) + 1e-12
+def _time_index(times: list[float], t: float) -> int | None:
+    """The first index of the increasing times within 1e-9 max(1, |t|) + 1e-12 of t, or None."""
+    i = bisect.bisect_left(times, t)
+    for j in (i - 1, i):
+        if 0 <= j < len(times) and abs(times[j] - t) <= 1e-9 * max(1.0, abs(t)) + 1e-12:
+            return j
+    return None
 
 
 class FlowHistory:
     """Time-keyed store of FlowSamples; the velocity provider for advection.
 
     Lookups must match a stored time within 1e-9 * max(1, |t|) + 1e-12
-    (`_same_time`); anything else is a gap and raises, because silently
+    (`_time_index`); anything else is a gap and raises, because silently
     interpolating across a missing snapshot would corrupt the convergence
     order of everything downstream.
     """
@@ -87,12 +90,10 @@ class FlowHistory:
         self._samples.append(sample)
 
     def _index(self, t: float) -> int:
-        times = self._times
-        i = bisect.bisect_left(times, t)
-        for j in (i - 1, i):
-            if 0 <= j < len(times) and _same_time(times[j], t):
-                return j
-        raise ProviderGapError(f"no flow snapshot at t = {t!r}")
+        i = _time_index(self._times, t)
+        if i is None:
+            raise ProviderGapError(f"no flow snapshot at t = {t!r}")
+        return i
 
     def sample_at(self, t: float) -> FlowSample:
         return self._samples[self._index(t)]
@@ -259,12 +260,13 @@ def _flow_stream(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
     psi = np.empty((2, _FLOW_CHUNK, grid.n), dtype=complex)  # [whole, half] steps
     start = 0
     for i, values in enumerate(_states(wf0, U, config)):
-        if i:
-            ComplexField(values, grid)  # checked as evolve checks its snapshots
         psi[i % 2, (i - start) // 2] = values  # even i are whole steps
         if i - start < 2 * _FLOW_CHUNK - 1 and i < config.n_steps:
             continue
         nw, nh = (i - start) // 2 + 1, (i - start + 1) // 2
+        # checked as evolve checks its snapshots, once per chunk, before its rows
+        if not (np.isfinite(psi[0, :nw]).all() and np.isfinite(psi[1, :nh]).all()):
+            raise NonFiniteFieldError("field contains non-finite entries")
         half = _kernel(psi[1, :nh], grid, constants, floor_rel).u if nh else None
         wk = _kernel(psi[0, :nw], grid, constants, floor_rel, bohm_form, phase=True)
         u, div_u, ln_rho, Q, S, rho = wk.u, wk.div_u, np.log(wk.rho_f), wk.Q, wk.S, wk.rho

@@ -330,6 +330,23 @@ def test_finite_override_that_overflows_exits_4(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scenario, override, spec", [
+    ("quantum_bouncer", "potential.g=1e308",
+     "PotentialSpec(kind='abs_linear', g=1e+308, omega=0.0, table=None)"),
+    ("harmonic_ground", "potential.omega=1e200",
+     "PotentialSpec(kind='harmonic', g=0.0, omega=1e+200, table=None)"),
+    ("free_gaussian", "state.sigma0=1e-300",
+     "StateSpec(factory='gaussian', params={'x0': 0.0, 'sigma0': 1e-300, 'k0': 0.0})"),
+])
+def test_an_overflowing_build_names_its_spec(tmp_path, capsys, scenario, override, spec):
+    rc = main(["run", "--scenario", scenario, "--no-fields", "--out", str(tmp_path),
+               "--set", override])
+    assert rc == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"numerical failure: {spec} builds a field with non-finite entries\n")
+
+
 @pytest.mark.parametrize("override, limit", [
     ("trajectories.duration=-0.5", "trajectories.duration must be finite and > 0"),
     ("trajectories.duration=0", "trajectories.duration must be finite and > 0"),

@@ -307,16 +307,16 @@ def test_closed_forms_judge_the_overridden_state(name, overrides):
     assert [(c.id, c.measured, c.error) for c in report.checks if not c.passed] == []
 
 
-@pytest.mark.parametrize("check, params", [
-    ("spreading_law", {"times": [0.5]}),
-    ("drift_law", {"time": 1.0}),
+@pytest.mark.parametrize("check, times", [
+    ("spreading_law", (0.5,)),
+    ("drift_law", (1.0,)),
 ])
-def test_a_closed_form_without_its_state_parameter_is_an_error(check, params):
+def test_a_closed_form_without_its_state_parameter_is_an_error(check, times):
     report = run_scenario(Scenario(
         name="harmonic", state=StateSpec("harmonic_ground", {"omega": 1.0}),
         potential=PotentialSpec("harmonic", omega=1.0),
         propagation=PropagatorConfig(1e-3, 1000, 500),
-        checks=(CheckSpec(check, 1.0, params=params),)))
+        checks=(CheckSpec(check, 1.0, times=times),)))
     (c,) = report.checks
     assert not c.passed and c.error.startswith("KeyError")
 
@@ -369,7 +369,7 @@ def _counting(monkeypatch, module, name):
 
 
 class TestContinuityOrderTracks:
-    SPEC = CheckSpec("continuity_order", 3.5, mode="above", params={"duration": 0.25})
+    SPEC = CheckSpec("continuity_order", 3.5, mode="above")
 
     @staticmethod
     def fresh_value(run, dt):
@@ -475,6 +475,30 @@ def test_scenario_names_its_limit(kwargs, limit):
         replace(scenario_by_name("free_gaussian"), **kwargs)
 
 
+@pytest.mark.parametrize("lo, hi", [(30.0, 40.0), (15.0, 16.0)])
+def test_a_seeding_window_without_usable_density_is_rejected(lo, hi):
+    # [30, 40] lies off the grid, [15, 16] below the density floor
+    from madelung.harness import TrajectoryConfig
+
+    scenario = replace(scenario_by_name("free_gaussian"),
+                       trajectories=TrajectoryConfig(8, 0.5, seed_lo=lo, seed_hi=hi))
+    message = (f"the seeding window seed_lo = {lo!r}, seed_hi = {hi!r} holds no density "
+               "at or above floor_rel = 1e-12 times the peak")
+    with pytest.raises(ValueError) as exc:
+        ScenarioRun(scenario).track(1e-3, 0.5)
+    assert str(exc.value) == message
+    checks = {c.id: c for c in run_scenario(scenario).checks}
+    for cid in TRACK_CHECKS:
+        assert checks[cid].error == f"ValueError: {message}", cid
+
+
+def test_a_track_without_a_trajectory_config_seeds_the_default_parcels():
+    scenario = replace(scenario_by_name("moving_gaussian"),
+                       checks=(CheckSpec("continuity_order", 3.5, mode="above"),))
+    (c,) = run_scenario(scenario).checks
+    assert c.error is None and c.passed
+
+
 def test_trajectory_config_accepts_valid_values():
     from madelung.harness import TrajectoryConfig
 
@@ -506,14 +530,17 @@ def test_a_raising_pointwise_scalar_is_its_own_verdict(monkeypatch):
 GAUSSIAN = StateSpec("gaussian", {"x0": 0.0, "sigma0": 1.0, "k0": 0.0})
 
 
+STUB = {}  # the value the stub check measures, set by judge
+
+
 @pytest.fixture
 def stub_check(monkeypatch):
-    """A registered check id whose measured value is params["value"]; a
+    """A registered check id whose measured value is STUB["value"]; a
     value that is an exception is raised instead."""
     from madelung import harness
 
     def stub(run, spec):
-        value = spec.params["value"]
+        value = STUB["value"]
         if isinstance(value, Exception):
             raise value
         return value
@@ -523,7 +550,8 @@ def stub_check(monkeypatch):
 
 
 def judge(value, tolerance, mode):
-    spec = CheckSpec("stub", tolerance, mode=mode, params={"value": value})
+    STUB["value"] = value
+    spec = CheckSpec("stub", tolerance, mode=mode)
     return run_scenario(Scenario(name="modes", state=GAUSSIAN, checks=(spec,)))
 
 
@@ -619,6 +647,34 @@ def test_a_failed_evolution_fails_once_with_one_message(monkeypatch):
     assert checks["continuity_max"].passed
 
 
+@pytest.mark.parametrize("check_id, times, message", [
+    ("continuity_max", (0.0,), "check 'continuity_max' judges no snapshots"),
+    ("propagator_order", (), "check 'propagator_order' judges no snapshots"),
+    ("norm_drift", [0.0], "check 'norm_drift': times are a tuple of real numbers"),
+    ("norm_drift", (0.0, float("nan")), "check 'norm_drift': times are a tuple of real"),
+    ("nonspreading", ("0.5",), "check 'nonspreading': times are a tuple of real"),
+    ("bernoulli_max", (None,), "check 'bernoulli_max': times are a tuple of real"),
+])
+def test_malformed_times_raise_when_built(check_id, times, message):
+    with pytest.raises(ValueError, match=message):
+        CheckSpec(check_id, 1.0, times=times)
+
+
+def test_a_misspelt_spec_field_fails_when_built():
+    with pytest.raises(TypeError, match="time"):
+        CheckSpec("nonspreading", 1e-6, time=(0.0,))
+
+
+def test_a_check_judges_exactly_its_times(monkeypatch):
+    calls = _counting(monkeypatch, harness, "expectations")
+    scenario = replace(scenario_by_name("harmonic_ground"),
+                       checks=(CheckSpec("norm_drift", 1e-10, times=(0.0,)),))
+    run = ScenarioRun(scenario)
+    (c,) = run.verify().checks
+    assert c.passed and len(calls) == 1
+    assert c.measured == abs(run.report_at(0.0).norm - 1.0)
+
+
 def test_spec_bounds_may_be_negative_or_infinite():
     assert CheckSpec("norm_drift", -1.0).tolerance == -1.0
     assert CheckSpec("norm_drift", (-np.inf, 4.5), mode="range").tolerance[0] == -np.inf
@@ -642,10 +698,10 @@ def fake_run(**attrs):
                            scenario=SimpleNamespace(state=state), **attrs)
 
 
-def measure(check, run, **params):
+def measure(check, run, times=None):
     from madelung import harness
 
-    return harness._CHECKS[check](run, CheckSpec(check, 1.0, params=params))
+    return harness._CHECKS[check](run, CheckSpec(check, 1.0, times=times))
 
 
 @pytest.mark.parametrize("check", ["norm_drift", "energy_drift", "energy_forms_gap",
@@ -656,7 +712,9 @@ def test_a_nan_report_fails_its_check(check):
 
     good = SimpleNamespace(**dict.fromkeys(REPORT_FIELDS, 1.0))
     bad = SimpleNamespace(**dict.fromkeys(REPORT_FIELDS, NAN))
-    assert np.isnan(measure(check, fake_run(reports=lambda: [good, bad])))
+    run = fake_run(snapshots=lambda: [(0.0, None), (1.0, None)],
+                   report_at={0.0: good, 1.0: bad}.get)
+    assert np.isnan(measure(check, run))
 
 
 @pytest.mark.parametrize("check, method", [
@@ -667,7 +725,7 @@ def test_a_nan_report_fails_its_check(check):
 def test_a_nan_at_a_later_time_fails_its_check(check, method):
     values = {0.5: 1e-7, 1.0: NAN}
     run = fake_run(**{method: lambda *args: values[args[-1]]})
-    assert np.isnan(measure(check, run, times=[0.5, 1.0]))
+    assert np.isnan(measure(check, run, times=(0.5, 1.0)))
 
 
 def test_a_nan_width_fails_the_spreading_law(monkeypatch):
@@ -676,8 +734,8 @@ def test_a_nan_width_fails_the_spreading_law(monkeypatch):
     exact = {0.5: np.sqrt(1.0 + 0.25**2), 1.0: NAN}  # sigma0 = hbar = m = 1
     monkeypatch.setattr(harness, "_density_moments", lambda t: (0.0, exact[t]))
     run = fake_run(state_at=lambda t: t)
-    assert measure("spreading_law", run, times=[0.5]) < 1e-15
-    assert np.isnan(measure("spreading_law", run, times=[0.5, 1.0]))
+    assert measure("spreading_law", run, times=(0.5,)) < 1e-15
+    assert np.isnan(measure("spreading_law", run, times=(0.5, 1.0)))
 
 
 def test_a_nan_peak_fails_the_peak_tracking(monkeypatch):
@@ -686,8 +744,8 @@ def test_a_nan_peak_fails_the_peak_tracking(monkeypatch):
     peaks = {0.0: 0.0, 0.5: 0.25 * 0.25, 1.0: NAN}  # x = hbar^2 B^3 t^2 / 4 m^2
     monkeypatch.setattr(harness, "_peak_position", lambda run, t: peaks[t])
     run = fake_run(state_at=lambda t: t)
-    assert measure("density_peak_tracking", run, times=[0.5]) == 0.0
-    assert np.isnan(measure("density_peak_tracking", run, times=[0.5, 1.0]))
+    assert measure("density_peak_tracking", run, times=(0.5,)) == 0.0
+    assert np.isnan(measure("density_peak_tracking", run, times=(0.5, 1.0)))
 
 
 def test_a_nan_parcel_fails_the_quantile_preservation(monkeypatch):
@@ -717,9 +775,9 @@ def test_a_nan_parcel_fails_the_quantile_preservation(monkeypatch):
 
 
 def test_an_empty_times_list_is_an_error_verdict():
-    checks = (CheckSpec("spreading_law", 1e-4, params={"times": []}),
-              CheckSpec("nonspreading_violated", 1e-2, mode="above", params={"times": []}),
-              CheckSpec("bernoulli_max", 1e-5, params={"times": []}))
+    checks = (CheckSpec("spreading_law", 1e-4, times=()),
+              CheckSpec("nonspreading_violated", 1e-2, mode="above", times=()),
+              CheckSpec("bernoulli_max", 1e-5, times=()))
     s = replace(scenario_by_name("free_gaussian"), checks=checks,
                 propagation=PropagatorConfig(1e-3, 10, 10))
     for c in run_scenario(s).checks:
@@ -731,4 +789,4 @@ def test_an_empty_times_list_fails_the_peak_tracking(monkeypatch):
 
     monkeypatch.setattr(harness, "_peak_position", lambda run, t: 0.0)
     with pytest.raises(ValueError, match="nothing to judge"):
-        measure("density_peak_tracking", fake_run(state_at=lambda t: t), times=[])
+        measure("density_peak_tracking", fake_run(state_at=lambda t: t), times=())

@@ -27,6 +27,9 @@ def test_config_validation():
         PropagatorConfig(dt=1e-3, n_steps=-1)
     with pytest.raises(ValueError):
         PropagatorConfig(dt=1e-3, n_steps=10, snapshot_every=0)
+    for n_steps, snapshot_every in [(1.5, 1), (True, 1), (10, 2.5), (10, True), (10.0, 1)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            PropagatorConfig(1e-3, n_steps, snapshot_every)
 
 
 def test_plane_wave_kinetic_phase(desk_grid, natural_units, free_potential):
