@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .harness import (
 )
 from .trajectories import _write_csv, write_trajectory_csv
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -50,50 +49,13 @@ FIELD_COLUMNS = [
 ]
 
 
-# the JSON type of each run-config key; snapshot_every is cast as an override
+# the JSON type of each run-config key but the snapshot cadence, which is
+# cast as an override
 _CONFIG_TYPES = {
     "scenario": (str, "a string"), "output_dir": (str, "a string"),
     "emit_fields": (bool, "a boolean"), "emit_trajectories": (bool, "a boolean"),
     "overrides": (dict, "an object"),
 }
-
-
-@dataclass
-class RunConfig:
-    scenario: str
-    output_dir: str
-    snapshot_every: int | None = None
-    emit_fields: bool = True
-    emit_trajectories: bool = False
-    overrides: dict = field(default_factory=dict)
-
-    @staticmethod
-    def from_file(path: str) -> "RunConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: a run config is a JSON object, not {json.dumps(raw)}")
-        unknown = set(raw) - set(_CONFIG_TYPES) - {"snapshot_every"}
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        if "scenario" not in raw:
-            raise ValueError(f"{path}: config must name a scenario")
-        for key, (kind, name) in _CONFIG_TYPES.items():
-            if key in raw and not isinstance(raw[key], kind):
-                raise ValueError(f"{path}: config key {key!r} takes {name}, "
-                                 f"not {json.dumps(raw[key])}")
-        return RunConfig(
-            scenario=raw["scenario"],
-            output_dir=raw.get("output_dir", _default_out()),
-            snapshot_every=raw.get("snapshot_every"),
-            emit_fields=raw.get("emit_fields", True),
-            emit_trajectories=raw.get("emit_trajectories", False),
-            overrides=dict(raw.get("overrides", {})),
-        )
-
-
-def _default_out() -> str:
-    return os.environ.get("MADELUNG_OUT", "./madelung_out")
 
 
 def _write_timeseries(run: ScenarioRun, path: str) -> None:
@@ -122,50 +84,61 @@ def _write_fields(run: ScenarioRun, out_dir: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.scenario.endswith(".json") or os.path.isfile(args.scenario):
-        config = RunConfig.from_file(args.scenario)
-    else:
-        config = RunConfig(scenario=args.scenario, output_dir=_default_out())
-    # CLI flags win over config-file values.
-    if args.out is not None:
-        config.output_dir = args.out
-    if args.snapshot_every is not None:
-        config.snapshot_every = args.snapshot_every
-    if args.no_fields:
-        config.emit_fields = False
-    if args.trajectories:
-        config.emit_trajectories = True
+    path, config = args.scenario, {"scenario": args.scenario}
+    if path.endswith(".json") or os.path.isfile(path):
+        with open(path) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{path}: a run config is a JSON object, not {json.dumps(config)}")
+        unknown = set(config) - set(_CONFIG_TYPES) - {"snapshot_every"}
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        if "scenario" not in config:
+            raise ValueError(f"{path}: config must name a scenario")
+        for key, (kind, name) in _CONFIG_TYPES.items():
+            if key in config and not isinstance(config[key], kind):
+                raise ValueError(f"{path}: config key {key!r} takes {name}, "
+                                 f"not {json.dumps(config[key])}")
+
+    # each setting once: a flag that was given, else the file's value, else
+    # the default; --set beats the file's overrides
+    overrides = dict(config.get("overrides", {}))
     for item in args.set or []:
         key, _, value = item.partition("=")
         if not value:
             raise ValueError(f"override {item!r} is not of the form key=value")
         try:
-            config.overrides[key] = json.loads(value)
+            overrides[key] = json.loads(value)
         except json.JSONDecodeError:
-            config.overrides[key] = value
-
-    if config.snapshot_every is not None:
+            overrides[key] = value
+    snapshot_every = (args.snapshot_every if args.snapshot_every is not None
+                      else config.get("snapshot_every"))
+    if snapshot_every is not None:
         # the dedicated setting (file or flag) beats a generic override key
-        config.overrides["propagation.snapshot_every"] = config.snapshot_every
-    scenario = apply_overrides(scenario_by_name(config.scenario), config.overrides)
+        overrides["propagation.snapshot_every"] = snapshot_every
+    out_dir = args.out if args.out is not None else config.get(
+        "output_dir", os.environ.get("MADELUNG_OUT", "./madelung_out"))
+    emit_fields = not args.no_fields and config.get("emit_fields", True)
+    emit_trajectories = args.trajectories or config.get("emit_trajectories", False)
+    scenario = apply_overrides(scenario_by_name(config["scenario"]), overrides)
 
     # one run serves the report and every artifact
     run = ScenarioRun(scenario)
-    os.makedirs(config.output_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     report = run.verify()
     # the report goes first: if an artifact writer hits the error a check
     # already recorded as a verdict, the verdicts are still on disk
-    with open(os.path.join(config.output_dir, "report.json"), "w") as fh:
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
     print(format_report(report))
-    _write_timeseries(run, os.path.join(config.output_dir, "timeseries.csv"))
-    if config.emit_fields:
-        _write_fields(run, config.output_dir)
-    if config.emit_trajectories and scenario.trajectories is not None:
+    _write_timeseries(run, os.path.join(out_dir, "timeseries.csv"))
+    if emit_fields:
+        _write_fields(run, out_dir)
+    if emit_trajectories and scenario.trajectories is not None:
         write_trajectory_csv(run.trajectory(),
-                             os.path.join(config.output_dir, "trajectories.csv"))
-    print(f"artifacts written to {config.output_dir}")
+                             os.path.join(out_dir, "trajectories.csv"))
+    print(f"artifacts written to {out_dir}")
     return EXIT_OK
 
 

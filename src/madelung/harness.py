@@ -23,7 +23,7 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .grid import Grid, NonFiniteFieldError, RealField, make_grid
 from .potentials import PotentialSpec, evaluate_potential
 from .propagator import PropagatorConfig, evolve, step
 from .states import (
+    DEFAULT_DENSITY_FLOOR,
     PhysicalConstants,
     WaveFunction,
     airy_packet,
@@ -219,7 +220,7 @@ class Scenario:
     propagation: PropagatorConfig | None = None  # None: diagnostic-only
     checks: tuple = ()
     constants: PhysicalConstants = PhysicalConstants()
-    floor_rel: float = 1e-12
+    floor_rel: float = DEFAULT_DENSITY_FLOOR
     pointwise_floor_rel: float = 1e-6
     bohm_form: str = "amplitude"
     region: RegionSpec | None = None
@@ -294,7 +295,8 @@ def _check_payload(c: CheckResult) -> dict:
 
 
 def collect_flow(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
-                 floor_rel: float = 1e-12, bohm_form: str = "amplitude") -> FlowHistory:
+                 floor_rel: float = DEFAULT_DENSITY_FLOOR,
+                 bohm_form: str = "amplitude") -> FlowHistory:
     """Evolve at dt/2 and bank every flow sample: velocity at every half
     step, the full record bundle (u, div_u, ln_rho, S_tilde, lagrangian,
     rho) at every whole step.
@@ -1005,16 +1007,15 @@ def scenario_by_name(name: str) -> Scenario:
 # -- overrides ---------------------------------------------------------------
 
 
-# override key -> the cast of its value; "section.field" sets a field of a
-# section, a bare key a field of the scenario; state.<param> is apart
-_OVERRIDES = {
-    "grid.n": int, "grid.x_min": float, "grid.x_max": float,
-    "propagation.dt": float, "propagation.n_steps": int, "propagation.snapshot_every": int,
-    "potential.g": float, "potential.omega": float,
-    "constants.hbar": float, "constants.mass": float,
-    "trajectories.n_parcels": int, "trajectories.duration": float,
-    "floor_rel": float, "pointwise_floor_rel": float, "bohm_form": str,
-}
+# the settable keys: "section.field" sets a field of a section, a bare key a
+# field of the scenario; state.<param> is apart
+_OVERRIDES = (
+    "grid.n", "grid.x_min", "grid.x_max",
+    "propagation.dt", "propagation.n_steps", "propagation.snapshot_every",
+    "potential.g", "potential.omega", "constants.hbar", "constants.mass",
+    "trajectories.n_parcels", "trajectories.duration",
+    "floor_rel", "pointwise_floor_rel", "bohm_form",
+)
 
 
 def _cast(key: str, kind: type, value):
@@ -1040,7 +1041,8 @@ def _cast(key: str, kind: type, value):
 
 def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
     """Rebuild a scenario with dotted-key overrides: the keys of _OVERRIDES,
-    and state.<param>, which keeps the type of the parameter it replaces."""
+    each cast to the type its class declares for the field, and
+    state.<param>, which keeps the type of the parameter it replaces."""
     s = scenario
     for key, value in overrides.items():
         head, _, tail = key.partition(".")
@@ -1053,13 +1055,12 @@ def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
             continue
         if key not in _OVERRIDES:
             raise ValueError(f"unknown override key {key!r}")
-        if tail and getattr(s, head) is None:
+        section, name = (getattr(s, head), tail) if tail else (s, key)
+        if section is None:
             raise ValueError(f"scenario {s.name!r} has no {head} for {key!r}")
-        value = _cast(key, _OVERRIDES[key], value)
-        if tail:
-            s = replace(s, **{head: replace(getattr(s, head), **{tail: value})})
-        else:
-            s = replace(s, **{key: value})
+        value = _cast(key, get_type_hints(type(section))[name], value)
+        changed = replace(section, **{name: value})
+        s = replace(s, **{head: changed}) if tail else changed
     return s
 
 

@@ -51,7 +51,7 @@ def _check_kinetic_phase(wf: WaveFunction, dt: float) -> None:
     phase = wf.constants.hbar * k_max**2 * dt / (2.0 * wf.constants.mass)
     if phase >= np.pi:
         raise ValueError(
-            f"kinetic phase per step {phase:.3f} at the state's highest occupied "
+            f"kinetic phase per step {phase:.4g} at the state's highest occupied "
             f"wavenumber {k_max:.4g} exceeds pi; reduce dt"
         )
 

@@ -99,6 +99,10 @@ def gaussian_packet(
     """Normalized Gaussian with density std sigma0 and plane-wave phase k0."""
     if sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive")
+    if abs(k0) >= math.pi / grid.dx:
+        # the grid would hold the alias k0 - 2 pi m / dx, not the packet asked for
+        raise ValueError(f"k0 = {k0!r} is not below the grid's Nyquist wavenumber "
+                         f"pi/dx = {math.pi / grid.dx:.4g}")
     if (x0 - grid.x_min) < 6.0 * sigma0 or (grid.x_max - x0) < 6.0 * sigma0:
         raise ValueError("Gaussian support must stay >= 6 sigma from the domain edges")
     tail = _gaussian_tail_mass(grid, x0, sigma0)

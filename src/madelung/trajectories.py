@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import _kernel
 from .grid import Grid, NonFiniteFieldError, RealField, _fft, _ifft, _spectral
 from .propagator import PropagatorConfig, _states
-from .states import PhysicalConstants, WaveFunction
+from .states import DEFAULT_DENSITY_FLOOR, PhysicalConstants, WaveFunction
 
 __all__ = [
     "FlowSample",
@@ -243,7 +243,7 @@ _ROW = ("u", "div_u", "ln_rho", "lagrangian", "S_tilde", "rho")
 
 
 def _flow_stream(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
-                 floor_rel: float = 1e-12, bohm_form: str = "amplitude"):
+                 floor_rel: float, bohm_form: str):
     """Evolve at dt/2 and yield, for each whole step k in time order, the
     pair (record row at k dt, velocity at (k + 1/2) dt): the row stacks the
     `_ROW` fields, and the velocity is None after the last step.
@@ -288,7 +288,7 @@ class TrackFlow(NamedTuple):
 
 
 def track(wf0: WaveFunction, U: RealField, dt: float, n_steps: int, ensemble: ParcelEnsemble,
-          floor_rel: float = 1e-12,
+          floor_rel: float = DEFAULT_DENSITY_FLOOR,
           bohm_form: str = "amplitude") -> tuple[TrackFlow, ParcelEnsemble]:
     """RK4-advect the parcels of `ensemble` for n_steps steps of dt through
     the flow of wf0 in the potential U, recording fields along the way.

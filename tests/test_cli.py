@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,71 @@ def test_run_with_config_file(tmp_path):
     assert main(["run", "--scenario", str(path)]) == EXIT_OK
     names = set(os.listdir(out))
     assert names == {"timeseries.csv", "report.json"}
+
+
+def test_run_flags_beat_the_config_file(tmp_path):
+    file_out, flag_out = tmp_path / "file_out", tmp_path / "flag_out"
+    config = {
+        "scenario": "free_gaussian",
+        "output_dir": str(file_out),
+        "emit_fields": True,
+        "emit_trajectories": False,
+        "overrides": {"trajectories.duration": 0.1, "trajectories.n_parcels": 2},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    rc = main(["run", "--scenario", str(path), "--out", str(flag_out),
+               "--no-fields", "--trajectories"])
+    assert rc == EXIT_OK
+    assert not file_out.exists()
+    assert set(os.listdir(flag_out)) == {"report.json", "timeseries.csv", "trajectories.csv"}
+
+
+def test_set_beats_the_config_file_overrides(tmp_path):
+    config = {"scenario": "quantum_bouncer", "emit_fields": False,
+              "overrides": {"grid.n": 1024, "grid.x_max": 24.0}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(path), "--out", str(out), "--set", "grid.n=2048"])
+    assert rc == EXIT_OK
+    with open(out / "report.json") as fh:
+        grid = json.load(fh)["grid"]
+    assert (grid["n"], grid["x_max"]) == (2048, 24.0)
+
+
+@pytest.mark.parametrize("config, flags", [
+    # the dedicated setting: the flag beats the file key...
+    ({"snapshot_every": 500}, ["--snapshot-every", "250"]),
+    # ...and either beats propagation.snapshot_every, from the file or --set
+    ({"overrides": {"propagation.snapshot_every": 500}}, ["--snapshot-every", "250"]),
+    ({}, ["--snapshot-every", "250", "--set", "propagation.snapshot_every=500"]),
+    ({"snapshot_every": 250}, ["--set", "propagation.snapshot_every=500"]),
+    ({"snapshot_every": 250, "overrides": {"propagation.snapshot_every": 500}}, []),
+    # --set beats the file's override of the same key
+    ({"overrides": {"propagation.snapshot_every": 500}},
+     ["--set", "propagation.snapshot_every=250"]),
+])
+def test_snapshot_every_precedence(tmp_path, config, flags):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"scenario": "moving_gaussian", **config}))
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(path), "--out", str(out), "--no-fields"] + flags)
+    assert rc == EXIT_OK
+    with open(out / "timeseries.csv") as fh:
+        times = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+    # 1000 steps of moving_gaussian at a snapshot every 250 steps, plus t = 0
+    assert len(times) == 1000 // 250 + 1
+
+
+def test_a_bad_config_file_is_reported_before_set(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"scenario": "free_gaussian", "emit_fields": "no"}))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+               "--set", "grid.n"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: {path}: config key 'emit_fields' takes "
+                                       f"a boolean, not \"no\"\n")
 
 
 @pytest.mark.parametrize("config, reason", [
@@ -374,6 +440,8 @@ def test_bad_trajectory_config_exits_2_with_its_limit(tmp_path, capsys, override
     ("state.x0=NaN", "override 'state.x0' takes finite float values, not nan"),
     ("state.k0=-Infinity", "override 'state.k0' takes finite float values, not -inf"),
     ("potential.g=Infinity", "override 'potential.g' takes finite float values, not inf"),
+    # a wavenumber the grid cannot hold would evolve its alias
+    ("state.k0=100.0", "k0 = 100.0 is not below the grid's Nyquist wavenumber pi/dx = 40.21"),
 ])
 def test_bad_scenario_setting_exits_2_before_evolving(tmp_path, capsys, monkeypatch,
                                                       override, message):
@@ -412,6 +480,17 @@ def test_snapshot_every_on_a_diagnostic_only_scenario_exits_2(tmp_path, capsys,
     assert capsys.readouterr().err == ("error: scenario 'quantum_bouncer' has no propagation "
                                        "for 'propagation.snapshot_every'\n")
     assert not out.exists()
+
+
+def test_a_huge_kinetic_phase_is_printed_short(tmp_path, capsys):
+    rc = main(["run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
+               "--set", "constants.hbar=1e300"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    # hbar k^2 dt / 2m at the highest occupied wavenumber, 4.712
+    assert captured.err.startswith("error: kinetic phase per step 1.11e+298 at ")
+    assert "ValueError: kinetic phase per step 1.11e+298 at " in captured.out
+    assert not re.search(r"[0-9]{20}", captured.out + captured.err)
 
 
 def test_timeseries_columns_are_the_judged_values(tmp_path, monkeypatch):

@@ -155,7 +155,7 @@ class TestOverrides:
         with pytest.raises(ValueError):
             apply_overrides(scenario_by_name("quantum_bouncer"), {"propagation.dt": 1e-3})
 
-    @pytest.mark.parametrize("key, value, cast", [
+    CASTS = [
         ("grid.n", 1024.0, int),
         ("grid.x_min", -30, float),
         ("grid.x_max", 30, float),
@@ -171,7 +171,12 @@ class TestOverrides:
         ("floor_rel", 1, float),
         ("pointwise_floor_rel", 1, float),
         ("bohm_form", "wavefunction", str),
-    ])
+    ]
+
+    def test_every_settable_key_has_a_cast_test(self):
+        assert sorted(key for key, _, _ in self.CASTS) == sorted(harness._OVERRIDES)
+
+    @pytest.mark.parametrize("key, value, cast", CASTS)
     def test_every_key_takes_its_cast(self, key, value, cast):
         # a potential parameter is set on a kind that reads it
         name = {"potential.g": "quantum_bouncer",

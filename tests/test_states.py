@@ -81,6 +81,13 @@ class TestGaussian:
         with pytest.raises(ValueError):
             gaussian_packet(desk_grid, natural_units, 0.0, -1.0, 0.0)
 
+    def test_rejects_k0_at_or_past_nyquist(self, desk_grid, natural_units):
+        nyquist = np.pi / desk_grid.dx
+        gaussian_packet(desk_grid, natural_units, 0.0, 1.0, np.nextafter(-nyquist, 0.0))
+        for k0 in (nyquist, -nyquist, 100.0):
+            with pytest.raises(ValueError, match=r"k0 = .* pi/dx = 40\.21$"):
+                gaussian_packet(desk_grid, natural_units, 0.0, 1.0, k0)
+
 
 class TestPlaneWave:
     def test_velocity_is_hbar_k_over_m(self, desk_grid, natural_units):

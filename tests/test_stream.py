@@ -129,7 +129,8 @@ def test_the_stream_evaluates_chunks_of_sixteen_dt2_states(monkeypatch, n_steps,
 
     monkeypatch.setattr(trajectories, "_kernel", kernel)
     run = ScenarioRun(scenario_by_name("free_gaussian"))
-    pairs = list(trajectories._flow_stream(run.wf0, run.U, 1e-3, n_steps))
+    pairs = list(trajectories._flow_stream(run.wf0, run.U, 1e-3, n_steps, run.scenario.floor_rel,
+                                           run.scenario.bohm_form))
     assert seen == batches
     # one pair per whole step: its record row, and the velocity half a step
     # on, which the last step has not
