@@ -25,16 +25,20 @@ whose sqrt(rho) has kinks at nodes, and "log" builds Q~ from the same
 quotient-form log derivatives as Pi.  A scenario names its form, and every
 check on it, the pointwise enthalpy identity among them, reads that one.
 
-One kernel computes every field from psi.  The public routes read it:
-madelung_fields (the whole bundle), velocity (u alone), expectations (the
-scalar integrals, the Fisher information among them), bernoulli_residual
-and nonspreading_residual (from a MadelungFields).  phase_gradient_velocity
-is the one independent route, a finite-difference cross-check of u = J/rho.
+One kernel defines every field once, as a stage computed from psi when a
+route first reads it, so each public route computes only the fields it reads
+and drops each once it is reduced or handed on: madelung_fields (the whole
+bundle), velocity (u alone), expectations (the scalar integrals, the Fisher
+information among them; no fill, u, div u or phase), bernoulli_residual (the
+phase, J and Q~ of two snapshots) and nonspreading_residual (from a
+MadelungFields).  phase_gradient_velocity is the one independent route, a
+finite-difference cross-check of u = J/rho.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,111 +106,80 @@ class ExpectationReport:
     Pi_integral: float
 
 
-@dataclass(frozen=True)
 class _Kernel:
-    """Output of the field kernel.  Every array has the (..., n) shape of the
-    psi stack it was computed from.  A velocity-only call leaves the fields
-    after u as None, and S is None unless the phase was requested."""
-
-    grid: Grid
-    constants: PhysicalConstants
-    psi: np.ndarray
-    psi_hat: np.ndarray     # _fft(psi)
-    rho: np.ndarray
-    rho_f: np.ndarray
-    floor_mask: np.ndarray  # rho >= floor
-    mask: np.ndarray        # floor_mask, restricted to the region when given
-    fill: np.ndarray        # nearest_index(mask)
-    J: np.ndarray
-    u_raw: np.ndarray
-    u: np.ndarray
-    drho: np.ndarray | None = None
-    div_u: np.ndarray | None = None
-    w: np.ndarray | None = None  # dln(rho)/dx, quotient form
-    v_i: np.ndarray | None = None
-    internal: np.ndarray | None = None
-    Pi: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    S: np.ndarray | None = None  # unwrapped phase action
-
-
-def _kernel(
-    psi: np.ndarray, grid: Grid, constants: PhysicalConstants, floor_rel: float,
-    bohm_form: str | None = None, region_mask: np.ndarray | None = None, *,
-    phase: bool = False,
-) -> _Kernel:
     """The field kernel on a (..., n) stack of states, one state per row:
     every transform, reduction and fill runs along the last axis, so a row's
-    values do not depend on the rows beside it.  Without a bohm_form it
-    stops after the velocity, which is all that advection reads, so the
-    phase needs a bohm_form."""
-    if bohm_form not in BOHM_FORMS and (bohm_form is not None or phase):
-        raise ValueError(f"bohm_form must be one of {BOHM_FORMS}, got {bohm_form!r}")
-    hbar, m = constants.hbar, constants.mass
-    rho = psi.real**2 + psi.imag**2
-    rho_max = rho.max(axis=-1, keepdims=True)
-    if np.any(rho_max <= 0.0):
-        raise ValueError("density is identically zero")
-    floor = floor_rel * rho_max
-    if not np.all(floor > 0.0):
-        raise ValueError(
-            f"floor_rel must be positive, got {floor_rel!r}: "
-            "the density quotients need a nonzero floor"
-        )
-    floor_mask = rho >= floor
-    mask = floor_mask if region_mask is None else floor_mask & region_mask
-    if not np.all(np.any(mask, axis=-1)):
-        raise ValueError("density floor (and region) leave no valid points")
-    rho_f = np.maximum(rho, floor)
-    fill = nearest_index(mask)
+    values do not depend on the rows beside it.
 
-    psi_hat = _fft(psi.copy())
-    J = (hbar / m) * (psi.conj() * derivative_from_transform(psi_hat, grid, 1)).imag
-    u_raw = J / rho_f
-    front = dict(
-        grid=grid, constants=constants, psi=psi, psi_hat=psi_hat, rho=rho,
-        rho_f=rho_f, floor_mask=floor_mask, mask=mask, fill=fill, J=J,
-        u_raw=u_raw, u=np.take_along_axis(u_raw, fill, axis=-1),
-    )
-    if bohm_form is None:
-        return _Kernel(**front)
+    The constructor forms and checks the density, its floor and its masks.
+    Every other field is a stage, a cached property with one definition
+    below: it is computed from psi when a route first reads it and kept until
+    the route drops it, so a route computes the fields it reads and no others."""
 
-    # A batch holds every field of every row at once, so the order below
-    # keeps few of them alive across each transform: the psi-only Bohm
-    # routes first, then the phase, then each rho derivative until spent.
-    c_q = hbar * hbar / (2.0 * m * m)
-    if bohm_form == "amplitude":
-        Q = -c_q * derivative_values(np.sqrt(rho), grid, 2).real / np.sqrt(rho_f)
-    elif bohm_form == "wavefunction":
-        ddpsi = derivative_from_transform(psi_hat, grid, 2)
-        Q = -c_q * ((psi.conj() * ddpsi).real / rho_f) - 0.5 * u_raw * u_raw
+    def __init__(self, psi: np.ndarray, grid: Grid, constants: PhysicalConstants,
+                 floor_rel: float, bohm_form: str = "amplitude",
+                 region_mask: np.ndarray | None = None):
+        if bohm_form not in BOHM_FORMS:
+            raise ValueError(f"bohm_form must be one of {BOHM_FORMS}, got {bohm_form!r}")
+        rho = psi.real**2 + psi.imag**2
+        rho_max = rho.max(axis=-1, keepdims=True)
+        if np.any(rho_max <= 0.0):
+            raise ValueError("density is identically zero")
+        floor = floor_rel * rho_max
+        if not np.all(floor > 0.0):
+            raise ValueError(
+                f"floor_rel must be positive, got {floor_rel!r}: "
+                "the density quotients need a nonzero floor"
+            )
+        self.floor_mask = rho >= floor
+        self.mask = self.floor_mask if region_mask is None else self.floor_mask & region_mask
+        if not np.all(np.any(self.mask, axis=-1)):
+            raise ValueError("density floor (and region) leave no valid points")
+        self.psi, self.grid, self.bohm_form, self.region_mask = psi, grid, bohm_form, region_mask
+        self.rho, self.rho_f = rho, np.maximum(rho, floor)
+        self.constants, self.hbar, self.m = constants, constants.hbar, constants.mass
+        self.half = self.hbar / (2.0 * self.m)
 
-    S = None
-    if phase:
-        # the phase is filled over the density floor alone, never the region
-        S_fill = fill if region_mask is None else nearest_index(floor_mask)
-        S = np.take_along_axis(_unwrapped_phase(psi, floor_mask, hbar), S_fill, axis=-1)
+    def drop(self, *names: str) -> None:
+        """Let the named stages go; a later read computes them again."""
+        for name in names:
+            self.__dict__.pop(name, None)
 
-    half = hbar / (2.0 * m)
-    rho_hat = _fft(rho.astype(np.complex128))
-    drho = derivative_from_transform(rho_hat, grid, 1).real
-    ddrho = derivative_from_transform(rho_hat, grid, 2).real
-    del rho_hat
-    w = drho / rho_f
-    Pi = -(half * half) * (ddrho * (rho / rho_f) - rho * w * w)
-    if bohm_form == "log":
-        ell2 = ddrho / rho_f - w * w  # d2ln(rho)/dx2, quotient form
-        Q = -(half * half) * (ell2 + 0.5 * w * w)
-    del ddrho
-    dJ = derivative_values(J, grid, 1).real
-    div_u = np.take_along_axis(dJ / rho_f - u_raw * w, fill, axis=-1)
-    del dJ
-    v_i = -half * w
-    internal = 0.5 * v_i * v_i
-    return _Kernel(
-        **front, drho=drho, div_u=div_u, w=w, v_i=v_i, internal=internal,
-        Pi=Pi, Q=Q, S=S,
-    )
+    # Where a stage reads the fill, it reads it first, so the fill's scratch
+    # arrays are gone before psi's transform is made.
+    psi_hat = cached_property(lambda k: _fft(k.psi.copy()))
+    ddpsi = cached_property(lambda k: derivative_from_transform(k.psi_hat, k.grid, 2))
+    J = cached_property(lambda k: (k.hbar / k.m) * (
+        k.psi.conj() * derivative_from_transform(k.psi_hat, k.grid, 1)).imag)
+    u_raw = cached_property(lambda k: k.J / k.rho_f)
+    # one gather map fills u, div_u and, without a region, S
+    fill = cached_property(lambda k: nearest_index(k.mask))
+    u = cached_property(lambda k: np.take_along_axis(indices=k.fill, arr=k.u_raw, axis=-1))
+    # the unwrapped phase action, filled over the density floor alone
+    S = cached_property(lambda k: np.take_along_axis(
+        indices=k.fill if k.region_mask is None else nearest_index(k.floor_mask),
+        arr=_unwrapped_phase(k.psi, k.floor_mask, k.hbar), axis=-1))
+    rho_hat = cached_property(lambda k: _fft(k.rho.astype(np.complex128)))
+    drho = cached_property(lambda k: derivative_from_transform(k.rho_hat, k.grid, 1).real)
+    ddrho = cached_property(lambda k: derivative_from_transform(k.rho_hat, k.grid, 2).real)
+    w = cached_property(lambda k: k.drho / k.rho_f)  # dln(rho)/dx, quotient form
+    Pi = cached_property(lambda k: -(k.half * k.half) * (
+        k.ddrho * (k.rho / k.rho_f) - k.rho * k.w * k.w))
+    div_u = cached_property(lambda k: np.take_along_axis(
+        indices=k.fill, arr=derivative_values(k.J, k.grid, 1).real / k.rho_f - k.u_raw * k.w,
+        axis=-1))
+    v_i = cached_property(lambda k: -k.half * k.w)
+    internal = cached_property(lambda k: 0.5 * k.v_i * k.v_i)
+
+    @cached_property
+    def Q(k):  # in the kernel's bohm_form
+        c_q = k.hbar * k.hbar / (2.0 * k.m * k.m)
+        if k.bohm_form == "amplitude":
+            return -c_q * derivative_values(np.sqrt(k.rho), k.grid, 2).real / np.sqrt(k.rho_f)
+        if k.bohm_form == "wavefunction":
+            return -c_q * ((k.psi.conj() * k.ddpsi).real / k.rho_f) - 0.5 * k.u_raw * k.u_raw
+        ell2 = k.ddrho / k.rho_f - k.w * k.w  # d2ln(rho)/dx2, quotient form
+        return -(k.half * k.half) * (ell2 + 0.5 * k.w * k.w)
 
 
 def madelung_fields(
@@ -221,19 +194,25 @@ def madelung_fields(
     region_mask, when given, further restricts valid_mask (used to confine
     windowed states to their interior); the fields themselves are global.
     """
-    wk = _kernel(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form,
-                 region_mask, phase=True)
+    wk = _Kernel(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form, region_mask)
+    # formed in an order that lets each transform and its quotients go once spent
+    u, Q = wk.u, wk.Q
+    wk.drop("psi_hat", "ddpsi")
+    Pi = wk.Pi
+    wk.drop("rho_hat", "ddrho")
+    div_u, S = wk.div_u, wk.S
+    wk.drop("J", "u_raw", "drho", "fill")
     g = wk.grid
     return MadelungFields(
         rho=RealField._unchecked(wk.rho, g),
-        S=RealField._unchecked(wk.S, g),
-        u=RealField._unchecked(wk.u, g),
-        div_u=RealField._unchecked(wk.div_u, g),
-        Q_tilde=RealField._unchecked(wk.Q, g),
-        Pi=RealField._unchecked(wk.Pi, g),
+        S=RealField._unchecked(S, g),
+        u=RealField._unchecked(u, g),
+        div_u=RealField._unchecked(div_u, g),
+        Q_tilde=RealField._unchecked(Q, g),
+        Pi=RealField._unchecked(Pi, g),
         internal_density=RealField._unchecked(wk.internal, g),
         v_i=RealField._unchecked(wk.v_i, g),
-        kinetic_density=RealField._unchecked(0.5 * wk.u * wk.u, g),
+        kinetic_density=RealField._unchecked(0.5 * u * u, g),
         valid_mask=wk.mask,
         constants=wk.constants,
     )
@@ -245,8 +224,8 @@ def velocity(wf: WaveFunction, floor_rel: float = DEFAULT_DENSITY_FLOOR) -> Real
     The cheap route: one derivative of psi, none of the other fields.  The
     values are bit-identical to madelung_fields(wf, floor_rel).u.
     """
-    wk = _kernel(wf.psi.values, wf.grid, wf.constants, floor_rel)
-    return RealField._unchecked(wk.u, wk.grid)
+    return RealField._unchecked(_Kernel(wf.psi.values, wf.grid, wf.constants, floor_rel).u,
+                                wf.grid)
 
 
 def phase_gradient_velocity(
@@ -286,30 +265,35 @@ def expectations(
     quadrature and free of mask-edge differentiation noise.
     """
     check_potential_grid(U.grid, wf.grid)
-    wk = _kernel(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form)
-    grid, dx = wk.grid, wk.grid.dx
-    hbar, m = wk.constants.hbar, wk.constants.mass
-    rho = wk.rho
+    wk = _Kernel(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form)
+    hbar, m, rho = wk.hbar, wk.m, wk.rho
 
-    norm = float(np.sum(rho) * dx)
-    K = float(np.sum(rho * 0.5 * wk.u_raw**2) * dx)
-    Q = float(np.sum(rho * wk.Q) * dx)
-    u_ext = U.values / m
-    Uexp = float(np.sum(rho * u_ext) * dx)
-    I = float(np.sum(rho * wk.internal) * dx)
+    def integral(values):
+        return float(np.sum(values) * wk.grid.dx)
+
+    # each field is reduced as soon as it is formed and dropped once spent,
+    # so few arrays of n values are alive at once: Q~, then the fields of
+    # rho's transform, then those of psi's
+    norm = integral(rho)
+    Uexp = integral(rho * (U.values / m))
+    Q_field = wk.Q
+    wk.drop("Q", "psi_hat", "J")  # the wavefunction form keeps u_raw and psi'' for K and E_ham
+    Q = integral(rho * Q_field)
+    accel = integral((Q_field + U.values / m) * wk.drho)
+    del Q_field
+    FI = integral(np.where(wk.mask, rho * wk.w**2, 0.0))
+    wk.drop("drho")
+    Pi_integral = integral(wk.Pi)
+    wk.drop("rho_hat", "ddrho", "Pi")
+    I = integral(rho * wk.internal)
+    vi_mean = integral(rho * wk.v_i)
+    wk.drop("w", "v_i", "internal")
+    K = integral(rho * 0.5 * wk.u_raw**2)
+    ddpsi = wk.ddpsi
+    wk.drop("psi_hat", "J", "u_raw", "ddpsi")
+    kin_quad = -(hbar**2 / (2.0 * m)) * integral((wk.psi.conj() * ddpsi).real)
     E = K + Q + Uexp
-
-    ddpsi = derivative_from_transform(wk.psi_hat, grid, 2)
-    kin_quad = -(hbar**2 / (2.0 * m)) * float(np.sum((wk.psi.conj() * ddpsi).real) * dx)
-    E_ham = (kin_quad + float(np.sum(U.values * rho) * dx)) / m
-
-    mask = wk.mask
-    fi_integrand = np.where(mask, rho * wk.w**2, 0.0)
-    FI = float(np.sum(fi_integrand) * dx)
-
-    accel = float(np.sum((wk.Q + u_ext) * wk.drho) * dx)
-    vi_mean = float(np.sum(rho * wk.v_i) * dx)
-    Pi_integral = float(np.sum(wk.Pi) * dx)
+    E_ham = (kin_quad + integral(U.values * rho)) / m
 
     return ExpectationReport(
         t=t, norm=norm, K=K, Q=Q, U=Uexp, I=I, E=E, E_hamiltonian=E_ham,
@@ -339,8 +323,7 @@ def bernoulli_residual(
         raise ValueError("snapshots live on different grids")
     check_potential_grid(U.grid, wf_prev.grid)
     pair = np.stack([wf_prev.psi.values, wf_next.psi.values])
-    wk = _kernel(pair, wf_prev.grid, wf_prev.constants, floor_rel, bohm_form,
-                 phase=True)
+    wk = _Kernel(pair, wf_prev.grid, wf_prev.constants, floor_rel, bohm_form)
     m = wk.constants.mass
     mask = wk.mask[0] & wk.mask[1]
     if not np.any(mask):

@@ -498,7 +498,9 @@ class ScenarioRun:
             try:
                 measured, error = float(_CHECKS[spec.id](self, spec)), None
             except Exception as exc:
-                measured, error = None, f"{type(exc).__name__}: {exc}"
+                # a KeyError's str() is the repr of its message; print it as cli.main does
+                message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+                measured, error = None, f"{type(exc).__name__}: {message}"
             passed = error is None and _MODES[spec.mode].passes(measured, spec.tolerance)
             results.append(CheckResult(spec.id, measured, spec.tolerance, spec.mode,
                                        passed, error))

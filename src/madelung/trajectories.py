@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import _kernel
+from .diagnostics import _Kernel
 from .grid import Grid, NonFiniteFieldError, RealField, _fft, _ifft, _spectral
 from .propagator import PropagatorConfig, _states
 from .states import DEFAULT_DENSITY_FLOOR, PhysicalConstants, WaveFunction
@@ -267,9 +267,11 @@ def _flow_stream(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
         # checked as evolve checks its snapshots, once per chunk, before its rows
         if not (np.isfinite(psi[0, :nw]).all() and np.isfinite(psi[1, :nh]).all()):
             raise NonFiniteFieldError("field contains non-finite entries")
-        half = _kernel(psi[1, :nh], grid, constants, floor_rel).u if nh else None
-        wk = _kernel(psi[0, :nw], grid, constants, floor_rel, bohm_form, phase=True)
-        u, div_u, ln_rho, Q, S, rho = wk.u, wk.div_u, np.log(wk.rho_f), wk.Q, wk.S, wk.rho
+        half = _Kernel(psi[1, :nh], grid, constants, floor_rel).u if nh else None
+        wk = _Kernel(psi[0, :nw], grid, constants, floor_rel, bohm_form)
+        Q, u, S = wk.Q, wk.u, wk.S
+        wk.drop("psi_hat", "ddpsi", "ddrho")  # spent: div_u reads J and drho, not these
+        div_u, ln_rho, rho = wk.div_u, np.log(wk.rho_f), wk.rho
         del wk  # the kernel's other arrays go before the rows are made
         rows = np.stack((u, div_u, ln_rho, 0.5 * u * u - Q - u_ext, S / constants.mass, rho),
                         axis=1)  # (steps, len(_ROW), n), in _ROW order

@@ -399,16 +399,18 @@ class TestBatchedKernel:
     """The field kernel runs along the last axis of a (..., n) psi stack:
     each row of a batched call is bit-identical to the call on that row."""
 
-    @staticmethod
-    def assert_rows_match(stack, grid, constants, floor_rel, bohm_form, region=None):
-        from madelung.diagnostics import _kernel
+    STAGES = ("rho", "rho_f", "floor_mask", "mask", "fill", "psi_hat", "ddpsi", "J", "u_raw",
+              "u", "S", "rho_hat", "drho", "ddrho", "w", "Q", "Pi", "div_u", "v_i", "internal")
 
-        batch = _kernel(stack, grid, constants, floor_rel, bohm_form, region, phase=True)
-        arrays = {k: v for k, v in vars(batch).items() if isinstance(v, np.ndarray)}
-        assert {"u", "div_u", "Q", "Pi", "S", "mask", "fill"} <= set(arrays)
+    @classmethod
+    def assert_rows_match(cls, stack, grid, constants, floor_rel, bohm_form, region=None):
+        from madelung.diagnostics import _Kernel
+
+        batch = _Kernel(stack, grid, constants, floor_rel, bohm_form, region)
         for i, psi in enumerate(stack):
-            row = _kernel(psi, grid, constants, floor_rel, bohm_form, region, phase=True)
-            for name, values in arrays.items():
+            row = _Kernel(psi, grid, constants, floor_rel, bohm_form, region)
+            for name in cls.STAGES:
+                values = getattr(batch, name)
                 assert values.shape == stack.shape, name
                 assert np.array_equal(values[i], getattr(row, name)), (name, i)
         return batch
@@ -452,30 +454,36 @@ class TestBatchedKernel:
         self.assert_rows_match(stack, g, natural_units, 1e-10, "amplitude")
 
     def test_every_row_is_checked(self, desk_grid, natural_units):
-        from madelung.diagnostics import _kernel
+        from madelung.diagnostics import _Kernel
 
         good = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0).psi.values
         stack = np.stack([good, np.zeros_like(good)])
         with pytest.raises(ValueError, match="identically zero"):
-            _kernel(stack, desk_grid, natural_units, 1e-12)
+            _Kernel(stack, desk_grid, natural_units, 1e-12)
         empty = np.zeros(desk_grid.n, dtype=bool)
         empty[:10] = True  # far in the tail of row 0, the peak of neither row
         with pytest.raises(ValueError, match="no valid points"):
-            _kernel(np.stack([good, good]), desk_grid, natural_units, 1e-12, region_mask=empty)
+            _Kernel(np.stack([good, good]), desk_grid, natural_units, 1e-12, region_mask=empty)
         with pytest.raises(ValueError, match="floor_rel must be positive"):
-            _kernel(np.stack([good, good]), desk_grid, natural_units, 0.0)
+            _Kernel(np.stack([good, good]), desk_grid, natural_units, 0.0)
 
     def test_velocity_only_call_stops_after_u(self, desk_grid, natural_units):
-        from madelung.diagnostics import _kernel
+        from madelung.diagnostics import _Kernel
 
         stack = np.stack([gaussian_packet(desk_grid, natural_units, x0, 1.0, 1.0).psi.values
                           for x0 in (-2.0, 3.0)])
-        front = _kernel(stack, desk_grid, natural_units, 1e-12)
-        full = _kernel(stack, desk_grid, natural_units, 1e-12, "amplitude", phase=True)
-        for name, values in vars(front).items():
-            if isinstance(values, np.ndarray):
-                assert np.array_equal(values, getattr(full, name)), name
-        assert front.Q is None and front.div_u is None and front.S is None
+        front = _Kernel(stack, desk_grid, natural_units, 1e-12)
+        u = front.u
+        # a stage is computed when it is read: u reads psi's transform, J and the fill
+        computed = {k for k, v in vars(front).items() if isinstance(v, np.ndarray)}
+        assert computed == {"psi", "rho", "rho_f", "floor_mask", "mask", "psi_hat", "J",
+                            "u_raw", "fill", "u"}
+        full = _Kernel(stack, desk_grid, natural_units, 1e-12, "amplitude")
+        for name in self.STAGES:
+            getattr(full, name)
+        for name in computed:
+            assert np.array_equal(getattr(front, name), getattr(full, name)), name
+        assert np.array_equal(u, full.u)
 
 
 @pytest.fixture

@@ -326,6 +326,17 @@ def test_a_closed_form_without_its_state_parameter_is_an_error(check, times):
     assert not c.passed and c.error.startswith("KeyError")
 
 
+def test_a_key_error_verdict_carries_its_message_unquoted():
+    scenario = replace(scenario_by_name("moving_gaussian"),
+                       checks=(CheckSpec("drift_law", 1e-6, times=(0.75,)),))
+    report = run_scenario(scenario)
+    (c,) = report.checks
+    message = "no snapshot at t = 0.75 in scenario 'moving_gaussian'"
+    assert c.error == f"KeyError: {message}"
+    assert report.payload()["checks"][0]["error"] == c.error
+    assert f"KeyError: {message}" in format_report(report)
+
+
 @pytest.mark.slow
 def test_tolerance_monotonic_under_refinement(suite_reports):
     """Doubling resolution and halving dt must not flip a passing check."""

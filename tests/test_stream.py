@@ -88,7 +88,7 @@ def test_tracks_ending_at_chunk_edges(n_steps):
 
 def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
     events = []
-    real_kernel, real_interp = trajectories._kernel, trajectories._interp_cubic
+    real_kernel, real_interp = trajectories._Kernel, trajectories._interp_cubic
 
     def kernel(*args, **kwargs):
         events.append("kernel")
@@ -98,7 +98,7 @@ def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
         events.append("interp")
         return real_interp(*args, **kwargs)
 
-    monkeypatch.setattr(trajectories, "_kernel", kernel)
+    monkeypatch.setattr(trajectories, "_Kernel", kernel)
     monkeypatch.setattr(trajectories, "_interp_cubic", interp)
     run = ScenarioRun(scenario_by_name("free_gaussian"))
     dt, chunk = 1e-3, trajectories._FLOW_CHUNK
@@ -121,17 +121,20 @@ def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
     (17, [("u", 8), ("records", 8)] * 2 + [("u", 1), ("records", 2)]),
 ])
 def test_the_stream_evaluates_chunks_of_sixteen_dt2_states(monkeypatch, n_steps, batches):
-    real_kernel, seen = trajectories._kernel, []
+    real_kernel, seen = trajectories._Kernel, []
 
     def kernel(psi, *args, **kwargs):
-        seen.append(("records" if kwargs.get("phase") else "u", psi.shape[0]))
-        return real_kernel(psi, *args, **kwargs)
+        seen.append((real_kernel(psi, *args, **kwargs), psi.shape[0]))
+        return seen[-1][0]
 
-    monkeypatch.setattr(trajectories, "_kernel", kernel)
+    monkeypatch.setattr(trajectories, "_Kernel", kernel)
     run = ScenarioRun(scenario_by_name("free_gaussian"))
     pairs = list(trajectories._flow_stream(run.wf0, run.U, 1e-3, n_steps, run.scenario.floor_rel,
                                            run.scenario.bohm_form))
-    assert seen == batches
+    # a call on the half steps reads u alone; one on the whole steps, the records
+    assert [("records" if "S" in vars(wk) else "u", rows) for wk, rows in seen] == batches
+    # and no field the rows do not hold: no pressure, osmotic velocity or internal density
+    assert all(not {"Pi", "v_i", "internal"} & set(vars(wk)) for wk, _ in seen)
     # one pair per whole step: its record row, and the velocity half a step
     # on, which the last step has not
     row_shape = (len(trajectories._ROW), run.grid.n)
@@ -189,7 +192,7 @@ def _payload_with(monkeypatch, track):
 
 
 def test_a_kernel_failing_in_the_third_chunk_gives_the_banked_flows_verdicts(monkeypatch):
-    real_kernel = trajectories._kernel
+    real_kernel = trajectories._Kernel
     calls = []
 
     def failing(*args, **kwargs):
@@ -198,7 +201,7 @@ def test_a_kernel_failing_in_the_third_chunk_gives_the_banked_flows_verdicts(mon
             raise RuntimeError("kernel broke")
         return real_kernel(*args, **kwargs)
 
-    monkeypatch.setattr(trajectories, "_kernel", failing)
+    monkeypatch.setattr(trajectories, "_Kernel", failing)
     streamed = _payload_with(monkeypatch, ScenarioRun.track)
     calls.clear()
     banked = _payload_with(monkeypatch, _eager_track)
