@@ -31,7 +31,8 @@ and drops each once it is reduced or handed on: madelung_fields (the whole
 bundle), velocity (u alone), expectations (the scalar integrals, the Fisher
 information among them; no fill, u, div u or phase), bernoulli_residual (the
 phase, J and Q~ of two snapshots) and nonspreading_residual (from a
-MadelungFields).  phase_gradient_velocity is the one independent route, a
+MadelungFields); states.polar_decompose reads the kernel's rho, floor mask
+and S.  phase_gradient_velocity is the one independent route, a
 finite-difference cross-check of u = J/rho.
 """
 
@@ -44,13 +45,7 @@ import numpy as np
 
 from .grid import Grid, RealField, _fft, check_potential_grid, derivative_from_transform
 from .grid import derivative_values, nearest_fill, nearest_index, same_grid
-from .states import (
-    DEFAULT_DENSITY_FLOOR,
-    PhysicalConstants,
-    WaveFunction,
-    _unwrapped_phase,
-    polar_decompose,
-)
+from .states import DEFAULT_DENSITY_FLOOR, PhysicalConstants, WaveFunction, polar_decompose
 
 __all__ = [
     "MadelungFields",
@@ -104,6 +99,30 @@ class ExpectationReport:
     accel: float
     vi_mean: float
     Pi_integral: float
+
+
+def _unwrapped_phase(psi: np.ndarray, mask: np.ndarray, hbar: float) -> np.ndarray:
+    """hbar * arg(psi) unwrapped left to right across the valid points of
+    each row of a (..., n) array; zero at masked-out points, which the caller
+    fills.
+
+    Only valid points are read: each row's valid phases are packed, in
+    order, to the front of a zero-padded (rows, k) array, and the unwrap
+    runs along its last axis.
+    """
+    n = psi.shape[-1]
+    valid = mask.reshape(-1, n)
+    rows, cols = np.nonzero(valid)
+    counts = np.count_nonzero(valid, axis=-1)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    th = np.zeros((counts.size, counts.max()))
+    th[rows, rank] = np.angle(psi.reshape(-1, n)[rows, cols])
+    jumps = np.diff(th, axis=-1)
+    jumps -= 2.0 * np.pi * np.round(jumps / (2.0 * np.pi))
+    unwrapped = np.concatenate((th[:, :1], th[:, :1] + np.cumsum(jumps, axis=-1)), axis=-1)
+    S = np.zeros(psi.shape)
+    S.reshape(-1, n)[rows, cols] = hbar * unwrapped[rows, rank]
+    return S
 
 
 class _Kernel:

@@ -104,6 +104,11 @@ def _check_values(values: np.ndarray, grid: Grid) -> None:
         raise ValueError(
             f"field length {values.shape} does not match grid size ({grid.n},)"
         )
+    _check_finite(values)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Reject an array with a NaN or infinite entry as a numerical failure."""
     if not np.all(np.isfinite(values)):
         raise NonFiniteFieldError("field contains non-finite entries")
 

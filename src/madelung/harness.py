@@ -92,6 +92,15 @@ class GridSpec:
         return make_grid(self.n, self.x_min, self.x_max)
 
 
+_FACTORIES = {
+    "gaussian": gaussian_packet,
+    "plane_wave": plane_wave,
+    "harmonic_ground": harmonic_ground_state,
+    "airy": airy_packet,
+    "bouncer": bouncer_eigenstate,
+}
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Factory id plus keyword parameters."""
@@ -99,17 +108,12 @@ class StateSpec:
     factory: str
     params: dict
 
-    def build(self, grid: Grid, constants: PhysicalConstants) -> WaveFunction:
-        factories = {
-            "gaussian": gaussian_packet,
-            "plane_wave": plane_wave,
-            "harmonic_ground": harmonic_ground_state,
-            "airy": airy_packet,
-            "bouncer": bouncer_eigenstate,
-        }
-        if self.factory not in factories:
+    def __post_init__(self):
+        if self.factory not in _FACTORIES:
             raise ValueError(f"unknown state factory {self.factory!r}")
-        return factories[self.factory](grid, constants, **self.params)
+
+    def build(self, grid: Grid, constants: PhysicalConstants) -> WaveFunction:
+        return _FACTORIES[self.factory](grid, constants, **self.params)
 
 
 @dataclass(frozen=True)
@@ -120,13 +124,17 @@ class RegionSpec:
     lo: float
     hi: float
 
+    def __post_init__(self):
+        if self.kind not in ("window", "exclude"):
+            raise ValueError(f"unknown region kind {self.kind!r}")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ValueError(f"region bounds must be finite with lo < hi, "
+                             f"got [{self.lo!r}, {self.hi!r}]")
+
     def build(self, grid: Grid) -> np.ndarray:
-        inside = (grid.x >= self.lo) & (grid.x <= self.hi)
         if self.kind == "window":
-            return inside
-        if self.kind == "exclude":
-            return ~((grid.x > self.lo) & (grid.x < self.hi))
-        raise ValueError(f"unknown region kind {self.kind!r}")
+            return (grid.x >= self.lo) & (grid.x <= self.hi)
+        return ~((grid.x > self.lo) & (grid.x < self.hi))
 
 
 @dataclass(frozen=True)

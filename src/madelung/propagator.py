@@ -28,8 +28,8 @@ class PropagatorConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         for name, least in (("n_steps", 0), ("snapshot_every", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:

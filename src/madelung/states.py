@@ -3,9 +3,8 @@
 Factories build normalized states on a periodic grid: Gaussian packets,
 plane waves, the harmonic-oscillator ground state, a windowed accelerating
 Airy packet, and the linear-potential ("quantum bouncer") eigenstate.  The
-polar split psi = sqrt(rho) * exp(i S / hbar) is recovered with a density
-floor: the phase is meaningless where rho ~ 0, so it is unwrapped over the
-valid region and extended constantly across masked-out points.
+polar split psi = sqrt(rho) * exp(i S / hbar) above a density floor is read
+from the field kernel of `diagnostics`, which states its floor policy once.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, integrate, nearest_fill
+from .grid import ComplexField, Grid, RealField, integrate
 from .special import airy_ai, airy_ai_first_zero
 
 __all__ = [
@@ -45,8 +44,10 @@ class PhysicalConstants:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0.0 and self.mass > 0.0):
-            raise ValueError("hbar and mass must be strictly positive")
+        for name in ("hbar", "mass"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -230,48 +231,19 @@ def bouncer_eigenstate(grid: Grid, constants: PhysicalConstants, g: float) -> Wa
     return WaveFunction(ComplexField(_normalized(psi, grid), grid), constants)
 
 
-def _unwrapped_phase(psi: np.ndarray, mask: np.ndarray, hbar: float) -> np.ndarray:
-    """hbar * arg(psi) unwrapped left to right across the valid points of
-    each row of a (..., n) array; zero at masked-out points, which the caller
-    fills.
-
-    Only valid points are read: each row's valid phases are packed, in
-    order, to the front of a zero-padded (rows, k) array, and the unwrap
-    runs along its last axis.
-    """
-    n = psi.shape[-1]
-    valid = mask.reshape(-1, n)
-    rows, cols = np.nonzero(valid)
-    counts = np.count_nonzero(valid, axis=-1)
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    th = np.zeros((counts.size, counts.max()))
-    th[rows, rank] = np.angle(psi.reshape(-1, n)[rows, cols])
-    jumps = np.diff(th, axis=-1)
-    jumps -= 2.0 * np.pi * np.round(jumps / (2.0 * np.pi))
-    unwrapped = np.concatenate((th[:, :1], th[:, :1] + np.cumsum(jumps, axis=-1)), axis=-1)
-    S = np.zeros(psi.shape)
-    S.reshape(-1, n)[rows, cols] = hbar * unwrapped[rows, rank]
-    return S
-
-
 def polar_decompose(
     wf: WaveFunction, density_floor_rel: float = DEFAULT_DENSITY_FLOOR
 ) -> PolarDecomposition:
     """Split psi into (rho, S) with S = hbar * arg(psi) unwrapped in 1D.
 
-    The mask marks rho >= density_floor_rel * max(rho); 2 pi hbar jumps are
-    removed left to right across valid points and masked-out points inherit
-    the nearest valid phase.
+    The field kernel's density, floor mask and phase action at the relative
+    floor density_floor_rel > 0: the mask marks rho >= density_floor_rel *
+    max(rho), 2 pi hbar jumps are removed left to right across valid points,
+    and masked-out points inherit the nearest valid phase.
     """
-    psi = wf.psi.values
-    rho = psi.real**2 + psi.imag**2
-    rho_max = float(rho.max())
-    if rho_max <= 0.0:
-        raise ValueError("state has vanished: density is identically zero")
-    mask = rho >= density_floor_rel * rho_max
-    if not np.any(mask):
-        raise ValueError("density floor leaves no valid points")
-    S = nearest_fill(_unwrapped_phase(psi, mask, wf.constants.hbar), mask)
+    from .diagnostics import _Kernel  # the kernel's module imports this one
+
+    wk = _Kernel(wf.psi.values, wf.grid, wf.constants, density_floor_rel)
     return PolarDecomposition(
-        rho=RealField(rho, wf.grid), S=RealField(S, wf.grid), valid_mask=mask
+        rho=RealField(wk.rho, wf.grid), S=RealField(wk.S, wf.grid), valid_mask=wk.floor_mask
     )

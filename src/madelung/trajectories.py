@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import _Kernel
-from .grid import Grid, NonFiniteFieldError, RealField, _fft, _ifft, _spectral
+from .grid import Grid, RealField, _check_finite, _fft, _ifft, _spectral
 from .propagator import PropagatorConfig, _states
 from .states import DEFAULT_DENSITY_FLOOR, PhysicalConstants, WaveFunction
 
@@ -248,27 +249,26 @@ def _flow_stream(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
     pair (record row at k dt, velocity at (k + 1/2) dt): the row stacks the
     `_ROW` fields, and the velocity is None after the last step.
 
-    The dt/2 states are evaluated in chunks of 2 * _FLOW_CHUNK (the last
-    ends on the final whole step): one batched kernel call for the half-step
-    velocities, one for the whole-step records, so the per-call cost of small
-    transforms is paid once per chunk.  The pairs are rows of the chunk's
-    results, so the chunk's memory goes when its last pair does.
+    The dt/2 states are evaluated in chunks of 2 * _FLOW_CHUNK, held in the
+    order they are evolved (whole steps on even rows, half steps on odd; the
+    last chunk ends on the final whole step): one batched kernel call for the
+    half-step velocities, one for the whole-step records, so the per-call
+    cost of small transforms is paid once per chunk.  The pairs are rows of
+    the chunk's results, so the chunk's memory goes when its last pair does.
     """
     grid, constants = wf0.grid, wf0.constants
     u_ext = U.values / constants.mass
     config = PropagatorConfig(dt / 2.0, 2 * n_steps)
-    psi = np.empty((2, _FLOW_CHUNK, grid.n), dtype=complex)  # [whole, half] steps
-    start = 0
+    psi = np.empty((2 * _FLOW_CHUNK, grid.n), dtype=complex)
     for i, values in enumerate(_states(wf0, U, config)):
-        psi[i % 2, (i - start) // 2] = values  # even i are whole steps
-        if i - start < 2 * _FLOW_CHUNK - 1 and i < config.n_steps:
+        j = i % (2 * _FLOW_CHUNK)
+        psi[j] = values
+        if j < 2 * _FLOW_CHUNK - 1 and i < config.n_steps:
             continue
-        nw, nh = (i - start) // 2 + 1, (i - start + 1) // 2
-        # checked as evolve checks its snapshots, once per chunk, before its rows
-        if not (np.isfinite(psi[0, :nw]).all() and np.isfinite(psi[1, :nh]).all()):
-            raise NonFiniteFieldError("field contains non-finite entries")
-        half = _Kernel(psi[1, :nh], grid, constants, floor_rel).u if nh else None
-        wk = _Kernel(psi[0, :nw], grid, constants, floor_rel, bohm_form)
+        chunk = psi[:j + 1]
+        _check_finite(chunk)  # as evolve checks its snapshots, once per chunk, before its rows
+        half = _Kernel(chunk[1::2], grid, constants, floor_rel).u if j else ()
+        wk = _Kernel(chunk[0::2], grid, constants, floor_rel, bohm_form)
         Q, u, S = wk.Q, wk.u, wk.S
         wk.drop("psi_hat", "ddpsi", "ddrho")  # spent: div_u reads J and drho, not these
         div_u, ln_rho, rho = wk.div_u, np.log(wk.rho_f), wk.rho
@@ -276,9 +276,8 @@ def _flow_stream(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
         rows = np.stack((u, div_u, ln_rho, 0.5 * u * u - Q - u_ext, S / constants.mass, rho),
                         axis=1)  # (steps, len(_ROW), n), in _ROW order
         del u, div_u, ln_rho, Q, S, rho  # only the rows wait in this frame while they are read
-        for j in range(nw):
-            yield rows[j], half[j] if j < nh else None
-        start = i + 1
+        # a chunk ending on a whole step has one half step fewer: its last row has none
+        yield from zip_longest(rows, half)
 
 
 class TrackFlow(NamedTuple):

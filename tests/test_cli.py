@@ -413,6 +413,24 @@ def test_an_overflowing_build_names_its_spec(tmp_path, capsys, scenario, overrid
         f"numerical failure: {spec} builds a field with non-finite entries\n")
 
 
+@pytest.mark.parametrize("override, message", [
+    ("constants.mass=Infinity", "mass must be finite and > 0, got inf"),
+    ("constants.hbar=Infinity", "hbar must be finite and > 0, got inf"),
+])
+def test_a_non_finite_constant_of_the_bouncer_exits_2_before_any_grid(
+        tmp_path, capsys, monkeypatch, override, message):
+    from madelung import harness
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(harness, "make_grid", no_grid)
+    rc = main(["run", "--scenario", "quantum_bouncer", "--no-fields",
+               "--out", str(tmp_path / "out"), "--set", override])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("override, limit", [
     ("trajectories.duration=-0.5", "trajectories.duration must be finite and > 0"),
     ("trajectories.duration=0", "trajectories.duration must be finite and > 0"),
@@ -442,6 +460,10 @@ def test_bad_trajectory_config_exits_2_with_its_limit(tmp_path, capsys, override
     ("potential.g=Infinity", "override 'potential.g' takes finite float values, not inf"),
     # a wavenumber the grid cannot hold would evolve its alias
     ("state.k0=100.0", "k0 = 100.0 is not below the grid's Nyquist wavenumber pi/dx = 40.21"),
+    # an infinite step or constant would run with a kinetic factor of exactly 1
+    ("propagation.dt=Infinity", "dt must be finite and > 0, got inf"),
+    ("constants.mass=Infinity", "mass must be finite and > 0, got inf"),
+    ("constants.hbar=NaN", "hbar must be finite and > 0, got nan"),
 ])
 def test_bad_scenario_setting_exits_2_before_evolving(tmp_path, capsys, monkeypatch,
                                                       override, message):

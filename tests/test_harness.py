@@ -126,6 +126,19 @@ def test_region_spec_window_and_exclude(desk_grid):
     assert not np.any((desk_grid.x[exc] > -1.0) & (desk_grid.x[exc] < 1.0))
 
 
+@pytest.mark.parametrize("make, limit", [
+    (lambda: RegionSpec("window", 10.0, -10.0), r"lo < hi, got \[10.0, -10.0\]"),
+    (lambda: RegionSpec("exclude", 1.0, 1.0), r"lo < hi, got \[1.0, 1.0\]"),
+    (lambda: RegionSpec("window", -np.inf, 1.0), "region bounds must be finite"),
+    (lambda: RegionSpec("window", 0.0, np.nan), "region bounds must be finite"),
+    (lambda: RegionSpec("interior", -1.0, 1.0), "unknown region kind 'interior'"),
+    (lambda: StateSpec("gausian", {"x0": 0.0}), "unknown state factory 'gausian'"),
+])
+def test_region_and_state_specs_are_checked_when_built(make, limit):
+    with pytest.raises(ValueError, match=limit):
+        make()
+
+
 class TestOverrides:
     def test_grid_override(self):
         s = apply_overrides(scenario_by_name("harmonic_ground"), {"grid.n": 1024})

@@ -32,6 +32,12 @@ def test_config_validation():
             PropagatorConfig(1e-3, n_steps, snapshot_every)
 
 
+@pytest.mark.parametrize("dt", [np.inf, np.nan, -1e-3])
+def test_config_rejects_a_step_that_is_not_finite_and_positive(dt):
+    with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt!r}$"):
+        PropagatorConfig(dt, 10)
+
+
 def test_plane_wave_kinetic_phase(desk_grid, natural_units, free_potential):
     wf = plane_wave(desk_grid, natural_units, 8)
     k = 2.0 * np.pi * 8 / desk_grid.length

@@ -3,7 +3,8 @@ bit for bit as the whole kernel did.
 
 The reference below is the arithmetic of the one-pass kernel that computed
 every field for every caller, with the scalar reductions of `expectations`
-and `bernoulli_residual` and the flow stream's record rows on top of it.
+and `bernoulli_residual` and the flow stream's record rows on top of it,
+and the polar split as `polar_decompose` made it before it read the kernel.
 Every route must match it exactly (`np.array_equal`, `==` on the report
 fields); the transform counts and the memory peak pin what the routes save.
 """
@@ -17,7 +18,8 @@ import pytest
 
 from madelung import diagnostics, trajectories
 from madelung import grid as grid_module
-from madelung.diagnostics import bernoulli_residual, expectations, madelung_fields, velocity
+from madelung.diagnostics import _unwrapped_phase, bernoulli_residual, expectations
+from madelung.diagnostics import madelung_fields, velocity
 from madelung.grid import (
     ComplexField,
     RealField,
@@ -25,6 +27,7 @@ from madelung.grid import (
     derivative_from_transform,
     derivative_values,
     make_grid,
+    nearest_fill,
     nearest_index,
 )
 from madelung.harness import ScenarioRun, apply_overrides, builtin_scenarios
@@ -32,9 +35,9 @@ from madelung.propagator import PropagatorConfig, _states, step
 from madelung.states import (
     PhysicalConstants,
     WaveFunction,
-    _unwrapped_phase,
     airy_interior_window,
     gaussian_packet,
+    polar_decompose,
 )
 
 BOHM_FORMS = ("amplitude", "wavefunction", "log")
@@ -128,6 +131,21 @@ def _flow_rows_reference(wf0, U, dt, n_steps, floor_rel, bohm_form):
     return rows, half
 
 
+def _polar_reference(wf, density_floor_rel):
+    """polar_decompose as it was before it read the kernel: its own floor,
+    checks and nearest-value fill."""
+    psi = wf.psi.values
+    rho = psi.real**2 + psi.imag**2
+    rho_max = float(rho.max())
+    if rho_max <= 0.0:
+        raise ValueError("state has vanished: density is identically zero")
+    mask = rho >= density_floor_rel * rho_max
+    if not np.any(mask):
+        raise ValueError("density floor leaves no valid points")
+    S = nearest_fill(_unwrapped_phase(psi, mask, wf.constants.hbar), mask)
+    return rho, S, mask
+
+
 # -- the cases ----------------------------------------------------------------
 
 
@@ -212,6 +230,24 @@ def test_flow_stream_rows_and_half_step_velocities(name, n, bohm_form):
             assert np.array_equal(u_half, half[k]), k
         else:
             assert u_half is None
+
+
+@pytest.mark.parametrize("floor_rel", [1e-12, 1e-3])
+@pytest.mark.parametrize("name,n", [(name, 512) for name in CASES] + [("moving_gaussian", 8192)])
+def test_polar_decompose_is_the_kernel_split(name, n, floor_rel):
+    wf = _case(name, n)[0]
+    polar = polar_decompose(wf, floor_rel)
+    rho, S, mask = _polar_reference(wf, floor_rel)
+    assert np.array_equal(polar.rho.values, rho)
+    assert np.array_equal(polar.S.values, S)
+    assert np.array_equal(polar.valid_mask, mask)
+
+
+@pytest.mark.parametrize("floor_rel", [0.0, -1.0])
+def test_polar_decompose_needs_a_positive_floor(desk_grid, natural_units, floor_rel):
+    wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="floor_rel must be positive"):
+        polar_decompose(wf, floor_rel)
 
 
 # -- what the routes save ------------------------------------------------------

@@ -34,6 +34,13 @@ def test_constants_positive():
         PhysicalConstants(mass=-1.0)
 
 
+@pytest.mark.parametrize("name", ["hbar", "mass"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_constants_name_a_non_finite_value(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value!r}$"):
+        PhysicalConstants(**{name: value})
+
+
 class TestGaussian:
     def test_norm_and_std(self, desk_grid, natural_units):
         wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.0)
