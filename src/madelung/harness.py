@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, get_type_hints
@@ -34,7 +33,8 @@ from .diagnostics import (
     madelung_fields,
     nonspreading_residual,
 )
-from .grid import Grid, NonFiniteFieldError, RealField, make_grid
+from . import grid as grid_module
+from .grid import Grid, NonFiniteFieldError, RealField, _usable_cpus, make_grid
 from .potentials import PotentialSpec, evaluate_potential
 from .propagator import PropagatorConfig, evolve, step
 from .states import (
@@ -792,13 +792,6 @@ class WorkerDiedError(RuntimeError):
     before a report came back."""
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity interface on this platform
-        return os.cpu_count() or 1
-
-
 _worker_scenarios: list = []  # filled in each worker process, never in the caller
 
 
@@ -806,6 +799,7 @@ def _adopt(scenarios: list) -> None:
     # runs in the forked worker: the list arrives by fork, not by pickle, so
     # any scenario that runs serially runs here too
     _worker_scenarios.extend(scenarios)
+    grid_module._in_pool_worker = True  # its Strang steps stay on its one CPU
 
 
 def _run_in_worker(index: int) -> VerificationReport:

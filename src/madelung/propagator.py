@@ -15,7 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, RealField, _fft, _ifft, _spectral, check_potential_grid
+from .grid import (
+    ComplexField,
+    RealField,
+    _fft,
+    _ifft,
+    _spectral,
+    _strang_rows,
+    _threaded,
+    _to_rows,
+    check_potential_grid,
+)
 from .states import WaveFunction
 
 __all__ = ["PropagatorConfig", "step", "evolve"]
@@ -56,11 +66,13 @@ def _check_kinetic_phase(wf: WaveFunction, dt: float) -> None:
         )
 
 
-def _factors(wf: WaveFunction, U: RealField, dt: float):
+def _factors(wf: WaveFunction, U: RealField, dt: float, rows: bool = False):
     """The potential half-step phase and the kinetic factor, the latter in
-    the order of the grid's spectrum."""
+    the order of the grid's spectrum; with rows, the phase is in the
+    transposed block layout of grid._strang_rows."""
     hbar, m = wf.constants.hbar, wf.constants.mass
-    half_v = np.exp(-0.5j * U.values * dt / hbar)
+    u = _to_rows(U.values) if rows else U.values
+    half_v = np.exp(-0.5j * u * dt / hbar)
     k = _spectral(wf.grid)[0]
     kinetic = np.exp(-0.5j * hbar * k**2 * dt / m)
     return half_v, kinetic
@@ -83,22 +95,30 @@ def step(wf: WaveFunction, U: RealField, dt: float) -> WaveFunction:
     return WaveFunction(ComplexField(values, wf.grid), wf.constants, wf.normalizable)
 
 
-def _states(wf: WaveFunction, U: RealField, config: PropagatorConfig):
-    """The Strang loop: yield psi's values at steps 0, 1, ..., config.n_steps.
+def _states(wf: WaveFunction, U: RealField, config: PropagatorConfig, every: int = 1):
+    """The Strang loop: yield psi's values at step 0, at every ``every``-th
+    step and at step config.n_steps.
 
     The potential's grid and the step's kinetic phase are checked before the
     first value is yielded.  The values are not validated: a caller that
-    hands them on wraps them in a field.
+    hands them on wraps them in a field.  On grids of grid._THREADED_MIN_N
+    points and more, with two CPUs usable, the steps run on two threads in
+    grid._strang_rows; both loops give the same bits.
     """
     check_potential_grid(U.grid, wf.grid)
     if config.n_steps > 0:
         _check_kinetic_phase(wf, config.dt)
     values = wf.psi.values
     yield values
+    if _threaded(wf.grid.n):
+        half_v, kinetic = _factors(wf, U, config.dt, rows=True)
+        yield from _strang_rows(values, half_v, kinetic, config.n_steps, every)
+        return
     half_v, kinetic = _factors(wf, U, config.dt)
-    for _ in range(config.n_steps):
+    for i in range(1, config.n_steps + 1):
         values = _apply(values, half_v, kinetic)
-        yield values
+        if i % every == 0 or i == config.n_steps:
+            yield values
 
 
 def evolve(
@@ -112,16 +132,16 @@ def evolve(
     Observers fire at t = 0 and after every config.snapshot_every steps.
     Observer exceptions propagate and abort the run.
     """
-    states = _states(wf, U, config)
+    every = config.snapshot_every
+    states = _states(wf, U, config, every)
     next(states)  # the grid and dt checks run before any observer
     for obs in observers:
         obs(0.0, wf)
-    current = wf
-    for i, values in enumerate(states, 1):
-        snapshot = i % config.snapshot_every == 0
-        if snapshot or i == config.n_steps:
-            current = WaveFunction(ComplexField(values, wf.grid), wf.constants, wf.normalizable)
-        if snapshot:
+    current, i = wf, 0
+    for values in states:  # the snapshots, and the last step
+        i = min(i + every, config.n_steps)
+        current = WaveFunction(ComplexField(values, wf.grid), wf.constants, wf.normalizable)
+        if i % every == 0:
             for obs in observers:
                 obs(i * config.dt, current)
     return current

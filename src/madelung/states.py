@@ -138,6 +138,8 @@ def harmonic_ground_state(
     half = 0.5 * grid.length
     if ell > half / 6.0:
         raise ValueError("oscillator length must be >= 6x smaller than the half-domain")
+    if ell < 8.0 * grid.dx:
+        raise ValueError(f"oscillator length {ell:.3g} is resolved by fewer than 8 grid points")
     sigma_rho = ell / math.sqrt(2.0)
     tail = _gaussian_tail_mass(grid, 0.0, sigma_rho)
     if tail > 1e-12:
@@ -215,7 +217,12 @@ def bouncer_eigenstate(grid: Grid, constants: PhysicalConstants, g: float) -> Wa
     if g <= 0.0:
         raise ValueError("g must be positive")
     hbar, m = constants.hbar, constants.mass
-    ell = (hbar**2 / (2.0 * m**2 * g)) ** (1.0 / 3.0)
+    scale = 2.0 * m**2 * g
+    if scale == 0.0:
+        raise ValueError(
+            f"bouncer length scale (hbar^2 / (2 m^2 g))^(1/3) overflows at mass {m!r}"
+        )
+    ell = (hbar**2 / scale) ** (1.0 / 3.0)
     if ell < 8.0 * grid.dx:
         raise ValueError(
             f"bouncer length scale {ell:.3g} is resolved by fewer than 8 grid points"

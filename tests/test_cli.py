@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -277,9 +278,9 @@ def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports):
     calls = []
     real_states = propagator._states
 
-    def counting_states(wf, U, config):
+    def counting_states(wf, U, config, *args):
         calls.append(config.n_steps)
-        return real_states(wf, U, config)
+        return real_states(wf, U, config, *args)
 
     # the one Strang loop, as evolve, step and the flow stream bind it
     monkeypatch.setattr(propagator, "_states", counting_states)
@@ -429,6 +430,28 @@ def test_a_non_finite_constant_of_the_bouncer_exits_2_before_any_grid(
                "--out", str(tmp_path / "out"), "--set", override])
     assert rc == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scenario, override, message", [
+    # 2 m^2 g underflows to zero: the length scale would divide by it
+    ("quantum_bouncer", "constants.mass=1e-300",
+     "bouncer length scale (hbar^2 / (2 m^2 g))^(1/3) overflows at mass 1e-300"),
+    # ell = 1e-150 against dx = 0.078
+    ("harmonic_ground", "constants.mass=1e300",
+     "oscillator length 1e-150 is resolved by fewer than 8 grid points"),
+])
+def test_a_state_length_off_the_grid_exits_2_before_any_artifact(
+        tmp_path, capsys, scenario, override, message):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["run", "--scenario", scenario, "--no-fields", "--out", str(out),
+                   "--set", override])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("override, limit", [
