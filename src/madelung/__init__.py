@@ -39,24 +39,30 @@ from .diagnostics import (
     phase_gradient_velocity,
     velocity,
 )
-from .trajectories import (
-    BranchMismatchError,
-    DensityCdf,
-    ParcelEnsemble,
-    TrackFlow,
-    action_check,
-    continuity_residual,
-    seed_parcels,
-    track,
-    write_trajectory_csv,
-)
-from .harness import (
-    CheckSpec,
-    Scenario,
-    VerificationReport,
-    builtin_scenarios,
-    run_scenario,
-    scenario_by_name,
-)
+# The trajectory and harness layers load at first use, so that a caller of
+# the numerical layers alone does not pay for importing them.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("trajectories", ("BranchMismatchError", "DensityCdf", "ParcelEnsemble", "TrackFlow",
+                          "action_check", "continuity_residual", "seed_parcels", "track",
+                          "write_trajectory_csv")),
+        ("harness", ("CheckSpec", "Scenario", "VerificationReport", "builtin_scenarios",
+                     "run_scenario", "scenario_by_name")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

@@ -15,25 +15,22 @@ FFTs along both block axes with a twiddle multiply between them.  That leaves
 the spectrum in transposed order, block[c, d] holding mode c + n1 d, which is
 the order _spectral stores its factors in, so no transpose is ever made.
 
-From _THREADED_MIN_N (32768) points on, when the process may use two or more
-CPUs, the Strang loop runs here too, as _strang_rows.  Between steps it keeps
-psi in the transposed block layout, rows[c, r] = psi[r n2 + c], so that every
-FFT of a step runs along contiguous rows, and it cuts each stage's rows in
-two slices, which the caller and a daemon helper thread take in turn (numpy's
-FFT releases the GIL).  Each step has two stages, and the threads meet after
-each:
-
-- transpose into the spectral block times the twiddle, row FFT, kinetic
-  factor, row IFFT, conjugate twiddle;
-- transpose back, row IFFT, the two potential half factors, and the next
-  step's forward row FFT.
-
-Row FFTs of the transposed block equal the column FFTs bit for bit, so both
-loops give the same bits.  Measured per step against the column form, in
-process on a 2-vCPU machine whose speed drifts: 0.56-0.64 of its time at
-65536 points, 0.71-1.1 at 32768, 0.87-1.16 at 16384 and 1.5-1.6 at 8192,
-where the two meetings cost more than the split saves.  A process limited
-to one CPU, and each of run_scenarios' workers, keeps the column form.
+From _THREADED_MIN_N (32768) points on, the Strang loop runs here too, as
+_strang_rows.  Between steps it keeps psi in the transposed block layout,
+rows[c, r] = psi[r n2 + c], so that every FFT of a step runs along contiguous
+rows.  A step has two stages, (1) into the spectral block, kinetic factor and
+back, and (2) back to the rows, the potential factors and the next forward
+FFT.  Row FFTs of the transposed block equal the column FFTs bit for bit, so
+both loops give the same bits.  When the process may use two or more CPUs,
+the caller runs the first half of each stage's rows and a daemon helper
+thread the second (numpy's FFT releases the GIL), and the two meet after each
+stage; _Helper times both ways as it goes and keeps to the caller alone while
+the second CPU is slow to answer.  Per step on a 2-vCPU machine (min and
+median of 7): at 65536 points 1.69/1.80 ms against 2.89/2.93 ms for the
+column form, at 32768 0.85/0.91 against 0.90/0.98 ms.  Below that neither
+the split nor the row loop alone gains (the latter takes 42/51 against 22/27
+us at 512 points), so the column form stays there.  On one CPU the row loop
+is no slower than the column form: 2.85/2.92 ms at 65536.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,8 +216,9 @@ def _ifft(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Grids of at least this many points run the Strang loop on two threads
-# when two CPUs are usable; below it the meetings cost more than they save.
+# Grids of at least this many points run the Strang loop as _strang_rows, on
+# two threads when two CPUs are usable; below it neither the split nor the
+# row loop alone beats the column form.
 _THREADED_MIN_N = 32768
 
 # run_scenarios' pool workers set this: each was given one CPU of the pool
@@ -236,11 +235,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _threaded(n: int) -> bool:
-    """Whether a Strang loop on n points runs as _strang_rows."""
-    return n >= _THREADED_MIN_N and _usable_cpus() >= 2
-
-
 def _to_rows(a: np.ndarray) -> np.ndarray:
     """A contiguous copy of a natural-order (n,) array in the transposed block
     layout of _strang_rows: out[c, r] = a[r n2 + c]."""
@@ -248,61 +242,96 @@ def _to_rows(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.reshape(n1, n2).T)
 
 
-# Each stage's rows are cut into this many slices, which the caller and the
-# helper take in turn: a caller that finds the helper still asleep takes the
-# next slice itself.  More slices cost more than they balance: every slice
-# hands the interpreter lock between the threads a few more times.
-_ROW_SLICES = 2
+# See _Helper: stages in each timed window, and stages the faster way then
+# runs before both are timed again.
+_WINDOW, _RUN = 4, 256
 
 
 class _Helper:
-    """A daemon thread that shares the row slices of each stage with the
-    caller."""
+    """A daemon thread that runs the second half of each stage's rows while
+    the caller runs the first.
+
+    Each stage hands the helper its own lock and result list; the helper
+    appends its failure, or None, then releases the lock.  The caller waits
+    until that list is filled, taking the wait up again if an exception (a
+    KeyboardInterrupt from a signal) breaks it, so no stage returns before
+    its other half has stopped, and no stage can take another's end for its
+    own.
+
+    Sharing pays only while the second CPU runs the helper when asked.  On a
+    machine whose host held that CPU for others, a shared step took three to
+    four times as long as the caller's step alone.  So the stages run in
+    cycles: _WINDOW stages by the caller alone, _WINDOW shared, each window
+    timed, then _RUN stages the way whose window was faster.  Either way the
+    stages give the same bits.
+    """
 
     def __init__(self):
-        self._go, self._done, self._busy = threading.Lock(), threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job = None
-        self._error = None
-        threading.Thread(target=self._serve, name="madelung-rows", daemon=True).start()
+        import queue  # here, so that importing madelung stays as cheap
 
-    def _serve(self):
+        self._stages = queue.SimpleQueue()
+        self._cycle = 0  # stages into the current cycle
+        self._windows = [0.0, 0.0]  # seconds of this cycle's alone and shared windows
+        threading.Thread(target=self._serve, args=(self._stages,),
+                         name="madelung-rows", daemon=True).start()
+
+    @staticmethod
+    def _serve(stages):
         while True:
-            self._go.acquire()
-            try:
-                self._job()
-            except BaseException as exc:
-                self._error = exc
-            self._job = None  # keep no reference to the stage's arrays while waiting
-            self._done.release()
+            job = stages.get()
+            _Helper._run(*job)
+            job = None  # keep no reference to the stage's arrays while waiting
+
+    @staticmethod
+    def _run(stage, rows, args, done, result):
+        try:
+            stage(rows, *args)
+            result.append(None)
+        except BaseException as exc:
+            result.append(exc)
+        done.release()
 
     def rows(self, stage, n_rows: int, *args) -> None:
-        """stage(rows, *args) over _ROW_SLICES slices of [0, n_rows), taken
-        in turn by this thread and the helper.  Returns, or raises the first
-        failure, only after both threads have stopped."""
-        size = n_rows // _ROW_SLICES
-        starts = iter(range(0, n_rows, size))
-        take = threading.Lock()
+        """stage(rows, *args) over [0, n_rows), the caller taking the first
+        half and the helper the second, or the caller all of them.  Returns,
+        or raises the first failure, only after both halves have stopped."""
+        k = self._cycle
+        self._cycle = (k + 1) % (2 * _WINDOW + _RUN)
+        timed = k < 2 * _WINDOW
+        shared = k >= _WINDOW if timed else self._windows[1] < self._windows[0]
+        start = time.perf_counter()
+        if shared:
+            self._share(stage, n_rows, args)
+        else:
+            stage(slice(0, n_rows), *args)
+        if timed:
+            if k % _WINDOW == 0:
+                self._windows[shared] = 0.0
+            self._windows[shared] += time.perf_counter() - start
 
-        def work():
-            while True:
-                with take:
-                    start = next(starts, None)
-                if start is None:
-                    return
-                stage(slice(start, start + size), *args)
+    def _share(self, stage, n_rows: int, args) -> None:
+        half = n_rows // 2
+        done, result = threading.Lock(), []
+        done.acquire()
+        self._stages.put((stage, slice(half, n_rows), args, done, result))
+        try:
+            stage(slice(0, half), *args)
+        finally:
+            broken = None
+            while not result:
+                try:
+                    done.acquire()
+                except BaseException as exc:
+                    broken = exc
+            if broken is not None:
+                raise broken
+        if result[0] is not None:
+            raise result[0]
 
-        with self._busy:  # one stage at a time, whichever thread asks
-            self._job = work
-            self._go.release()
-            try:
-                work()
-            finally:
-                self._done.acquire()
-                error, self._error = self._error, None
-        if error is not None:
-            raise error
+
+def _all_rows(stage, n_rows: int, *args) -> None:
+    """_Helper.rows with one CPU: the caller runs all the rows."""
+    stage(slice(0, n_rows), *args)
 
 
 _helper = None
@@ -347,7 +376,8 @@ def _kinetic_rows(rows, spec, block, kinetic, tw):
     two of _ifft's exact conj(conj(x) * twiddle), whose last conjugate
     _return_rows makes while it transposes."""
     s = spec[rows]
-    np.multiply(block[:, rows].T, tw[rows], out=s)
+    np.copyto(s, block[:, rows].T)  # cheaper than multiplying the strided view
+    s *= tw[rows]
     np.fft.fft(s, axis=-1, out=s)
     np.multiply(kinetic[rows], s, out=s)
     np.fft.ifft(s, axis=-1, out=s)
@@ -369,8 +399,9 @@ def _return_rows(rows, block, spec, half_v, forward):
 
 def _strang_rows(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
                  n_steps: int, every: int):
-    """The Strang loop on two threads: yield psi's values in natural order
-    after steps every, 2 every, ... and after step n_steps.
+    """The Strang loop in the transposed block layout, on two threads when
+    two CPUs are usable: yield psi's values in natural order after steps
+    every, 2 every, ... and after step n_steps.
 
     ``half_v`` is the potential half factor in the transposed block layout
     (see _to_rows) and ``kinetic`` the kinetic factor in _spectral's order.
@@ -381,16 +412,16 @@ def _strang_rows(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
     n1, n2 = _block_shape(n)
     tw = _twiddle(n)
     kinetic = kinetic.reshape(n1, n2)
-    helper = _the_helper()
+    rows = _the_helper().rows if _usable_cpus() >= 2 else _all_rows
     done = 0
     while done < n_steps:
         steps = min(every, n_steps - done)
         block = np.empty((n2, n1), np.complex128)
         spec = np.empty((n1, n2), np.complex128)
-        helper.rows(_enter_rows, n2, block, values.reshape(n1, n2), half_v)
+        rows(_enter_rows, n2, block, values.reshape(n1, n2), half_v)
         for s in range(steps, 0, -1):
-            helper.rows(_kinetic_rows, n1, spec, block, kinetic, tw)
-            helper.rows(_return_rows, n2, block, spec, half_v, s > 1)
+            rows(_kinetic_rows, n1, spec, block, kinetic, tw)
+            rows(_return_rows, n2, block, spec, half_v, s > 1)
         values = np.ascontiguousarray(block.T).reshape(n)
         del block, spec
         done += steps

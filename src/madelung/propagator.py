@@ -18,11 +18,11 @@ import numpy as np
 from .grid import (
     ComplexField,
     RealField,
+    _THREADED_MIN_N,
     _fft,
     _ifft,
     _spectral,
     _strang_rows,
-    _threaded,
     _to_rows,
     check_potential_grid,
 )
@@ -102,15 +102,15 @@ def _states(wf: WaveFunction, U: RealField, config: PropagatorConfig, every: int
     The potential's grid and the step's kinetic phase are checked before the
     first value is yielded.  The values are not validated: a caller that
     hands them on wraps them in a field.  On grids of grid._THREADED_MIN_N
-    points and more, with two CPUs usable, the steps run on two threads in
-    grid._strang_rows; both loops give the same bits.
+    points and more the steps run in grid._strang_rows, on two threads when
+    two CPUs are usable; both loops give the same bits.
     """
     check_potential_grid(U.grid, wf.grid)
     if config.n_steps > 0:
         _check_kinetic_phase(wf, config.dt)
     values = wf.psi.values
     yield values
-    if _threaded(wf.grid.n):
+    if wf.grid.n >= _THREADED_MIN_N:
         half_v, kinetic = _factors(wf, U, config.dt, rows=True)
         yield from _strang_rows(values, half_v, kinetic, config.n_steps, every)
         return

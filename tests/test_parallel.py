@@ -191,3 +191,19 @@ def test_importing_the_package_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_the_trajectory_and_harness_layers_load_at_first_use():
+    code = ("import sys, madelung; "
+            "layers = ('madelung.trajectories', 'madelung.harness'); "
+            "print([m for m in layers if m in sys.modules]); "
+            "from madelung import harness, trajectories; "
+            "print(all(getattr(madelung, n) is getattr(sys.modules['madelung.' + m], n) "
+            "for n, m in madelung._LAZY.items()))")
+    src = os.path.dirname(os.path.dirname(madelung.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\nTrue\n"
+    with pytest.raises(AttributeError, match="has no attribute 'FlowHistory'"):
+        madelung.FlowHistory

@@ -1,10 +1,13 @@
-"""The two-thread Strang loop (`grid._strang_rows`) gives the column form's bits."""
+"""The row-layout Strang loop (`grid._strang_rows`), on one thread or two,
+gives the column form's bits."""
 
 import os
 import select
+import signal
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +31,14 @@ from madelung.states import gaussian_packet
 N_STEPS = 15  # 7 does not divide it: the last step is read apart from the snapshots
 
 
+@pytest.fixture(autouse=True)
+def _always_shared(monkeypatch):
+    """The helper takes its half of every stage, however busy the machine is
+    (the timing that decides otherwise has a test of its own)."""
+    monkeypatch.setattr(grid._Helper, "rows",
+                        lambda self, stage, n_rows, *args: self._share(stage, n_rows, args))
+
+
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
@@ -43,6 +54,13 @@ def _case(n, kind, constants):
         table = RealField(0.5 * np.cos(0.3 * g.x), g)
         U = evaluate_potential(PotentialSpec("tabulated", table=table), g, constants)
     return wf, U
+
+
+def _column_form(monkeypatch, run):
+    """run() with every Strang loop in the column form."""
+    with monkeypatch.context() as m:
+        m.setattr(propagator, "_THREADED_MIN_N", 1 << 62)
+        return run()
 
 
 def _no_column_steps(monkeypatch):
@@ -72,22 +90,21 @@ def _same_bits(a, b):
     assert np.array_equal(a[-1], b[-1])
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("kind", ["free", "harmonic", "cosine_table"])
 @pytest.mark.parametrize("n", [32768, 65536, 131072])
-def test_two_threads_give_the_column_form_bits(monkeypatch, n, kind, natural_units):
+def test_the_row_loop_gives_the_column_form_bits(monkeypatch, n, kind, cpus, natural_units):
     wf, U = _case(n, kind, natural_units)
-    _cpus(monkeypatch, 1)
-    column = _runs(wf, U)
-    _cpus(monkeypatch, 2)
+    column = _column_form(monkeypatch, lambda: _runs(wf, U))
+    _cpus(monkeypatch, cpus)
     _no_column_steps(monkeypatch)
     _same_bits(_runs(wf, U), column)
 
 
-def test_the_flow_stream_reads_every_state_of_the_two_thread_loop(monkeypatch, natural_units):
+def test_the_flow_stream_reads_every_state_of_the_row_loop(monkeypatch, natural_units):
     wf, U = _case(32768, "harmonic", natural_units)
     config = PropagatorConfig(1e-3, 9)
-    _cpus(monkeypatch, 1)
-    column = list(propagator._states(wf, U, config))
+    column = _column_form(monkeypatch, lambda: list(propagator._states(wf, U, config)))
     _cpus(monkeypatch, 2)
     _no_column_steps(monkeypatch)
     rows = list(propagator._states(wf, U, config))
@@ -98,13 +115,21 @@ def test_the_flow_stream_reads_every_state_of_the_two_thread_loop(monkeypatch, n
             assert not np.shares_memory(a, b)
 
 
-def test_the_loop_stays_in_column_form_below_the_threshold_and_on_one_cpu(
-        monkeypatch, natural_units):
+def test_the_grid_size_alone_chooses_the_row_loop(monkeypatch, natural_units):
     assert grid._BLOCKED_MIN_N <= grid._THREADED_MIN_N == 32768
-    _cpus(monkeypatch, 2)
-    assert not grid._threaded(16384) and grid._threaded(32768)
-    _cpus(monkeypatch, 1)
-    assert not grid._threaded(65536)
+    real, sizes = propagator._strang_rows, []
+
+    def counted(values, *args):
+        sizes.append(values.size)
+        return real(values, *args)
+
+    monkeypatch.setattr(propagator, "_strang_rows", counted)
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        for n in (16384, 32768):
+            wf, U = _case(n, "free", natural_units)
+            step(wf, U, 1e-3)
+    assert sizes == [32768, 32768]
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch, natural_units):
@@ -122,7 +147,7 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch, natural_units):
     assert grid._helper is None
 
 
-def test_a_failing_helper_slice_reaches_the_caller(monkeypatch, natural_units):
+def test_a_failing_helper_half_reaches_the_caller(monkeypatch, natural_units):
     wf, U = _case(32768, "harmonic", natural_units)
     config = PropagatorConfig(1e-3, 6, 3)
     _cpus(monkeypatch, 2)
@@ -132,7 +157,7 @@ def test_a_failing_helper_slice_reaches_the_caller(monkeypatch, natural_units):
 
     def failing(rows, *args):
         if threading.current_thread() is threading.main_thread():
-            assert reached.wait(timeout=60.0)  # the helper holds the other slice
+            assert reached.wait(timeout=60.0)  # the helper holds the other half
             real(rows, *args)
             stopped.append("caller")
         else:
@@ -142,16 +167,71 @@ def test_a_failing_helper_slice_reaches_the_caller(monkeypatch, natural_units):
     monkeypatch.setattr(grid, "_kinetic_rows", failing)
     with pytest.raises(FloatingPointError, match=r"^helper rows from \d+$"):
         evolve(wf, U, config)
-    assert stopped == ["caller"]  # the caller's slice finished before the raise
+    assert stopped == ["caller"]  # the caller's half finished before the raise
     monkeypatch.setattr(grid, "_kinetic_rows", real)
     assert np.array_equal(evolve(wf, U, config).psi.values, before)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+def test_an_interrupt_in_the_callers_wait_lets_the_helper_half_finish(
+        monkeypatch, natural_units):
+    wf, U = _case(32768, "harmonic", natural_units)
+    config = PropagatorConfig(1e-3, 6, 3)
+    column = _column_form(monkeypatch, lambda: evolve(wf, U, config).psi.values)
+    log = []
+
+    def stage(rows, block):
+        if rows.start:  # the helper's half: SIGINT reaches the caller as it waits
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.2)
+            block[rows] = 1.0
+            log.append("helper")
+
+    block = np.zeros(8)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            grid._the_helper().rows(stage, 8, block)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert log == ["helper"] and np.all(block[4:] == 1.0)
+    _cpus(monkeypatch, 2)
+    _no_column_steps(monkeypatch)
+    for _ in range(3):  # later stages wait for their own halves
+        assert np.array_equal(evolve(wf, U, config).psi.values, column)
+
+
+def test_each_cycle_runs_the_stages_the_way_its_timed_windows_favour(monkeypatch):
+    monkeypatch.undo()  # the real timing
+    monkeypatch.setattr(grid, "_WINDOW", 2)
+    monkeypatch.setattr(grid, "_RUN", 4)
+    helper = grid._Helper()
+    main = threading.main_thread()
+    ran = []
+
+    def stage(rows, helper_extra):
+        ran.append("alone" if rows == slice(0, 8) else "shared")
+        # 5 ms a row, and more for a slow helper
+        time.sleep(5e-3 * (rows.stop - rows.start)
+                   + (helper_extra if threading.current_thread() is not main else 0.0))
+
+    def cycle(helper_extra):
+        ran.clear()
+        for _ in range(8):
+            helper.rows(stage, 8, helper_extra)
+        return ran[:2], ran[2:6], ran[6:]
+
+    alone, shared = ["alone"] * 2, ["shared"] * 4
+    assert cycle(0.1) == (alone, shared, ["alone"] * 4)  # a slow helper loses
+    assert cycle(0.0) == (alone, shared, ["shared"] * 8)  # a fast one wins
+    assert cycle(0.1) == (alone, shared, ["alone"] * 4)
 
 
 def test_callers_on_several_threads_share_the_helper(monkeypatch, natural_units):
     cases = [_case(32768, kind, natural_units) for kind in ("free", "harmonic", "cosine_table")]
     config = PropagatorConfig(1e-3, 8, 3)
-    _cpus(monkeypatch, 1)
-    expected = [evolve(wf, U, config).psi.values for wf, U in cases]
+    expected = _column_form(monkeypatch,
+                            lambda: [evolve(wf, U, config).psi.values for wf, U in cases])
     _cpus(monkeypatch, 2)
     results = {}
 
@@ -218,7 +298,7 @@ def test_pooled_reports_equal_serial_ones_after_the_helper_ran(monkeypatch):
     def no_helper():
         raise AssertionError("a pool worker started a helper thread")
 
-    # the workers own one CPU each: they keep the column form
+    # the workers own one CPU each: they run the row loop on that one
     monkeypatch.setattr(grid, "_Helper", no_helper)
     pooled = [r.payload() for r in run_scenarios([wide, wide])]
     assert pooled == [serial, serial]
