@@ -2,9 +2,10 @@
 
 A Scenario names an initial state, a potential, a grid, optional propagation
 and parcel-tracking segments, and a list of checks with per-scenario
-tolerances.  run_scenario builds everything, evaluates each check, and
-returns a VerificationReport; run_scenarios does that for many scenarios in
-worker processes.  Checks are deterministic; expected failures
+tolerances.  run_scenario builds everything, evaluates each check (with two
+CPUs, the parcel-track checks and the others in two processes), and returns
+a VerificationReport; run_scenarios does that for many scenarios in worker
+processes.  Checks are deterministic; expected failures
 (negative controls) are regular checks whose pass rule is "measured above
 threshold".
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import os
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, get_type_hints
@@ -323,6 +326,14 @@ def collect_flow(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
     return flow
 
 
+def _may_fork() -> bool:
+    """Whether os.fork exists and no thread runs beside this one but the
+    Strang helper, idle while this thread is not in a Strang stage: a child
+    forked while another thread holds a lock would wait on it forever."""
+    return hasattr(os, "fork") and threading.active_count() == 1 + (
+        grid_module._helper is not None)
+
+
 def _build(spec, build):
     """build() with numpy's warnings off; a result that overflows is a
     NonFiniteFieldError naming the spec it was built from."""
@@ -363,6 +374,9 @@ class ScenarioRun:
 
     A quantity whose computation raised keeps the exception instead, and
     every later reader gets it again, so it fails once, with one message.
+    `verify` may judge some checks in a forked child; this run then keeps
+    what the child computed, but not what raised there, which a later reader
+    computes again.
     """
 
     def __init__(self, scenario: Scenario):
@@ -493,16 +507,48 @@ class ScenarioRun:
 
     # -- verification ------------------------------------------------------
 
+    def _held(self, key):
+        """The memo of key if it was computed without raising, else None."""
+        value = self._memos.get(key)
+        return None if isinstance(value, Exception) else value
+
     def verify(self) -> VerificationReport:
         """Evaluate every configured check on this run.
 
         A check that raises becomes a failed verdict carrying the message;
-        the remaining checks still run.
+        the remaining checks still run.  With two or more usable CPUs, and
+        ``os.fork`` and no other thread than the idle Strang helper (see
+        `_may_fork`), a scenario with checks on the main parcel track
+        (`_TRACK_CHECKS`) and others judges the former here, which keeps the
+        track, and the latter in one forked child, which sends back its
+        verdicts and the quantities it computed without error (snapshots,
+        reports, pointwise scalars, Bernoulli peaks) for this run to keep.
+        The verdicts, in spec order, and every quantity are the same as when
+        one process judges them all.  The child is always reaped; if it dies
+        before its verdicts are read, its checks are judged here.
         """
         scenario = self.scenario
         start = time.perf_counter()
+        here = [spec for spec in scenario.checks if spec.id in _TRACK_CHECKS]
+        there = [spec for spec in scenario.checks if spec.id not in _TRACK_CHECKS]
+        if here and there and _usable_cpus() >= 2 and _may_fork():
+            judged = {r.id: r for r in self._judge_forked(here, there)}
+            results = tuple(judged[spec.id] for spec in scenario.checks)
+        else:
+            results = tuple(self._judge(scenario.checks))
+        prop = scenario.propagation
+        return VerificationReport(
+            scenario=scenario.name,
+            checks=results,
+            grid=scenario.grid,
+            dt=prop.dt if prop else None,
+            n_steps=prop.n_steps if prop else None,
+            runtime_seconds=time.perf_counter() - start,
+        )
+
+    def _judge(self, specs) -> list:
         results = []
-        for spec in scenario.checks:
+        for spec in specs:
             try:
                 measured, error = float(_CHECKS[spec.id](self, spec)), None
             except Exception as exc:
@@ -512,15 +558,53 @@ class ScenarioRun:
             passed = error is None and _MODES[spec.mode].passes(measured, spec.tolerance)
             results.append(CheckResult(spec.id, measured, spec.tolerance, spec.mode,
                                        passed, error))
-        prop = scenario.propagation
-        return VerificationReport(
-            scenario=scenario.name,
-            checks=tuple(results),
-            grid=scenario.grid,
-            dt=prop.dt if prop else None,
-            n_steps=prop.n_steps if prop else None,
-            runtime_seconds=time.perf_counter() - start,
-        )
+        return results
+
+    def _judge_forked(self, here, there) -> list:
+        """The verdicts of `here`, judged in this process, then of `there`,
+        judged in a child forked for them (see `verify`)."""
+        import pickle  # numpy has loaded it already
+        import signal
+
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: judge them all here
+            os.close(read_end)
+            os.close(write_end)
+            return self._judge(here) + self._judge(there)
+        if pid == 0:  # the child: it never returns
+            status = 1
+            try:
+                os.close(read_end)
+                grid_module._in_pool_worker = True  # its Strang steps stay on one CPU
+                known = set(self._memos)
+                results = self._judge(there)
+                memos = {key: value for key, value in self._memos.items()
+                         if key not in known and not isinstance(value, Exception)}
+                blob = pickle.dumps((results, memos), pickle.HIGHEST_PROTOCOL)
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(blob)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            try:
+                results = self._judge(here)
+                blob = pipe.read()
+            finally:
+                # at EOF the child has written all it will; whatever the
+                # caller raised, no child outlives this call
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        try:
+            theirs, memos = pickle.loads(blob)
+        except Exception:  # the child died, or wrote what cannot be read
+            return results + self._judge(there)
+        for key, value in memos.items():
+            self._memos.setdefault(key, value)
+        return results + theirs
 
 
 # -- check evaluators -------------------------------------------------------
@@ -655,14 +739,12 @@ def _check_continuity_order(run, spec):
     # Seeding, flow collection and advection go step by step the same way
     # whatever the run length, so track(dt, duration) is a bit-identical
     # prefix of the main trajectory whenever that one covers it.
-    coarse = None
-    cfg = run.scenario.trajectories
-    if cfg is not None and n <= _whole_steps(cfg.duration, dt):
-        try:
-            coarse = _head(run.trajectory(), n + 1)
-        except Exception:
-            pass  # a fresh track below reports its own failure
-    if coarse is None:
+    # It is sliced only when the run holds it: the main track is the caller's
+    # work when verify() splits, and a failed one is not taken again.
+    cfg, main = run.scenario.trajectories, run._held("track")
+    if main is not None and n <= _whole_steps(cfg.duration, dt):
+        coarse = _head(main[1], n + 1)
+    else:
         coarse = run.track(dt, duration)[1]
     fine = run.track(dt / 2.0, duration)[1]
     return float(continuity_residual(coarse).max() / continuity_residual(fine).max())
@@ -780,6 +862,14 @@ _CHECKS = {
     "density_node_at_wall": _check_density_node_at_wall,
     "velocity_zero": _PerSnapshot(lambda run, t: run.pointwise("u_max", t)),
 }
+
+# The checks that read the main parcel track: a split verify() judges them in
+# the caller, which keeps the track for trajectories.csv.
+_TRACK_CHECKS = frozenset({
+    "continuity_max", "quantile_preservation", "action_identity", "parcel_displacement",
+    "parcel_stationary", "parcel_density_constancy", "incompressibility_scaled",
+    "incompressibility_parcels",
+})
 
 
 def run_scenario(scenario: Scenario) -> VerificationReport:

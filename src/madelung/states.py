@@ -228,12 +228,17 @@ def bouncer_eigenstate(grid: Grid, constants: PhysicalConstants, g: float) -> Wa
             f"bouncer length scale {ell:.3g} is resolved by fewer than 8 grid points"
         )
     a1 = airy_ai_first_zero()
+    too_wide = (f"bouncer length scale {ell:.3g} is too wide for the domain "
+                f"[{grid.x_min:g}, {grid.x_max:g}]")
+    # the classical turning point |x| = -a1 ell, where the tail begins
+    if not -a1 * ell < min(-grid.x_min, grid.x_max):
+        raise ValueError(f"{too_wide}: its turning point {-a1 * ell:.3g} lies outside it")
     z = np.abs(grid.x) / ell + a1
     amp = np.where(z <= _AIRY_TAIL_CUT, airy_ai(np.clip(z, a1 - 1.0, _AIRY_TAIL_CUT)), 0.0)
     psi = np.sign(grid.x) * amp
     edge = max(abs(psi[0]), abs(psi[-1]))
     if edge > 1e-6 * np.max(np.abs(psi)):
-        raise ValueError("domain too narrow: bouncer tail does not decay at the edges")
+        raise ValueError(f"{too_wide}: its tail does not decay at the edges")
     psi = psi.astype(np.complex128)
     return WaveFunction(ComplexField(_normalized(psi, grid), grid), constants)
 

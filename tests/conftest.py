@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from madelung.grid import make_grid
@@ -23,6 +25,13 @@ def foreign_harmonic_U(request, natural_units):
     over another span, and another n over the same span."""
     grid = make_grid(*request.param)
     return evaluate_potential(PotentialSpec("harmonic", omega=1.0), grid, natural_units)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU: `ScenarioRun.verify` judges every check in the test
+    process, so a counter patched in here sees every call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 @pytest.fixture(scope="session")

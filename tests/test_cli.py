@@ -272,7 +272,7 @@ def test_env_var_default_out(tmp_path, monkeypatch):
     assert (target / "report.json").exists()
 
 
-def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports):
+def test_run_evaluates_the_scenario_once(tmp_path, monkeypatch, suite_reports, one_cpu):
     from madelung import propagator, trajectories
 
     calls = []
@@ -538,7 +538,7 @@ def test_a_huge_kinetic_phase_is_printed_short(tmp_path, capsys):
     assert not re.search(r"[0-9]{20}", captured.out + captured.err)
 
 
-def test_timeseries_columns_are_the_judged_values(tmp_path, monkeypatch):
+def test_timeseries_columns_are_the_judged_values(tmp_path, monkeypatch, one_cpu):
     from madelung import harness
 
     fields_calls, step_calls = [], []

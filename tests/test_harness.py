@@ -441,7 +441,7 @@ TRACK_CHECKS = ("continuity_max", "continuity_order", "quantile_preservation",
                 "action_identity")
 
 
-def test_a_failed_main_track_fails_once_with_one_message(monkeypatch):
+def test_a_failed_main_track_fails_once_with_one_message(monkeypatch, one_cpu):
     from madelung import harness
 
     calls = []
@@ -535,7 +535,7 @@ def test_trajectory_config_accepts_valid_values():
     assert TrajectoryConfig(seed_lo=-8.0, seed_hi=2.0).seed_hi == 2.0
 
 
-def test_a_raising_pointwise_scalar_is_its_own_verdict(monkeypatch):
+def test_a_raising_pointwise_scalar_is_its_own_verdict(monkeypatch, one_cpu):
     from madelung import harness
 
     def too_few(run, fields):
@@ -655,7 +655,7 @@ SNAPSHOT_CHECKS = ("bohm_fisher_identity", "pressure_internal_identity", "enthal
                    "energy_forms_gap", "norm_drift", "spreading_law", "nonspreading_violated")
 
 
-def test_a_failed_evolution_fails_once_with_one_message(monkeypatch):
+def test_a_failed_evolution_fails_once_with_one_message(monkeypatch, one_cpu):
     from madelung import harness
 
     calls = []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,17 @@ class TestBouncer:
         g = make_grid(64, -20.0, 20.0)
         with pytest.raises(ValueError):
             bouncer_eigenstate(g, natural_units, 1.0)
+
+    @pytest.mark.parametrize("g, ell, why", [
+        # |x| / ell vanishes against the Airy zero: the profile would be a step
+        (1e-300, "7.94e+99", "its turning point 1.86e+100 lies outside it"),
+        (1e-3, "7.94", "its tail does not decay at the edges"),
+    ])
+    def test_rejects_a_length_scale_wider_than_the_domain(self, natural_units, g, ell, why):
+        grid = make_grid(4096, -20.0, 20.0)
+        message = f"bouncer length scale {ell} is too wide for the domain [-20, 20]: {why}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bouncer_eigenstate(grid, natural_units, g)
 
 
 class TestPolarDecomposition:
