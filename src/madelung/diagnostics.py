@@ -125,6 +125,16 @@ def _unwrapped_phase(psi: np.ndarray, mask: np.ndarray, hbar: float) -> np.ndarr
     return S
 
 
+def _take_rows(index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.take_along_axis(values, index, axis=-1) for a (..., n) stack and a
+    gather map of its shape, as one flat gather: each row's map is offset by
+    the row's start in the flattened stack."""
+    if values.ndim > 1:
+        n = values.shape[-1]
+        index = index + np.arange(0, values.size, n).reshape(values.shape[:-1] + (1,))
+    return values.reshape(-1)[index]
+
+
 class _Kernel:
     """The field kernel on a (..., n) stack of states, one state per row:
     every transform, reduction and fill runs along the last axis, so a row's
@@ -173,20 +183,19 @@ class _Kernel:
     u_raw = cached_property(lambda k: k.J / k.rho_f)
     # one gather map fills u, div_u and, without a region, S
     fill = cached_property(lambda k: nearest_index(k.mask))
-    u = cached_property(lambda k: np.take_along_axis(indices=k.fill, arr=k.u_raw, axis=-1))
+    u = cached_property(lambda k: _take_rows(k.fill, k.u_raw))
     # the unwrapped phase action, filled over the density floor alone
-    S = cached_property(lambda k: np.take_along_axis(
-        indices=k.fill if k.region_mask is None else nearest_index(k.floor_mask),
-        arr=_unwrapped_phase(k.psi, k.floor_mask, k.hbar), axis=-1))
+    S = cached_property(lambda k: _take_rows(
+        k.fill if k.region_mask is None else nearest_index(k.floor_mask),
+        _unwrapped_phase(k.psi, k.floor_mask, k.hbar)))
     rho_hat = cached_property(lambda k: _fft(k.rho.astype(np.complex128)))
     drho = cached_property(lambda k: derivative_from_transform(k.rho_hat, k.grid, 1).real)
     ddrho = cached_property(lambda k: derivative_from_transform(k.rho_hat, k.grid, 2).real)
     w = cached_property(lambda k: k.drho / k.rho_f)  # dln(rho)/dx, quotient form
     Pi = cached_property(lambda k: -(k.half * k.half) * (
         k.ddrho * (k.rho / k.rho_f) - k.rho * k.w * k.w))
-    div_u = cached_property(lambda k: np.take_along_axis(
-        indices=k.fill, arr=derivative_values(k.J, k.grid, 1).real / k.rho_f - k.u_raw * k.w,
-        axis=-1))
+    div_u = cached_property(lambda k: _take_rows(
+        k.fill, derivative_values(k.J, k.grid, 1).real / k.rho_f - k.u_raw * k.w))
     v_i = cached_property(lambda k: -k.half * k.w)
     internal = cached_property(lambda k: 0.5 * k.v_i * k.v_i)
 

@@ -381,7 +381,12 @@ class ScenarioRun:
 
     def __init__(self, scenario: Scenario):
         if scenario.trajectories is not None and scenario.propagation is not None:
-            _whole_steps(scenario.trajectories.duration, scenario.propagation.dt)
+            duration, dt = scenario.trajectories.duration, scenario.propagation.dt
+            if (_whole_steps(duration, dt) < 2
+                    and any(c.id == "continuity_max" for c in scenario.checks)):
+                raise ValueError(f"continuity_max needs a track of at least 2 steps "
+                                 f"(3 recorded snapshots): trajectories.duration {duration!r} "
+                                 f"must be >= 2 dt = {2 * dt:.12g}")
         self.scenario = scenario
         self.grid = scenario.grid.build()
         self.constants = scenario.constants

@@ -211,32 +211,43 @@ def seed_parcels(rho: RealField, n_parcels: int) -> ParcelEnsemble:
 
 
 _STENCIL = np.arange(-1, 3)  # offsets of the 4-point stencil from floor(pos)
+# the stencil's Lagrange weights as a cubic in s: [1, s, s^2, s^3] @ _LAGRANGE;
+# at a node (s = 0) they are exactly [0, 1, 0, 0]
+_LAGRANGE = np.array([[0.0, 1.0, 0.0, 0.0],
+                      [-1.0 / 3.0, -0.5, 1.0, -1.0 / 6.0],
+                      [0.5, -1.0, 0.5, 0.0],
+                      [-1.0 / 6.0, 0.5, -0.5, 1.0 / 6.0]])
 
 
 def _interp_cubic(values: np.ndarray, grid: Grid, xq: np.ndarray) -> np.ndarray:
     """Periodic 4-point Lagrange cubic interpolation at arbitrary positions.
 
+    The stencil index is taken mod n, so a position need not be wrapped into
+    the domain: x and x +- length give the same values up to roundoff.
     `values` may stack several fields along leading axes; the stencil is
-    gathered once, as a (..., P, 4) index, and applied to each of them along
-    the last axis.
+    gathered once, as a (..., P, 4) array, and reduced against the (P, 4)
+    weights in one weighted sum.
     """
     pos = (xq - grid.x_min) / grid.dx
-    j = np.floor(pos).astype(int)
+    j = np.floor(pos)
     s = pos - j
-    g = values[..., (j[..., None] + _STENCIL) % grid.n]
-    ns, sm2, ss1 = -s, s - 2.0, s * s - 1.0
-    wm1 = ns * (s - 1.0) * sm2 / 6.0
-    w0 = ss1 * sm2 / 2.0
-    w1 = ns * (s + 1.0) * sm2 / 2.0
-    w2 = s * ss1 / 6.0
-    return wm1 * g[..., 0] + w0 * g[..., 1] + w1 * g[..., 2] + w2 * g[..., 3]
+    powers = np.empty(s.shape + (4,))
+    powers[..., 0] = 1.0
+    powers[..., 1] = s
+    np.multiply(s, s, out=powers[..., 2])
+    np.multiply(powers[..., 2], s, out=powers[..., 3])
+    g = values[..., (j.astype(int)[..., None] + _STENCIL) % grid.n]
+    return (g * (powers @ _LAGRANGE)).sum(-1)
 
 
 def _wrap(x: np.ndarray, grid: Grid) -> np.ndarray:
     return grid.x_min + np.mod(x - grid.x_min, grid.length)
 
 
-_FLOW_CHUNK = 8  # whole steps (and their half steps) per batched kernel call
+_FLOW_CHUNK = 16  # whole steps (and their half steps) per batched kernel call
+# the most grid points of whole steps a chunk holds: on a large grid a chunk
+# of many states leaves the cache, and fewer steps per call are faster there
+_FLOW_CHUNK_POINTS = 1 << 15
 
 # the fields of a record row, in row order: advection interpolates the first
 # five at the parcels, and the track reads rho
@@ -249,21 +260,25 @@ def _flow_stream(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
     pair (record row at k dt, velocity at (k + 1/2) dt): the row stacks the
     `_ROW` fields, and the velocity is None after the last step.
 
-    The dt/2 states are evaluated in chunks of 2 * _FLOW_CHUNK, held in the
-    order they are evolved (whole steps on even rows, half steps on odd; the
-    last chunk ends on the final whole step): one batched kernel call for the
-    half-step velocities, one for the whole-step records, so the per-call
-    cost of small transforms is paid once per chunk.  The pairs are rows of
-    the chunk's results, so the chunk's memory goes when its last pair does.
+    The dt/2 states are evaluated in chunks of 2 c, held in the order they
+    are evolved (whole steps on even rows, half steps on odd; the last chunk
+    ends on the final whole step): one batched kernel call for the half-step
+    velocities, one for the whole-step records, so the per-call cost of small
+    transforms is paid once per chunk.  c is _FLOW_CHUNK (16) whole steps, or
+    _FLOW_CHUNK_POINTS // n on a grid of more than 2048 points (8 at n = 4096,
+    at least one).  A kernel row does not depend on the rows beside it, so
+    the chunk size leaves every value as it is.  The pairs are rows of the
+    chunk's results, so the chunk's memory goes when its last pair does.
     """
     grid, constants = wf0.grid, wf0.constants
     u_ext = U.values / constants.mass
     config = PropagatorConfig(dt / 2.0, 2 * n_steps)
-    psi = np.empty((2 * _FLOW_CHUNK, grid.n), dtype=complex)
+    size = 2 * max(1, min(_FLOW_CHUNK, _FLOW_CHUNK_POINTS // grid.n))  # dt/2 states
+    psi = np.empty((size, grid.n), dtype=complex)
     for i, values in enumerate(_states(wf0, U, config)):
-        j = i % (2 * _FLOW_CHUNK)
+        j = i % size
         psi[j] = values
-        if j < 2 * _FLOW_CHUNK - 1 and i < config.n_steps:
+        if j < size - 1 and i < config.n_steps:
             continue
         chunk = psi[:j + 1]
         _check_finite(chunk)  # as evolve checks its snapshots, once per chunk, before its rows
@@ -335,9 +350,12 @@ def _advect(ensemble: ParcelEnsemble, stream, constants: PhysicalConstants,
             dt: float, n_steps: int) -> ParcelEnsemble:
     """RK4 through `stream`, the pairs (record row at k dt, velocity at
     (k + 1/2) dt) for k = 0, ..., n_steps, each read when advection reaches
-    it; of a row the first five `_ROW` fields are read.  Sampled phase
-    records are matched to the nearest 2 pi hbar / m branch of the previous
-    record, and the action integral is accumulated by the trapezoid rule."""
+    it; of a row the first five `_ROW` fields are read.  The RK4 stage
+    positions are left unwrapped, since the interpolation takes its stencil
+    mod n; only the step's final position is wrapped into the domain and
+    recorded.  Sampled phase records are matched to the nearest 2 pi hbar / m
+    branch of the previous record, and the action integral is accumulated by
+    the trapezoid rule."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 0:
@@ -355,9 +373,9 @@ def _advect(ensemble: ParcelEnsemble, stream, constants: PhysicalConstants,
     for k in range(n_steps):
         row, u_next = next(stream)  # RK4's last stage, and the step's records
         k1 = us[k]  # the velocity record at (t, x) is RK4's first stage
-        k2 = _interp_cubic(u_m, grid, _wrap(x + 0.5 * dt * k1, grid))
-        k3 = _interp_cubic(u_m, grid, _wrap(x + 0.5 * dt * k2, grid))
-        k4 = _interp_cubic(row[0], grid, _wrap(x + dt * k3, grid))
+        k2 = _interp_cubic(u_m, grid, x + 0.5 * dt * k1)
+        k3 = _interp_cubic(u_m, grid, x + 0.5 * dt * k2)
+        k4 = _interp_cubic(row[0], grid, x + dt * k3)
         x = _wrap(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), grid)
 
         xs[k + 1] = x

@@ -316,22 +316,22 @@ def test_energy_forms_gap_fails_as_a_verdict(tmp_path):
 
 
 def test_raising_check_is_an_error_verdict(tmp_path):
-    # one recorded snapshot is too few for the continuity residual
+    # at dt = 0.003 the order study's duration 0.25 is no whole number of steps
     rc = main([
         "run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
-        "--set", "trajectories.duration=0.001",
+        "--set", "propagation.dt=0.003", "--set", "trajectories.duration=0.6",
     ])
     assert rc == EXIT_OK
     with open(tmp_path / "report.json") as fh:
         report = json.load(fh)
     checks = {c["id"]: c for c in report["checks"]}
-    entry = checks["continuity_max"]
+    entry = checks["continuity_order"]
     assert entry["pass"] is False and entry["measured"] is None
-    assert "needs at least 3 recorded snapshots" in entry["error"]
+    assert "duration 0.25 is not a whole number of steps of dt 0.003" in entry["error"]
     assert report["passed"] is False
     # the checks after it were still judged
-    assert checks["action_identity"]["measured"] is not None
-    assert all("error" not in c for c in report["checks"] if c["id"] != "continuity_max")
+    for cid in ("quantile_preservation", "action_identity"):
+        assert checks[cid]["measured"] is not None and "error" not in checks[cid], cid
 
 
 def test_verify_exits_1_on_an_error_verdict(monkeypatch, capsys):
@@ -340,23 +340,52 @@ def test_verify_exits_1_on_an_error_verdict(monkeypatch, capsys):
     from madelung import cli, harness
 
     short = harness.apply_overrides(harness.scenario_by_name("free_gaussian"),
-                                    {"trajectories.duration": 0.001})
-    short = replace(short, checks=(harness.CheckSpec("continuity_max", 1e-4),
-                                   harness.CheckSpec("norm_drift", 1e-10)))
+                                    {"propagation.dt": 0.003, "trajectories.duration": 0.6})
+    order = next(c for c in short.checks if c.id == "continuity_order")
+    short = replace(short, checks=(order, harness.CheckSpec("norm_drift", 1e-10)))
     monkeypatch.setattr(cli, "scenario_by_name", lambda name: short)
     assert main(["verify", "free_gaussian"]) == EXIT_CHECK_FAILURE
     out = capsys.readouterr().out
-    assert "[ERROR] continuity_max" in out
+    assert "[ERROR] continuity_order" in out
     assert "[PASS] norm_drift" in out
+
+
+def test_a_one_step_track_exits_2_where_continuity_max_is_judged(tmp_path, capsys,
+                                                                 monkeypatch):
+    from madelung import propagator, trajectories
+
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("the scenario was evolved")
+
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(propagator, "_states", no_evolution)
+        patch.setattr(trajectories, "_states", no_evolution)
+        rc = main(["run", "--scenario", "free_gaussian", "--trajectories", "--no-fields",
+                   "--out", str(out), "--set", "trajectories.duration=0.001"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.err == ("error: continuity_max needs a track of at least 2 steps "
+                            "(3 recorded snapshots): trajectories.duration 0.001 must be "
+                            ">= 2 dt = 0.002\n")
+    assert not out.exists()
+    # at the limit, the residual is judged
+    rc = main(["run", "--scenario", "free_gaussian", "--trajectories", "--no-fields",
+               "--out", str(out), "--set", "trajectories.duration=0.002"])
+    assert rc == EXIT_OK
+    with open(out / "report.json") as fh:
+        checks = {c["id"]: c for c in json.load(fh)["checks"]}
+    assert checks["continuity_max"]["measured"] is not None
 
 
 def test_report_survives_a_failing_artifact_writer(tmp_path, capsys):
     # dt = 0.5 turns the packet's highest occupied mode by 5.6 rad per step:
     # every check on the dt evolution is an error verdict, then the
-    # timeseries writer meets the same rejection and the run exits 2
+    # timeseries writer meets the same rejection and the run exits 2 (the
+    # track is two steps long, as continuity_max needs)
     rc = main([
         "run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
-        "--set", "propagation.dt=0.5",
+        "--set", "propagation.dt=0.5", "--set", "trajectories.duration=1.0",
     ])
     assert rc == EXIT_USAGE
     assert "exceeds pi" in capsys.readouterr().err

@@ -27,6 +27,10 @@ RECORDS = ("times", "positions", "quantiles", "x_records", "u_records", "ln_rho_
 # the benchmark's trajectory run: 1600 whole steps of 16 parcels
 BENCH_FREE_GAUSSIAN = {"trajectories.duration": 1.6, "trajectories.n_parcels": 16,
                        "state.x0": 0.7, "state.k0": -0.4}
+# plane_wave's last parcel of 20 starts at x = 19 and crosses the periodic
+# seam at t = 0.8 of the track's 1.0; the last of its own 4 parcels ends at 16.3
+SEAM_CROSSING = {"trajectories.n_parcels": 20}
+CHUNK = trajectories._FLOW_CHUNK  # whole steps per batched kernel call on the desk grid
 
 
 def _seeded(run):
@@ -66,7 +70,7 @@ def _assert_same_track(run, dt, duration):
 
 @pytest.mark.parametrize("name, overrides", [
     ("free_gaussian", BENCH_FREE_GAUSSIAN),
-    ("plane_wave", {}),  # parcels cross the periodic seam
+    ("plane_wave", SEAM_CROSSING),
     ("airy_packet", {}),  # region-seeded, wavefunction form
 ])
 def test_track_equals_advection_through_the_banked_flow(name, overrides):
@@ -79,7 +83,7 @@ def test_the_half_step_track_equals_the_banked_one():
     _assert_same_track(run, run.scenario.propagation.dt / 2.0, 0.25)
 
 
-@pytest.mark.parametrize("n_steps", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("n_steps", [1, 7, 8, 9, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 def test_tracks_ending_at_chunk_edges(n_steps):
     run = ScenarioRun(scenario_by_name("free_gaussian"))
     dt = run.scenario.propagation.dt
@@ -104,7 +108,7 @@ def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
     dt, chunk = 1e-3, trajectories._FLOW_CHUNK
     run.track(dt, 3 * chunk * dt)
     # two kernel calls per chunk, its half steps then its whole steps; the
-    # whole step at 24 dt ends the stream as a chunk of its own
+    # whole step at 3 chunk dt ends the stream as a chunk of its own
     assert events.count("kernel") == 3 * 2 + 1
     first_step = 1 + 4  # the record at 0, then k2, k3, k4 and the record at dt
     assert events[:2 + first_step] == ["kernel"] * 2 + ["interp"] * first_step
@@ -116,11 +120,12 @@ def test_the_stream_is_evaluated_as_advection_reaches_it(monkeypatch):
 @pytest.mark.parametrize("n_steps, batches", [
     (0, [("records", 1)]),
     (1, [("u", 1), ("records", 2)]),
-    (8, [("u", 8), ("records", 8), ("records", 1)]),
-    (9, [("u", 8), ("records", 8), ("u", 1), ("records", 2)]),
-    (17, [("u", 8), ("records", 8)] * 2 + [("u", 1), ("records", 2)]),
+    (CHUNK, [("u", CHUNK), ("records", CHUNK), ("records", 1)]),
+    (CHUNK + 1, [("u", CHUNK), ("records", CHUNK), ("u", 1), ("records", 2)]),
+    (2 * CHUNK + 1, [("u", CHUNK), ("records", CHUNK)] * 2 + [("u", 1), ("records", 2)]),
 ])
-def test_the_stream_evaluates_chunks_of_sixteen_dt2_states(monkeypatch, n_steps, batches):
+def test_the_stream_evaluates_chunks_of_thirty_two_dt2_states(monkeypatch, n_steps, batches):
+    assert 2 * CHUNK == 32
     real_kernel, seen = trajectories._Kernel, []
 
     def kernel(psi, *args, **kwargs):
@@ -141,6 +146,44 @@ def test_the_stream_evaluates_chunks_of_sixteen_dt2_states(monkeypatch, n_steps,
     assert [row.shape for row, _ in pairs] == [row_shape] * (n_steps + 1)
     assert [u is None for _, u in pairs] == [k == n_steps for k in range(n_steps + 1)]
     assert all(u.shape == (run.grid.n,) for _, u in pairs[:-1])
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("plane_wave", SEAM_CROSSING),
+    ("airy_packet", {}),  # region-seeded
+])
+def test_the_chunk_size_leaves_every_record_as_it_is(monkeypatch, scenario, overrides):
+    # kernel rows are independent, so chunks of 8 and of 16 whole steps give the same bits
+    run = ScenarioRun(apply_overrides(scenario_by_name(scenario), overrides))
+    dt = run.scenario.propagation.dt
+    n = int(round(run.scenario.trajectories.duration / dt))
+    ens = {}
+    for chunk in (8, 16):
+        monkeypatch.setattr(trajectories, "_FLOW_CHUNK", chunk)
+        ens[chunk] = trajectories.track(run.wf0, run.U, dt, n, _seeded(run),
+                                        run.scenario.floor_rel, run.scenario.bohm_form)[1]
+    for name in RECORDS:
+        assert np.array_equal(getattr(ens[8], name), getattr(ens[16], name)), name
+    jumps = np.abs(np.diff(ens[16].x_records, axis=0)) > run.grid.length / 2
+    assert np.any(jumps) == (overrides is SEAM_CROSSING)
+
+
+@pytest.mark.parametrize("n, chunk", [(2048, 16), (4096, 8), (8192, 4), (65536, 1)])
+def test_a_large_grid_takes_fewer_steps_per_chunk(monkeypatch, n, chunk):
+    real_kernel, rows = trajectories._Kernel, []
+
+    def kernel(psi, *args, **kwargs):
+        rows.append(psi.shape[0])
+        return real_kernel(psi, *args, **kwargs)
+
+    monkeypatch.setattr(trajectories, "_Kernel", kernel)
+    grid, constants = make_grid(n, -0.025 * n, 0.025 * n), PhysicalConstants()
+    wf0 = gaussian_packet(grid, constants, 0.7, 1.0, -0.4)
+    U = evaluate_potential(PotentialSpec("free"), grid, constants)
+    for _ in trajectories._flow_stream(wf0, U, 1e-3, chunk, 1e-12, "amplitude"):
+        pass
+    # a chunk's half steps and its whole steps, then the final whole step alone
+    assert rows == [chunk, chunk, 1]
 
 
 def test_the_library_track_is_the_scenario_runs():
