@@ -221,12 +221,12 @@ def _ifft(a: np.ndarray) -> np.ndarray:
 # row loop alone beats the column form.
 _THREADED_MIN_N = 32768
 
-# run_scenarios' pool workers set this: each was given one CPU of the pool
+# harness._Worker children set this: each holds one of its caller's CPUs
 _in_pool_worker = False
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; one in a pool worker."""
+    """The CPUs this process may run on; one in a forked worker."""
     if _in_pool_worker:
         return 1
     try:

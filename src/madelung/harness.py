@@ -4,10 +4,11 @@ A Scenario names an initial state, a potential, a grid, optional propagation
 and parcel-tracking segments, and a list of checks with per-scenario
 tolerances.  run_scenario builds everything, evaluates each check (with two
 CPUs, the parcel-track checks and the others in two processes), and returns
-a VerificationReport; run_scenarios does that for many scenarios in worker
-processes.  Checks are deterministic; expected failures
-(negative controls) are regular checks whose pass rule is "measured above
-threshold".
+a VerificationReport; run_scenarios does that for many scenarios in forked
+worker processes.  Both reach the second CPU through one primitive,
+`_Worker`: a forked child that answers calls of one function over a pipe.
+Checks are deterministic; expected failures (negative controls) are regular
+checks whose pass rule is "measured above threshold".
 
 Two density floors are in play.  Integral diagnostics run at floor_rel
 (default 1e-12): quotient noise there is crushed by the density weight.
@@ -19,9 +20,13 @@ rho ~ 1e-12 * max carries only ~4 significant digits, far short of the
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import numbers
 import os
+import pickle
+import select
+import signal
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -334,6 +339,67 @@ def _may_fork() -> bool:
         grid_module._helper is not None)
 
 
+class _Worker:
+    """A forked child that answers fn(arg) for each arg sent to it, in turn,
+    with a pickled (True, value) or (False, the exception fn raised); one the
+    caller could not rebuild comes as a RuntimeError whose message starts
+    with its type name.  The child marks itself one-CPU and inherits fn, and
+    all fn reads, by fork.  `close` kills and reaps it; a caller killed
+    before it can close leaves no child waiting on the pipes."""
+
+    def __init__(self, fn):  # OSError if no pipe or process can be made
+        fds = [*os.pipe()]
+        try:
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        inbox, self._requests, answers, outbox = fds
+        if self.pid == 0:  # the child: it never returns
+            try:
+                # the caller's ends, closed here: once the caller is gone, the
+                # child reads EOF or writes into a broken pipe, and leaves
+                os.close(self._requests)
+                os.close(answers)
+                grid_module._in_pool_worker = True  # its Strang steps stay on one CPU
+                inbox, outbox = os.fdopen(inbox, "rb"), os.fdopen(outbox, "wb")
+                while True:  # until it is killed
+                    arg = pickle.load(inbox)
+                    try:
+                        blob = pickle.dumps((True, fn(arg)), pickle.HIGHEST_PROTOCOL)
+                    except Exception as exc:  # fn raised, or its value does not pickle
+                        try:
+                            blob = pickle.dumps((False, exc))
+                            pickle.loads(blob)  # the caller must rebuild it
+                        except Exception:
+                            plain = RuntimeError(f"{type(exc).__name__}: {exc}")
+                            blob = pickle.dumps((False, plain))
+                    outbox.write(blob)
+                    outbox.flush()
+            finally:
+                os._exit(1)
+        os.close(inbox)
+        os.close(outbox)
+        self._answers = os.fdopen(answers, "rb")  # buffered: pickle.load reads one answer
+        self.fileno = self._answers.fileno  # select() waits on the answers
+
+    def send(self, arg) -> None:
+        with contextlib.suppress(BrokenPipeError):  # a dead child: receive() says so
+            os.write(self._requests, pickle.dumps(arg))
+
+    def receive(self):  # the oldest answer not yet read; None if the child died first
+        with contextlib.suppress(Exception):
+            return pickle.load(self._answers)
+
+    def close(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        os.close(self._requests)
+        self._answers.close()
+
+
 def _build(spec, build):
     """build() with numpy's warnings off; a result that overflows is a
     NonFiniteFieldError naming the spec it was built from."""
@@ -521,16 +587,14 @@ class ScenarioRun:
         """Evaluate every configured check on this run.
 
         A check that raises becomes a failed verdict carrying the message;
-        the remaining checks still run.  With two or more usable CPUs, and
-        ``os.fork`` and no other thread than the idle Strang helper (see
-        `_may_fork`), a scenario with checks on the main parcel track
+        the remaining checks still run.  With two or more usable CPUs and
+        `_may_fork`, a scenario with checks on the main parcel track
         (`_TRACK_CHECKS`) and others judges the former here, which keeps the
-        track, and the latter in one forked child, which sends back its
-        verdicts and the quantities it computed without error (snapshots,
-        reports, pointwise scalars, Bernoulli peaks) for this run to keep.
-        The verdicts, in spec order, and every quantity are the same as when
-        one process judges them all.  The child is always reaped; if it dies
-        before its verdicts are read, its checks are judged here.
+        track, and the latter in a `_Worker`, which sends back its verdicts
+        and the quantities it computed without error (snapshots, reports,
+        pointwise scalars, Bernoulli peaks) for this run to keep.  The
+        verdicts, in spec order, and every quantity are the same as when one
+        process judges them all; if the child dies, its checks are judged here.
         """
         scenario = self.scenario
         start = time.perf_counter()
@@ -567,46 +631,26 @@ class ScenarioRun:
 
     def _judge_forked(self, here, there) -> list:
         """The verdicts of `here`, judged in this process, then of `there`,
-        judged in a child forked for them (see `verify`)."""
-        import pickle  # numpy has loaded it already
-        import signal
+        judged in a `_Worker` forked for them (see `verify`)."""
 
-        read_end, write_end = os.pipe()
+        def judge_there(_):
+            known = set(self._memos)
+            return self._judge(there), {key: value for key, value in self._memos.items()
+                                        if key not in known and not isinstance(value, Exception)}
+
         try:
-            pid = os.fork()
+            worker = _Worker(judge_there)
         except OSError:  # no process to spare: judge them all here
-            os.close(read_end)
-            os.close(write_end)
             return self._judge(here) + self._judge(there)
-        if pid == 0:  # the child: it never returns
-            status = 1
-            try:
-                os.close(read_end)
-                grid_module._in_pool_worker = True  # its Strang steps stay on one CPU
-                known = set(self._memos)
-                results = self._judge(there)
-                memos = {key: value for key, value in self._memos.items()
-                         if key not in known and not isinstance(value, Exception)}
-                blob = pickle.dumps((results, memos), pickle.HIGHEST_PROTOCOL)
-                with os.fdopen(write_end, "wb") as pipe:
-                    pipe.write(blob)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_end)
-        with os.fdopen(read_end, "rb") as pipe:
-            try:
-                results = self._judge(here)
-                blob = pipe.read()
-            finally:
-                # at EOF the child has written all it will; whatever the
-                # caller raised, no child outlives this call
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        try:
-            theirs, memos = pickle.loads(blob)
-        except Exception:  # the child died, or wrote what cannot be read
+        try:  # whatever the caller raises, no child outlives this call
+            worker.send(None)
+            results = self._judge(here)
+            answer = worker.receive()
+        finally:
+            worker.close()
+        if answer is None or not answer[0]:  # the child died, or its judging raised
             return results + self._judge(there)
+        theirs, memos = answer[1]
         for key, value in memos.items():
             self._memos.setdefault(key, value)
         return results + theirs
@@ -883,80 +927,53 @@ def run_scenario(scenario: Scenario) -> VerificationReport:
 
 
 class WorkerDiedError(RuntimeError):
-    """The worker pool of `run_scenarios` broke (a worker process died)
-    before a report came back."""
-
-
-_worker_scenarios: list = []  # filled in each worker process, never in the caller
-
-
-def _adopt(scenarios: list) -> None:
-    # runs in the forked worker: the list arrives by fork, not by pickle, so
-    # any scenario that runs serially runs here too
-    _worker_scenarios.extend(scenarios)
-    grid_module._in_pool_worker = True  # its Strang steps stay on its one CPU
-
-
-def _run_in_worker(index: int) -> VerificationReport:
-    # `run_scenario` is looked up in the worker, so it runs whatever the
-    # caller had bound to that name when the pool forked
-    try:
-        return run_scenario(_worker_scenarios[index])
-    except Exception as exc:
-        import pickle
-
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            # the caller could not rebuild it, and the pool would report the
-            # failed read as a dead worker
-            raise RuntimeError(f"{type(exc).__name__}: {exc}") from exc
-        raise
+    """A worker process of `run_scenarios` died before its report came back."""
 
 
 def run_scenarios(scenarios):
     """Yield `run_scenario(s)` for each scenario, in input order.
 
-    Scenarios share nothing, so they run in forked worker processes, one per
-    usable CPU and at most one per scenario.  With fewer than two workers, or
-    without ``fork``, they run one after another in this process.  Workers
-    inherit the scenarios by fork and send back only reports.  An exception
-    a scenario raises in a worker reaches the caller with its type and
-    message; one that cannot be rebuilt from its pickle arrives as a
-    `RuntimeError` whose message starts with its type name.  If the pool
-    breaks (a worker dies), `WorkerDiedError` names the first scenario in
-    input order whose report is lost; the pool cannot tell which scenario
-    the dead worker held.
+    Scenarios share nothing, so they run in forked `_Worker`s, one per usable
+    CPU and at most one per scenario, each handed the next scenario when it
+    answers; with fewer than two, or if `_may_fork` says no, they run here
+    one after another.  A worker inherits the scenarios by fork, looks
+    `run_scenario` up at each call, and sends back reports, or exceptions as
+    `_Worker` sends them.  A worker that dies stops the hand-out: the reports
+    before its scenario are yielded, then `WorkerDiedError` names it.
+    However the generator ends, every worker is killed and reaped.
     """
     scenarios = list(scenarios)
-    workers = min(len(scenarios), _usable_cpus())
-    if workers >= 2:
-        import multiprocessing  # here, so importing madelung stays as cheap
-
-        has_fork = "fork" in multiprocessing.get_all_start_methods()
-    if workers < 2 or not has_fork:
+    n_workers = min(len(scenarios), _usable_cpus())
+    if n_workers < 2 or not _may_fork():
         yield from map(run_scenario, scenarios)
         return
-
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # fork: workers start without re-importing numpy and madelung, and the
-    # executor forks all of them before it starts its own manager thread
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt, initargs=(scenarios,))
+    workers, answers = [], {}  # answers: index -> (ok, value), None if its worker died
     try:
-        futures = [pool.submit(_run_in_worker, i) for i in range(len(scenarios))]
-        for scenario, future in zip(scenarios, futures):
-            try:
-                report = future.result()
-            except BrokenProcessPool as exc:
-                raise WorkerDiedError(
-                    f"worker pool broke before scenario {scenario.name!r} finished: {exc}"
-                ) from exc
-            yield report
+        for _ in range(n_workers):
+            workers.append(_Worker(lambda i: run_scenario(scenarios[i])))
+        queue = iter(range(len(scenarios)))
+        held = dict(zip(workers, queue))  # worker -> the index it holds
+        for worker, i in held.items():
+            worker.send(i)
+        for i, scenario in enumerate(scenarios):
+            while i not in answers:
+                for worker in select.select(list(held), [], [])[0]:
+                    answers[held.pop(worker)] = answer = worker.receive()
+                    if answer is None:  # it died: hand out nothing more
+                        queue = iter(())
+                    elif (j := next(queue, None)) is not None:
+                        worker.send(j)
+                        held[worker] = j
+            if answers[i] is None:
+                raise WorkerDiedError(f"worker pool broke before scenario {scenario.name!r} "
+                                      "finished: its worker process died")
+            ok, value = answers.pop(i)
+            if not ok:
+                raise value
+            yield value
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker in workers:
+            worker.close()
 
 
 # -- builtin scenarios -------------------------------------------------------

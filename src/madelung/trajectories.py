@@ -219,14 +219,18 @@ _LAGRANGE = np.array([[0.0, 1.0, 0.0, 0.0],
                       [-1.0 / 6.0, 0.5, -0.5, 1.0 / 6.0]])
 
 
-def _interp_cubic(values: np.ndarray, grid: Grid, xq: np.ndarray) -> np.ndarray:
+def _interp_cubic(values: np.ndarray, grid: Grid, xq: np.ndarray,
+                  period: float | None = None) -> np.ndarray:
     """Periodic 4-point Lagrange cubic interpolation at arbitrary positions.
 
     The stencil index is taken mod n, so a position need not be wrapped into
     the domain: x and x +- length give the same values up to roundoff.
     `values` may stack several fields along leading axes; the stencil is
     gathered once, as a (..., P, 4) array, and reduced against the (P, 4)
-    weights in one weighted sum.
+    weights in one weighted sum.  With a `period`, the last stacked field is
+    an unwrapped phase, which jumps back by its winding (a whole number of
+    periods) at the seam: a stencil point whose index wrapped mod n takes
+    the winding once per lap, so the stencil lies on one branch.
     """
     pos = (xq - grid.x_min) / grid.dx
     j = np.floor(pos)
@@ -236,7 +240,12 @@ def _interp_cubic(values: np.ndarray, grid: Grid, xq: np.ndarray) -> np.ndarray:
     powers[..., 1] = s
     np.multiply(s, s, out=powers[..., 2])
     np.multiply(powers[..., 2], s, out=powers[..., 3])
-    g = values[..., (j.astype(int)[..., None] + _STENCIL) % grid.n]
+    stencil = j.astype(int)[..., None] + _STENCIL
+    g = values[..., stencil % grid.n]
+    if period is not None:
+        laps = stencil // grid.n
+        winding = period * np.round((values[-1, -1] - values[-1, 0]) / period)
+        np.add(g[-1], winding * laps, out=g[-1], where=laps != 0)
     return (g * (powers @ _LAGRANGE)).sum(-1)
 
 
@@ -353,9 +362,9 @@ def _advect(ensemble: ParcelEnsemble, stream, constants: PhysicalConstants,
     it; of a row the first five `_ROW` fields are read.  The RK4 stage
     positions are left unwrapped, since the interpolation takes its stencil
     mod n; only the step's final position is wrapped into the domain and
-    recorded.  Sampled phase records are matched to the nearest 2 pi hbar / m
-    branch of the previous record, and the action integral is accumulated by
-    the trapezoid rule."""
+    recorded.  Sampled phases, interpolated on one 2 pi hbar / m branch, are
+    matched to the nearest branch of the previous record, and the action
+    integral is accumulated by the trapezoid rule."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 0:
@@ -368,7 +377,7 @@ def _advect(ensemble: ParcelEnsemble, stream, constants: PhysicalConstants,
     xs, us, divs, lns, Ss, acts = np.empty((6, n_steps + 1, x.size))
     row, u_m = next(stream)
     xs[0], acts[0] = x, 0.0
-    us[0], divs[0], lns[0], lag_prev, Ss[0] = _interp_cubic(row[:5], grid, x)
+    us[0], divs[0], lns[0], lag_prev, Ss[0] = _interp_cubic(row[:5], grid, x, period)
 
     for k in range(n_steps):
         row, u_next = next(stream)  # RK4's last stage, and the step's records
@@ -379,7 +388,7 @@ def _advect(ensemble: ParcelEnsemble, stream, constants: PhysicalConstants,
         x = _wrap(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), grid)
 
         xs[k + 1] = x
-        us[k + 1], divs[k + 1], lns[k + 1], lag_p, S_p = _interp_cubic(row[:5], grid, x)
+        us[k + 1], divs[k + 1], lns[k + 1], lag_p, S_p = _interp_cubic(row[:5], grid, x, period)
         Ss[k + 1] = S_p + period * np.round((Ss[k] - S_p) / period)
         acts[k + 1] = acts[k] + 0.5 * dt * (lag_prev + lag_p)
         lag_prev, u_m = lag_p, u_next

@@ -1,9 +1,11 @@
 """`run_scenarios`: the builtin suite in forked worker processes."""
 
+import contextlib
 import os
+import select
+import signal
 import subprocess
 import sys
-from concurrent import futures
 from dataclasses import replace
 
 import pytest
@@ -14,36 +16,38 @@ from madelung.cli import EXIT_NUMERICAL, EXIT_USAGE, EXIT_WORKER, main
 from madelung.grid import NonFiniteFieldError
 from madelung.harness import (
     GridSpec,
+    WorkerDiedError,
     builtin_scenarios,
     run_scenario,
     run_scenarios,
     scenario_by_name,
 )
 
-fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def _count_pools(monkeypatch):
-    created = []
+def _forks(monkeypatch):
+    """The pids of the children forked in this process from here on."""
+    pids = []
+    real_fork = os.fork
 
-    class Counted(futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(args[0] if args else kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+    def counted():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", Counted)
-    return created
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
-def _no_pool(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("no executor expected")
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", forbidden)
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @fork_only
@@ -51,42 +55,41 @@ def test_pooled_payloads_equal_serial_ones(monkeypatch):
     scenarios = builtin_scenarios()
     serial = [run_scenario(s).payload() for s in scenarios]
     _cpus(monkeypatch, 2)
-    created = _count_pools(monkeypatch)
+    pids = _forks(monkeypatch)
     pooled = [r.payload() for r in run_scenarios(scenarios)]
-    assert created == [2]
+    assert len(pids) == 2
     assert pooled == serial
+    _no_child_left()
 
 
 @fork_only
 def test_reports_come_from_workers_in_input_order(monkeypatch):
     _cpus(monkeypatch, 3)
-    created = _count_pools(monkeypatch)
+    pids = _forks(monkeypatch)
     monkeypatch.setattr(harness, "run_scenario", lambda s: (s.name, os.getpid()))
     scenarios = builtin_scenarios()
     out = list(run_scenarios(scenarios))
-    assert created == [3]
+    assert len(pids) == 3
     assert [name for name, _ in out] == [s.name for s in scenarios]
-    assert os.getpid() not in {pid for _, pid in out}
+    assert {pid for _, pid in out} <= set(pids)
 
 
 @pytest.mark.parametrize("cpus, n_scenarios", [(1, 7), (4, 1), (4, 0)])
-def test_one_worker_creates_no_executor(monkeypatch, cpus, n_scenarios):
+def test_one_worker_forks_nothing(monkeypatch, cpus, n_scenarios):
     _cpus(monkeypatch, cpus)
-    _no_pool(monkeypatch)
+    pids = _forks(monkeypatch)
     monkeypatch.setattr(harness, "run_scenario", lambda s: (s.name, os.getpid()))
     scenarios = builtin_scenarios()[:n_scenarios]
     assert list(run_scenarios(scenarios)) == [(s.name, os.getpid()) for s in scenarios]
+    assert pids == []
 
 
 def test_no_fork_runs_serially(monkeypatch):
-    import multiprocessing
-
     _cpus(monkeypatch, 4)
-    _no_pool(monkeypatch)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(harness, "run_scenario", lambda s: s.name)
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(harness, "run_scenario", lambda s: (s.name, os.getpid()))
     scenarios = builtin_scenarios()
-    assert list(run_scenarios(scenarios)) == [s.name for s in scenarios]
+    assert list(run_scenarios(scenarios)) == [(s.name, os.getpid()) for s in scenarios]
 
 
 def _verify(monkeypatch, capsys, cpus, names):
@@ -104,9 +107,9 @@ def test_a_failing_build_in_a_worker_exits_as_serially(monkeypatch, capsys):
                         lambda name: broken if name == "broken" else bouncer)
     names = ["quantum_bouncer", "broken", "quantum_bouncer"]
     serial = _verify(monkeypatch, capsys, 1, names)
-    created = _count_pools(monkeypatch)
+    pids = _forks(monkeypatch)
     pooled = _verify(monkeypatch, capsys, 2, names)
-    assert created == [2]
+    assert len(pids) == 2
     assert serial[0] == pooled[0] == EXIT_USAGE
     assert serial[2] == pooled[2] == "error: grid size must be a power of two >= 8, got 0\n"
     # the report before the failing scenario is printed either way; only
@@ -149,10 +152,10 @@ def test_an_exception_that_cannot_be_rebuilt_arrives_as_an_error(monkeypatch):
 
     monkeypatch.setattr(harness, "run_scenario", raising)
     _cpus(monkeypatch, 2)
-    created = _count_pools(monkeypatch)
+    pids = _forks(monkeypatch)
     with pytest.raises(RuntimeError) as info:
         list(run_scenarios(builtin_scenarios()))
-    assert created == [2]
+    assert len(pids) == 2
     assert type(info.value) is RuntimeError  # not a WorkerDiedError
     assert str(info.value) == "_TwoArgumentError: bad state in plane_wave"
 
@@ -180,17 +183,114 @@ def test_a_dead_worker_is_one_error_line(monkeypatch, capsys):
     assert err.startswith("error: worker pool broke before scenario 'plane_wave' finished: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert out == ""
+    _no_child_left()
 
 
+@fork_only
+def test_a_dead_worker_names_the_scenario_it_held(monkeypatch):
+    monkeypatch.setattr(harness, "run_scenario",
+                        lambda s: os._exit(1) if s.name == "harmonic_ground" else s.name)
+    _cpus(monkeypatch, 2)
+    reports = []
+    with pytest.raises(WorkerDiedError) as info:
+        for report in run_scenarios(builtin_scenarios()):
+            reports.append(report)
+    assert reports == ["plane_wave", "free_gaussian", "moving_gaussian"]
+    assert str(info.value).startswith(
+        "worker pool broke before scenario 'harmonic_ground' finished: ")
+    _no_child_left()
+
+
+class Stop(Exception):
+    pass
+
+
+@fork_only
+def test_no_worker_outlives_a_consumer_that_stops(monkeypatch):
+    monkeypatch.setattr(harness, "run_scenario", lambda s: s.name)
+    _cpus(monkeypatch, 2)
+    pids = _forks(monkeypatch)
+    reports = run_scenarios(builtin_scenarios())
+    assert next(reports) == "plane_wave"
+    reports.close()
+    assert len(pids) == 2
+    _no_child_left()
+    with pytest.raises(Stop):
+        for _ in run_scenarios(builtin_scenarios()):
+            raise Stop
+    assert len(pids) == 4
+    _no_child_left()
+
+
+_KILLED_CALLER = """
+import os, time
+from madelung import harness
+os.sched_getaffinity = lambda pid: {0, 1}
+fork = os.fork
+def forked():  # prints the pid of each child
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = forked
+"""
+
+
+@fork_only
+@pytest.mark.parametrize("work, n_workers", [
+    # two workers that answered and wait for the next scenario
+    ("harness.run_scenario = lambda s: s.name\n"
+     "reports = harness.run_scenarios(harness.builtin_scenarios())\n"
+     "next(reports)\n", 2),
+    # one that writes an answer larger than a pipe holds
+    ("worker = harness._Worker(lambda n: b'x' * n)\n"
+     "worker.send(1 << 22)\n", 1),
+], ids=["waiting", "answering"])
+def test_a_killed_caller_leaves_no_worker_behind(work, n_workers):
+    code = _KILLED_CALLER + work + "print('ready', flush=True)\ntime.sleep(600)\n"
+    src = os.path.dirname(os.path.dirname(madelung.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    pids = []
+    try:
+        for line in proc.stdout:
+            if line == "ready\n":
+                break
+            pids.append(int(line))
+        assert len(pids) == n_workers
+        proc.kill()  # no finally runs in it
+        proc.wait()
+        # the workers inherited its stdout: the pipe ends once the last has left
+        assert select.select([proc.stdout], [], [], 20)[0], "a worker outlived its caller"
+        assert proc.stdout.read() == ""
+    finally:
+        proc.kill()
+        proc.stdout.close()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+@fork_only
 def test_importing_the_package_loads_no_process_pool():
-    code = ("import sys, madelung, madelung.cli; "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-            "if m in sys.modules))")
+    # nor does running scenarios in forked workers, on two CPUs
+    code = """
+import os, sys, madelung, madelung.cli
+def pools():
+    return sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules)
+print(pools())
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+from madelung.harness import run_scenarios, scenario_by_name
+names = ('moving_gaussian', 'quantum_bouncer')
+print([r.scenario for r in run_scenarios(map(scenario_by_name, names))], len(forks), pools())
+"""
     src = os.path.dirname(os.path.dirname(madelung.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n['moving_gaussian', 'quantum_bouncer'] 2 []\n"
 
 
 def test_the_trajectory_and_harness_layers_load_at_first_use():

@@ -2,7 +2,6 @@
 track in the test process, every other check in one forked child."""
 
 import os
-import pickle
 import threading
 from dataclasses import replace
 
@@ -78,11 +77,21 @@ def test_two_cpus_give_the_one_cpu_payload(monkeypatch, name):
 def test_a_child_that_dies_before_writing_is_judged_here(monkeypatch):
     scenario = _scenario("free_gaussian")
     serial = _payload(monkeypatch, scenario, 1)
-    # the child pickles its verdicts; the caller only reads them
-    monkeypatch.setattr(pickle, "dumps", lambda *args, **kwargs: os._exit(3))
+    # a check off the track, which the child judges, ends the child there
+    caller, judged_here = os.getpid(), []
+    real = harness._CHECKS["norm_drift"]
+
+    def dies_in_the_child(run, spec):
+        if os.getpid() != caller:
+            os._exit(3)
+        judged_here.append(spec.id)
+        return real(run, spec)
+
+    monkeypatch.setitem(harness._CHECKS, "norm_drift", dies_in_the_child)
     pids = _forks(monkeypatch)
     assert _payload(monkeypatch, scenario, 2) == serial
     assert len(pids) == 1
+    assert judged_here == ["norm_drift"]  # the caller judged the child's checks
     _no_child_left()
 
 

@@ -5,7 +5,13 @@ import pytest
 
 from madelung.diagnostics import madelung_fields, velocity
 from madelung.grid import RealField, make_grid
-from madelung.harness import collect_flow
+from madelung.harness import (
+    CheckSpec,
+    ScenarioRun,
+    apply_overrides,
+    collect_flow,
+    scenario_by_name,
+)
 from madelung.propagator import PropagatorConfig, evolve
 from madelung.potentials import PotentialSpec, evaluate_potential
 from madelung.states import gaussian_packet, harmonic_ground_state, plane_wave
@@ -340,6 +346,36 @@ def test_advect_records_match_per_field_interpolation(desk_grid, natural_units, 
             action = action + 0.5 * dt * (lag_prev + lag)
         assert np.array_equal(adv.action_records[i], action)
         lag_prev = lag
+
+
+@pytest.mark.parametrize("mode", [8, 179])  # 179 turns the phase by 0.7 pi a cell
+def test_the_phase_is_interpolated_on_one_branch_across_the_seam(desk_grid, mode):
+    # the unwrapped phase of a plane wave: k x from x_min, which jumps back
+    # by `mode` periods at the periodic seam
+    g, period = desk_grid, 2.0 * np.pi
+    k = period * mode / g.length
+    phase = np.stack([np.zeros(g.n), k * (g.x - g.x_min)])  # a field, then the phase
+    near = np.concatenate([g.x_max - np.array([0.1, 0.5, 1.2, 1.9, 2.5]) * g.dx,
+                           g.x_min + np.array([0.0, 0.4, 0.9]) * g.dx])
+    got = _interp_cubic(phase, g, near, period)[1]
+    off = np.mod(got - k * (near - g.x_min) + 0.5 * period, period) - 0.5 * period
+    assert np.max(np.abs(off)) < 1e-10  # the cubic is exact on a line, within a branch
+    assert np.max(np.abs(np.mod(_interp_cubic(phase, g, near)[1] - got + 0.5 * period, period)
+                         - 0.5 * period)) > 1.0  # without the period, it is not
+    # a stencil that does not reach the seam keeps its bits
+    far = np.linspace(g.x_min + 1.01 * g.dx, g.x_max - 2.01 * g.dx, 97)
+    assert np.array_equal(_interp_cubic(phase, g, far, period), _interp_cubic(phase, g, far))
+
+
+@pytest.mark.parametrize("mode, n_parcels", [(8, 20), (179, 4)])
+def test_a_plane_wave_parcel_crossing_the_seam_keeps_the_action_identity(mode, n_parcels):
+    scenario = apply_overrides(scenario_by_name("plane_wave"), {
+        "state.mode_index": mode, "trajectories.n_parcels": n_parcels})
+    run = ScenarioRun(scenario)
+    traj = run.trajectory()
+    assert np.any(np.diff(traj.x_records[:, -1]) < 0)  # the last parcel wrapped through the seam
+    [result] = run._judge([CheckSpec("action_identity", 1e-4)])
+    assert result.passed and result.measured < 1e-10
 
 
 class TestCollectFlow:

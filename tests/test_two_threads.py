@@ -205,7 +205,12 @@ def test_each_cycle_runs_the_stages_the_way_its_timed_windows_favour(monkeypatch
     monkeypatch.undo()  # the real timing
     monkeypatch.setattr(grid, "_WINDOW", 2)
     monkeypatch.setattr(grid, "_RUN", 4)
-    helper = grid._Helper()
+    # the process's helper, at the start of a cycle: a helper of the test's
+    # own would leave a second thread running, and no later fork would pass
+    # harness._may_fork
+    helper = grid._the_helper()
+    monkeypatch.setattr(helper, "_cycle", 0)
+    monkeypatch.setattr(helper, "_windows", [0.0, 0.0])
     main = threading.main_thread()
     ran = []
 
