@@ -1,8 +1,7 @@
 """Command-line interface: run scenarios, verify the builtin suite, list it.
 
 Exit codes: 0 success, 1 check failure under `verify`, 2 unknown scenario or
-bad usage, 3 I/O failure, 4 numerical failure (a non-finite field), 5 a
-`verify` worker process died.
+bad usage, 3 I/O failure, 4 numerical failure (a non-finite field).
 Artifacts are CSV/JSON with full 17-significant-digit floats so re-reading
 reproduces the arrays bit for bit.
 """
@@ -20,7 +19,6 @@ from .diagnostics import madelung_fields
 from .grid import NonFiniteFieldError
 from .harness import (
     ScenarioRun,
-    WorkerDiedError,
     apply_overrides,
     builtin_scenarios,
     format_report,
@@ -36,7 +34,6 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-EXIT_WORKER = 5
 
 TIMESERIES_COLUMNS = [
     "t", "norm", "K", "Q", "U", "I", "E", "FI", "accel", "vi_mean",
@@ -230,9 +227,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except WorkerDiedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WORKER
 
 
 def entry() -> None:

@@ -57,14 +57,11 @@ from .states import (
 )
 from .trajectories import (
     DensityCdf,
-    FlowHistory,
-    FlowSample,
     ParcelEnsemble,
     TrackFlow,
-    _flow_stream,
-    _ROW,
     _time_index,
     action_check,
+    collect_flow,  # re-exported: the benchmark's tracer wraps harness.collect_flow
     continuity_residual,
     seed_parcels,
     track,
@@ -82,7 +79,6 @@ __all__ = [
     "ScenarioRun",
     "run_scenario",
     "run_scenarios",
-    "WorkerDiedError",
     "builtin_scenarios",
     "scenario_by_name",
     "apply_overrides",
@@ -310,27 +306,6 @@ def _check_payload(c: CheckResult) -> dict:
     return out
 
 
-def collect_flow(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
-                 floor_rel: float = DEFAULT_DENSITY_FLOOR,
-                 bohm_form: str = "amplitude") -> FlowHistory:
-    """Evolve at dt/2 and bank every flow sample: velocity at every half
-    step, the full record bundle (u, div_u, ln_rho, S_tilde, lagrangian,
-    rho) at every whole step.
-
-    This drains the stream `trajectories.track` advects through and keeps
-    all of it, 7 rows of n floats per whole step, as the FlowSamples that
-    `advect` looks up.
-    """
-    grid, half = wf0.grid, dt / 2.0
-    flow = FlowHistory(grid, wf0.constants)
-    for k, (row, u_half) in enumerate(_flow_stream(wf0, U, dt, n_steps, floor_rel, bohm_form)):
-        flow.add(FlowSample(2 * k * half, **{name: RealField._unchecked(values, grid)
-                                             for name, values in zip(_ROW, row)}))
-        if u_half is not None:
-            flow.add(FlowSample((2 * k + 1) * half, RealField._unchecked(u_half, grid)))
-    return flow
-
-
 def _may_fork() -> bool:
     """Whether os.fork exists and no thread runs beside this one but the
     Strang helper, idle while this thread is not in a Strang stage: a child
@@ -341,11 +316,11 @@ def _may_fork() -> bool:
 
 class _Worker:
     """A forked child that answers fn(arg) for each arg sent to it, in turn,
-    with a pickled (True, value) or (False, the exception fn raised); one the
-    caller could not rebuild comes as a RuntimeError whose message starts
-    with its type name.  The child marks itself one-CPU and inherits fn, and
-    all fn reads, by fork.  `close` kills and reaps it; a caller killed
-    before it can close leaves no child waiting on the pipes."""
+    with the pickled 1-tuple (fn(arg),).  A call that raises, or whose value
+    does not pickle, ends the child, so `receive` gives None: the caller
+    then computes that value itself.  The child marks itself one-CPU and
+    inherits fn, and all fn reads, by fork.  `close` kills and reaps it; a
+    caller killed before it can close leaves no child waiting on the pipes."""
 
     def __init__(self, fn):  # OSError if no pipe or process can be made
         fds = [*os.pipe()]
@@ -365,18 +340,8 @@ class _Worker:
                 os.close(answers)
                 grid_module._in_pool_worker = True  # its Strang steps stay on one CPU
                 inbox, outbox = os.fdopen(inbox, "rb"), os.fdopen(outbox, "wb")
-                while True:  # until it is killed
-                    arg = pickle.load(inbox)
-                    try:
-                        blob = pickle.dumps((True, fn(arg)), pickle.HIGHEST_PROTOCOL)
-                    except Exception as exc:  # fn raised, or its value does not pickle
-                        try:
-                            blob = pickle.dumps((False, exc))
-                            pickle.loads(blob)  # the caller must rebuild it
-                        except Exception:
-                            plain = RuntimeError(f"{type(exc).__name__}: {exc}")
-                            blob = pickle.dumps((False, plain))
-                    outbox.write(blob)
+                while True:  # until it is killed, or a call raises
+                    outbox.write(pickle.dumps((fn(pickle.load(inbox)),), pickle.HIGHEST_PROTOCOL))
                     outbox.flush()
             finally:
                 os._exit(1)
@@ -389,7 +354,7 @@ class _Worker:
         with contextlib.suppress(BrokenPipeError):  # a dead child: receive() says so
             os.write(self._requests, pickle.dumps(arg))
 
-    def receive(self):  # the oldest answer not yet read; None if the child died first
+    def receive(self):  # the oldest answer not yet read; None if the child ended first
         with contextlib.suppress(Exception):
             return pickle.load(self._answers)
 
@@ -594,7 +559,8 @@ class ScenarioRun:
         and the quantities it computed without error (snapshots, reports,
         pointwise scalars, Bernoulli peaks) for this run to keep.  The
         verdicts, in spec order, and every quantity are the same as when one
-        process judges them all; if the child dies, its checks are judged here.
+        process judges them all; if the child dies or raises, or cannot be
+        forked, its checks are judged here.
         """
         scenario = self.scenario
         start = time.perf_counter()
@@ -648,9 +614,9 @@ class ScenarioRun:
             answer = worker.receive()
         finally:
             worker.close()
-        if answer is None or not answer[0]:  # the child died, or its judging raised
+        if answer is None:  # the child died, raised, or its value did not pickle
             return results + self._judge(there)
-        theirs, memos = answer[1]
+        theirs, memos = answer[0]
         for key, value in memos.items():
             self._memos.setdefault(key, value)
         return results + theirs
@@ -926,51 +892,38 @@ def run_scenario(scenario: Scenario) -> VerificationReport:
     return ScenarioRun(scenario).verify()
 
 
-class WorkerDiedError(RuntimeError):
-    """A worker process of `run_scenarios` died before its report came back."""
-
-
 def run_scenarios(scenarios):
     """Yield `run_scenario(s)` for each scenario, in input order.
 
     Scenarios share nothing, so they run in forked `_Worker`s, one per usable
     CPU and at most one per scenario, each handed the next scenario when it
-    answers; with fewer than two, or if `_may_fork` says no, they run here
-    one after another.  A worker inherits the scenarios by fork, looks
-    `run_scenario` up at each call, and sends back reports, or exceptions as
-    `_Worker` sends them.  A worker that dies stops the hand-out: the reports
-    before its scenario are yielded, then `WorkerDiedError` names it.
-    However the generator ends, every worker is killed and reaped.
+    answers; with fewer than two, or if `_may_fork` says no, none is forked.
+    A worker inherits the scenarios by fork and looks `run_scenario` up at
+    each call.  A scenario no worker answered (its worker died or raised, or
+    no worker could be forked) runs here when its turn comes, so the
+    reports, and any exception raised, are those of a serial run.  However
+    the generator ends, every worker is killed and reaped.
     """
     scenarios = list(scenarios)
     n_workers = min(len(scenarios), _usable_cpus())
-    if n_workers < 2 or not _may_fork():
-        yield from map(run_scenario, scenarios)
-        return
-    workers, answers = [], {}  # answers: index -> (ok, value), None if its worker died
+    workers, held, answers = [], {}, {}  # held: worker -> index; answers: index -> (report,)
     try:
-        for _ in range(n_workers):
-            workers.append(_Worker(lambda i: run_scenario(scenarios[i])))
+        for _ in range(n_workers if n_workers >= 2 and _may_fork() else 0):
+            with contextlib.suppress(OSError):  # no process to spare: one worker fewer
+                workers.append(_Worker(lambda i: run_scenario(scenarios[i])))
         queue = iter(range(len(scenarios)))
-        held = dict(zip(workers, queue))  # worker -> the index it holds
-        for worker, i in held.items():
+        for worker, i in zip(workers, queue):
             worker.send(i)
+            held[worker] = i
         for i, scenario in enumerate(scenarios):
-            while i not in answers:
+            while i in held.values():
                 for worker in select.select(list(held), [], [])[0]:
                     answers[held.pop(worker)] = answer = worker.receive()
-                    if answer is None:  # it died: hand out nothing more
-                        queue = iter(())
-                    elif (j := next(queue, None)) is not None:
+                    if answer is not None and (j := next(queue, None)) is not None:
                         worker.send(j)
                         held[worker] = j
-            if answers[i] is None:
-                raise WorkerDiedError(f"worker pool broke before scenario {scenario.name!r} "
-                                      "finished: its worker process died")
-            ok, value = answers.pop(i)
-            if not ok:
-                raise value
-            yield value
+            answer = answers.pop(i, None)
+            yield answer[0] if answer is not None else run_scenario(scenario)
     finally:
         for worker in workers:
             worker.close()

@@ -32,6 +32,7 @@ __all__ = [
     "BranchMismatchError",
     "seed_parcels",
     "track",
+    "collect_flow",
     "advect",
     "continuity_residual",
     "action_check",
@@ -334,6 +335,27 @@ def track(wf0: WaveFunction, U: RealField, dt: float, n_steps: int, ensemble: Pa
             yield row, u_half
 
     return flow, _advect(ensemble, stream(), wf0.constants, dt, n_steps)
+
+
+def collect_flow(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
+                 floor_rel: float = DEFAULT_DENSITY_FLOOR,
+                 bohm_form: str = "amplitude") -> FlowHistory:
+    """Evolve at dt/2 and bank every flow sample: velocity at every half
+    step, the full record bundle (u, div_u, ln_rho, S_tilde, lagrangian,
+    rho) at every whole step.
+
+    This drains the stream `track` advects through and keeps all of it, 7
+    rows of n floats per whole step, as the FlowSamples that `advect` looks
+    up.
+    """
+    grid, half = wf0.grid, dt / 2.0
+    flow = FlowHistory(grid, wf0.constants)
+    for k, (row, u_half) in enumerate(_flow_stream(wf0, U, dt, n_steps, floor_rel, bohm_form)):
+        flow.add(FlowSample(2 * k * half, **{name: RealField._unchecked(values, grid)
+                                             for name, values in zip(_ROW, row)}))
+        if u_half is not None:
+            flow.add(FlowSample((2 * k + 1) * half, RealField._unchecked(u_half, grid)))
+    return flow
 
 
 def advect(ensemble: ParcelEnsemble, flow: FlowHistory, dt: float,

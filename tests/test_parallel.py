@@ -1,7 +1,11 @@
 """`run_scenarios`: the builtin suite in forked worker processes."""
 
 import contextlib
+import errno
+import io
+import itertools
 import os
+import re
 import select
 import signal
 import subprocess
@@ -12,11 +16,10 @@ import pytest
 
 import madelung
 from madelung import cli, harness
-from madelung.cli import EXIT_NUMERICAL, EXIT_USAGE, EXIT_WORKER, main
+from madelung.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from madelung.grid import NonFiniteFieldError
 from madelung.harness import (
     GridSpec,
-    WorkerDiedError,
     builtin_scenarios,
     run_scenario,
     run_scenarios,
@@ -30,12 +33,15 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def _forks(monkeypatch):
-    """The pids of the children forked in this process from here on."""
-    pids = []
+def _forks(monkeypatch, fails=lambda call: False):
+    """The pids of the children forked in this process from here on; the
+    fork calls that `fails` picks, numbered from 1, raise EAGAIN instead."""
+    pids, calls = [], itertools.count(1)
     real_fork = os.fork
 
     def counted():
+        if fails(next(calls)):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         pid = real_fork()
         if pid:
             pids.append(pid)
@@ -50,15 +56,35 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture(scope="module")
+def serial_payloads():
+    with pytest.MonkeyPatch.context() as m:
+        _cpus(m, 1)
+        return [run_scenario(s).payload() for s in builtin_scenarios()]
+
+
 @fork_only
-def test_pooled_payloads_equal_serial_ones(monkeypatch):
-    scenarios = builtin_scenarios()
-    serial = [run_scenario(s).payload() for s in scenarios]
+def test_pooled_payloads_equal_serial_ones(monkeypatch, serial_payloads):
     _cpus(monkeypatch, 2)
     pids = _forks(monkeypatch)
-    pooled = [r.payload() for r in run_scenarios(scenarios)]
+    pooled = [r.payload() for r in run_scenarios(builtin_scenarios())]
     assert len(pids) == 2
-    assert pooled == serial
+    assert pooled == serial_payloads
+    _no_child_left()
+
+
+@fork_only
+@pytest.mark.parametrize("fails, n_children", [
+    (lambda call: True, 0),  # no worker, and no split verify() in this process
+    (lambda call: call == 2, 1),  # one worker runs every scenario
+], ids=["every", "second"])
+def test_a_fork_that_fails_leaves_the_serial_payloads(monkeypatch, serial_payloads, fails,
+                                                      n_children):
+    _cpus(monkeypatch, 2)
+    pids = _forks(monkeypatch, fails)
+    pooled = [r.payload() for r in run_scenarios(builtin_scenarios())]
+    assert len(pids) == n_children
+    assert pooled == serial_payloads
     _no_child_left()
 
 
@@ -119,7 +145,7 @@ def test_a_failing_build_in_a_worker_exits_as_serially(monkeypatch, capsys):
 
 
 def _untimed(out):
-    return [line for line in out.splitlines() if "=>" not in line]
+    return re.sub(r"\([0-9.]+s\)", "", out)
 
 
 @fork_only
@@ -146,18 +172,32 @@ class _TwoArgumentError(Exception):
 
 
 @fork_only
-def test_an_exception_that_cannot_be_rebuilt_arrives_as_an_error(monkeypatch):
+def test_an_exception_that_cannot_be_rebuilt_is_raised_as_serially(monkeypatch):
     def raising(scenario):
         raise _TwoArgumentError("bad state", scenario.name)
 
     monkeypatch.setattr(harness, "run_scenario", raising)
     _cpus(monkeypatch, 2)
     pids = _forks(monkeypatch)
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(_TwoArgumentError) as info:
         list(run_scenarios(builtin_scenarios()))
     assert len(pids) == 2
-    assert type(info.value) is RuntimeError  # not a WorkerDiedError
-    assert str(info.value) == "_TwoArgumentError: bad state in plane_wave"
+    assert str(info.value) == "bad state in plane_wave"
+    _no_child_left()
+
+
+@fork_only
+@pytest.mark.parametrize("arg", [0, "a value that does not pickle"])
+def test_a_worker_ends_on_a_call_that_does_not_answer_a_value(arg):
+    worker = harness._Worker(lambda x: 1.0 / x if isinstance(x, int) else (lambda: x))
+    try:
+        worker.send(2)
+        assert worker.receive() == (0.5,)
+        worker.send(arg)
+        assert worker.receive() is None
+    finally:
+        worker.close()
+    _no_child_left()
 
 
 @fork_only
@@ -175,29 +215,59 @@ def test_scenarios_reach_workers_without_pickling(monkeypatch):
     assert raised[0] == raised[1]
 
 
+def _dies_in_a_worker(monkeypatch, dies, report):
+    """run_scenario ends the worker process that runs it on a scenario `dies`
+    picks; in the test process it returns report(scenario)."""
+    caller = os.getpid()
+
+    def run(scenario):
+        if os.getpid() != caller and dies(scenario.name):
+            os._exit(1)
+        return report(scenario)
+
+    monkeypatch.setattr(harness, "run_scenario", run)
+    return caller
+
+
+DIES = {"harmonic_ground": lambda name: name == "harmonic_ground", "every": lambda name: True}
+
+
 @fork_only
-def test_a_dead_worker_is_one_error_line(monkeypatch, capsys):
-    monkeypatch.setattr(harness, "run_scenario", lambda s: os._exit(1))
-    rc, out, err = _verify(monkeypatch, capsys, 2, ["--all"])
-    assert rc == EXIT_WORKER
-    assert err.startswith("error: worker pool broke before scenario 'plane_wave' finished: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert out == ""
+@pytest.mark.parametrize("dies", sorted(DIES))
+def test_a_scenario_whose_worker_died_runs_here(monkeypatch, dies):
+    caller = _dies_in_a_worker(monkeypatch, DIES[dies], lambda s: (s.name, os.getpid()))
+    _cpus(monkeypatch, 2)
+    pids = _forks(monkeypatch)
+    scenarios = builtin_scenarios()
+    out = list(run_scenarios(scenarios))
+    assert len(pids) == 2
+    assert [name for name, _ in out] == [s.name for s in scenarios]
+    assert [name for name, pid in out if pid == caller] == [
+        s.name for s in scenarios if DIES[dies](s.name)]
+    assert {pid for _, pid in out} <= {caller, *pids}
     _no_child_left()
 
 
+@pytest.fixture(scope="module")
+def serial_verify_all():
+    """main(["verify", "--all"]) on one CPU: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        _cpus(m, 1)
+        rc = main(["verify", "--all"])
+    return rc, out.getvalue(), err.getvalue()
+
+
 @fork_only
-def test_a_dead_worker_names_the_scenario_it_held(monkeypatch):
-    monkeypatch.setattr(harness, "run_scenario",
-                        lambda s: os._exit(1) if s.name == "harmonic_ground" else s.name)
-    _cpus(monkeypatch, 2)
-    reports = []
-    with pytest.raises(WorkerDiedError) as info:
-        for report in run_scenarios(builtin_scenarios()):
-            reports.append(report)
-    assert reports == ["plane_wave", "free_gaussian", "moving_gaussian"]
-    assert str(info.value).startswith(
-        "worker pool broke before scenario 'harmonic_ground' finished: ")
+@pytest.mark.parametrize("dies", sorted(DIES))
+def test_a_dead_worker_leaves_verify_as_serial(monkeypatch, capsys, serial_verify_all, dies):
+    serial = serial_verify_all
+    _dies_in_a_worker(monkeypatch, DIES[dies], harness.run_scenario)
+    pooled = _verify(monkeypatch, capsys, 2, ["--all"])
+    assert pooled[0] == serial[0] == EXIT_OK
+    assert _untimed(pooled[1]) == _untimed(serial[1])
+    assert pooled[2] == serial[2] == ""
     _no_child_left()
 
 

@@ -1,6 +1,7 @@
 """`ScenarioRun.verify` with two usable CPUs: the checks on the main parcel
 track in the test process, every other check in one forked child."""
 
+import errno
 import os
 import threading
 from dataclasses import replace
@@ -92,6 +93,18 @@ def test_a_child_that_dies_before_writing_is_judged_here(monkeypatch):
     assert _payload(monkeypatch, scenario, 2) == serial
     assert len(pids) == 1
     assert judged_here == ["norm_drift"]  # the caller judged the child's checks
+    _no_child_left()
+
+
+def test_a_fork_that_fails_is_judged_here(monkeypatch):
+    scenario = _scenario("free_gaussian")
+    serial = _payload(monkeypatch, scenario, 1)
+
+    def fails():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fails)
+    assert _payload(monkeypatch, scenario, 2) == serial
     _no_child_left()
 
 
