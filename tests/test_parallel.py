@@ -56,19 +56,44 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _run_here(monkeypatch, report, dies=lambda name: False):
+    """run_scenario returns report(scenario), but ends the worker process that
+    runs it on a scenario `dies` picks.  Gives the names of the scenarios it
+    runs in the test process, as it runs them."""
+    caller, here = os.getpid(), []
+
+    def run(scenario):
+        if os.getpid() == caller:
+            here.append(scenario.name)
+        elif dies(scenario.name):
+            os._exit(1)
+        return report(scenario)
+
+    monkeypatch.setattr(harness, "run_scenario", run)
+    return here
+
+
 @pytest.fixture(scope="module")
 def serial_payloads():
+    """The builtins run one after another on two CPUs: each of the four with
+    parcel-track checks judges its other checks in a forked child (the split
+    verify), where a worker of `run_scenarios` judges them all on one CPU."""
     with pytest.MonkeyPatch.context() as m:
-        _cpus(m, 1)
-        return [run_scenario(s).payload() for s in builtin_scenarios()]
+        _cpus(m, 2)
+        pids = _forks(m)
+        payloads = [run_scenario(s).payload() for s in builtin_scenarios()]
+    assert len(pids) == 4
+    return payloads
 
 
 @fork_only
 def test_pooled_payloads_equal_serial_ones(monkeypatch, serial_payloads):
+    here = _run_here(monkeypatch, harness.run_scenario)
     _cpus(monkeypatch, 2)
     pids = _forks(monkeypatch)
     pooled = [r.payload() for r in run_scenarios(builtin_scenarios())]
     assert len(pids) == 2
+    assert here == []  # every report came back from a worker
     assert pooled == serial_payloads
     _no_child_left()
 
@@ -215,59 +240,56 @@ def test_scenarios_reach_workers_without_pickling(monkeypatch):
     assert raised[0] == raised[1]
 
 
-def _dies_in_a_worker(monkeypatch, dies, report):
-    """run_scenario ends the worker process that runs it on a scenario `dies`
-    picks; in the test process it returns report(scenario)."""
-    caller = os.getpid()
-
-    def run(scenario):
-        if os.getpid() != caller and dies(scenario.name):
-            os._exit(1)
-        return report(scenario)
-
-    monkeypatch.setattr(harness, "run_scenario", run)
-    return caller
-
-
 DIES = {"harmonic_ground": lambda name: name == "harmonic_ground", "every": lambda name: True}
 
 
 @fork_only
 @pytest.mark.parametrize("dies", sorted(DIES))
 def test_a_scenario_whose_worker_died_runs_here(monkeypatch, dies):
-    caller = _dies_in_a_worker(monkeypatch, DIES[dies], lambda s: (s.name, os.getpid()))
+    here = _run_here(monkeypatch, lambda s: (s.name, os.getpid()), DIES[dies])
     _cpus(monkeypatch, 2)
     pids = _forks(monkeypatch)
     scenarios = builtin_scenarios()
     out = list(run_scenarios(scenarios))
     assert len(pids) == 2
     assert [name for name, _ in out] == [s.name for s in scenarios]
-    assert [name for name, pid in out if pid == caller] == [
-        s.name for s in scenarios if DIES[dies](s.name)]
-    assert {pid for _, pid in out} <= {caller, *pids}
+    assert here == [s.name for s in scenarios if DIES[dies](s.name)]
+    assert [name for name, pid in out if pid == os.getpid()] == here
+    assert {pid for _, pid in out} <= {os.getpid(), *pids}
     _no_child_left()
 
 
+def _untimed_json(path):
+    with open(path) as fh:
+        return [line for line in fh if '"runtime_seconds"' not in line]
+
+
 @pytest.fixture(scope="module")
-def serial_verify_all():
-    """main(["verify", "--all"]) on one CPU: its exit code, stdout and stderr."""
+def serial_verify_all(tmp_path_factory):
+    """main(["verify", "--all", "--json", ...]) on one CPU: its exit code,
+    stdout and stderr, and its JSON report without runtimes."""
     out, err = io.StringIO(), io.StringIO()
+    path = tmp_path_factory.mktemp("serial") / "verify.json"
     with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         _cpus(m, 1)
-        rc = main(["verify", "--all"])
-    return rc, out.getvalue(), err.getvalue()
+        rc = main(["verify", "--all", "--json", str(path)])
+    return rc, out.getvalue(), err.getvalue(), _untimed_json(path)
 
 
 @fork_only
 @pytest.mark.parametrize("dies", sorted(DIES))
-def test_a_dead_worker_leaves_verify_as_serial(monkeypatch, capsys, serial_verify_all, dies):
+def test_a_dead_worker_leaves_verify_as_serial(monkeypatch, capsys, tmp_path, serial_verify_all,
+                                               dies):
     serial = serial_verify_all
-    _dies_in_a_worker(monkeypatch, DIES[dies], harness.run_scenario)
-    pooled = _verify(monkeypatch, capsys, 2, ["--all"])
+    here = _run_here(monkeypatch, harness.run_scenario, DIES[dies])
+    path = tmp_path / "verify.json"
+    pooled = _verify(monkeypatch, capsys, 2, ["--all", "--json", str(path)])
+    assert here == [s.name for s in builtin_scenarios() if DIES[dies](s.name)]
     assert pooled[0] == serial[0] == EXIT_OK
     assert _untimed(pooled[1]) == _untimed(serial[1])
     assert pooled[2] == serial[2] == ""
+    assert _untimed_json(path) == serial[3]
     _no_child_left()
 
 
