@@ -8,12 +8,17 @@ quadrature: it is spectrally accurate for periodic integrands and makes
 integrals of spectral derivatives vanish identically.
 
 Every transform goes through one pair, _fft and _ifft, in place along the
-last axis of a contiguous complex (..., n) stack.  From _BLOCKED_MIN_N (8192)
-points on, where a 1-D transform no longer fits in cache, they run Bailey's
-four-step FFT (J. Supercomputing 4, 1990) on an (n1, n2) view of each row:
-FFTs along both block axes with a twiddle multiply between them.  That leaves
-the spectrum in transposed order, block[c, d] holding mode c + n1 d, which is
-the order _spectral stores its factors in, so no transpose is ever made.
+last axis of a contiguous complex (..., n) stack.  The pair, and the row
+stages below, call numpy's FFT gufuncs directly, with numpy's normalisation:
+each transform has np.fft's bits without np.fft's per-call argument
+handling, which at 512 points cost more than the transform (a forward and
+inverse pair took 16-18 us through np.fft, 11 us direct).  From
+_BLOCKED_MIN_N (8192) points on, where a 1-D transform no longer fits in
+cache, they run Bailey's four-step FFT (J. Supercomputing 4, 1990) on an
+(n1, n2) view of each row: FFTs along both block axes with a twiddle
+multiply between them.  That leaves the spectrum in transposed order,
+block[c, d] holding mode c + n1 d, which is the order _spectral stores its
+factors in, so no transpose is ever made.
 
 From _THREADED_MIN_N (32768) points on, the Strang loop runs here too, as
 _strang_rows.  Between steps it keeps psi in the transposed block layout,
@@ -25,12 +30,16 @@ both loops give the same bits.  When the process may use two or more CPUs,
 the caller runs the first half of each stage's rows and a daemon helper
 thread the second (numpy's FFT releases the GIL), and the two meet after each
 stage; _Helper times both ways as it goes and keeps to the caller alone while
-the second CPU is slow to answer.  Per step on a 2-vCPU machine (min and
-median of 7): at 65536 points 1.69/1.80 ms against 2.89/2.93 ms for the
-column form, at 32768 0.85/0.91 against 0.90/0.98 ms.  Below that neither
-the split nor the row loop alone gains (the latter takes 42/51 against 22/27
-us at 512 points), so the column form stays there.  On one CPU the row loop
-is no slower than the column form: 2.85/2.92 ms at 65536.
+the second CPU is slow to answer.  The threshold is where the split once
+gained on a 2-vCPU KVM guest (1.69 against 2.89 ms a step at 65536 points).
+Per step on such a guest with the direct transforms, min/median of 11, the
+column form, the row loop with the helper taking half of every stage, and
+the row loop on the caller alone: 13/14, 58/68 and 25/26 us at 512 points;
+83/85, 116/134 and 84/86 us at 4096; 0.73/0.73, 0.72/0.75 and 0.72/0.96 ms
+at 32768; 1.63/1.71, 1.57/1.69 and 1.47/1.52 ms at 65536.  On that guest
+the split gained nothing clear at any size, and the row loop alone beat
+the column form at 16384 points (0.33 against 0.53 ms), below the
+threshold: both thresholds await a benchmark run that settles them.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft  # what np.fft.fft and ifft call
 
 __all__ = [
     "Grid",
@@ -190,15 +200,22 @@ def _blocks(a: np.ndarray):
     return a.reshape(a.shape[:-1] + _block_shape(n)) if n >= _BLOCKED_MIN_N else None
 
 
+# the gufuncs' axes for a transform along the columns of a (..., n1, n2) block
+_COLUMNS = [(-2,), (), (-2,)]
+
+
 def _fft(a: np.ndarray) -> np.ndarray:
     """Forward transform of a complex (..., n) stack along its last axis, in
-    place; the spectrum is in the order of _spectral's factors."""
+    place; the spectrum is in the order of _spectral's factors.
+
+    The gufuncs take numpy's normalisation, 1 forward and 1/n inverse, so
+    every transform has the bits of np.fft.fft / np.fft.ifft."""
     block = _blocks(a)
     if block is None:
-        return np.fft.fft(a, out=a)
-    np.fft.fft(block, axis=-2, out=block)
+        return _pocketfft.fft(a, 1, out=a)
+    _pocketfft.fft(block, 1, axes=_COLUMNS, out=block)
     block *= _twiddle(a.shape[-1])
-    np.fft.fft(block, axis=-1, out=block)
+    _pocketfft.fft(block, 1, out=block)
     return a
 
 
@@ -206,13 +223,14 @@ def _ifft(a: np.ndarray) -> np.ndarray:
     """Inverse of _fft, in place."""
     block = _blocks(a)
     if block is None:
-        return np.fft.ifft(a, out=a)
-    np.fft.ifft(block, axis=-1, out=block)
+        return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=a)
+    n1, n2 = block.shape[-2:]
+    _pocketfft.ifft(block, 1.0 / n2, out=block)
     # times conj(twiddle), exactly, without a second table
     np.conjugate(block, out=block)
     block *= _twiddle(a.shape[-1])
     np.conjugate(block, out=block)
-    np.fft.ifft(block, axis=-2, out=block)
+    _pocketfft.ifft(block, 1.0 / n1, axes=_COLUMNS, out=block)
     return a
 
 
@@ -243,8 +261,10 @@ def _to_rows(a: np.ndarray) -> np.ndarray:
 
 
 # See _Helper: stages in each timed window, and stages the faster way then
-# runs before both are timed again.
+# runs before both are timed again; and seconds between the caller's looks
+# at whether the helper thread still lives while it waits for it.
 _WINDOW, _RUN = 4, 256
+_POLL = 0.1
 
 
 class _Helper:
@@ -256,7 +276,10 @@ class _Helper:
     until that list is filled, taking the wait up again if an exception (a
     KeyboardInterrupt from a signal) breaks it, so no stage returns before
     its other half has stopped, and no stage can take another's end for its
-    own.
+    own.  If the helper thread dies, the caller's wait sees it within _POLL
+    seconds: the caller then runs the half nobody answered itself, as every
+    stage reads one work block and writes the other's rows whole, and the
+    process forgets this helper, so the next Strang loop starts another.
 
     Sharing pays only while the second CPU runs the helper when asked.  On a
     machine whose host held that CPU for others, a shared step took three to
@@ -272,14 +295,15 @@ class _Helper:
         self._stages = queue.SimpleQueue()
         self._cycle = 0  # stages into the current cycle
         self._windows = [0.0, 0.0]  # seconds of this cycle's alone and shared windows
-        threading.Thread(target=self._serve, args=(self._stages,),
-                         name="madelung-rows", daemon=True).start()
+        self._thread = threading.Thread(target=self._serve, args=(self._stages, self._run),
+                                        name="madelung-rows", daemon=True)
+        self._thread.start()
 
     @staticmethod
-    def _serve(stages):
+    def _serve(stages, run):
         while True:
             job = stages.get()
-            _Helper._run(*job)
+            run(*job)
             job = None  # keep no reference to the stage's arrays while waiting
 
     @staticmethod
@@ -318,14 +342,17 @@ class _Helper:
             stage(slice(0, half), *args)
         finally:
             broken = None
-            while not result:
+            while not result and self._thread.is_alive():
                 try:
-                    done.acquire()
+                    done.acquire(timeout=_POLL)
                 except BaseException as exc:
                     broken = exc
             if broken is not None:
                 raise broken
-        if result[0] is not None:
+        if not result:  # the helper thread died: nobody else will run these rows
+            _forget_helper(self)
+            stage(slice(half, n_rows), *args)
+        elif result[0] is not None:
             raise result[0]
 
 
@@ -347,14 +374,28 @@ def _the_helper() -> _Helper:
         return _helper
 
 
-def _forget_helper() -> None:
+def _helper_alive() -> bool:
+    """Whether this process has a helper thread, and it still runs."""
+    helper = _helper
+    return helper is not None and helper._thread.is_alive()
+
+
+def _forget_helper(dead: _Helper) -> None:
+    """Forget a helper whose thread died: the next _the_helper starts another."""
+    global _helper
+    with _helper_lock:
+        if _helper is dead:
+            _helper = None
+
+
+def _forget_helper_in_child() -> None:
     # a forked child has no helper thread: it starts its own at first use
     global _helper, _helper_lock
     _helper, _helper_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+    os.register_at_fork(after_in_child=_forget_helper_in_child)
 
 
 def _enter_rows(rows, block, natural, half_v):
@@ -367,7 +408,7 @@ def _enter_rows(rows, block, natural, half_v):
 
 def _forward_rows(r, half_v):
     np.multiply(half_v, r, out=r)
-    np.fft.fft(r, axis=-1, out=r)
+    _pocketfft.fft(r, 1, out=r)
 
 
 def _kinetic_rows(rows, spec, block, kinetic, tw):
@@ -378,9 +419,9 @@ def _kinetic_rows(rows, spec, block, kinetic, tw):
     s = spec[rows]
     np.copyto(s, block[:, rows].T)  # cheaper than multiplying the strided view
     s *= tw[rows]
-    np.fft.fft(s, axis=-1, out=s)
+    _pocketfft.fft(s, 1, out=s)
     np.multiply(kinetic[rows], s, out=s)
-    np.fft.ifft(s, axis=-1, out=s)
+    _pocketfft.ifft(s, 1.0 / s.shape[-1], out=s)
     np.conjugate(s, out=s)
     s *= tw[rows]
 
@@ -391,7 +432,7 @@ def _return_rows(rows, block, spec, half_v, forward):
     forward rows."""
     r = block[rows]
     np.conjugate(spec[:, rows].T, out=r)
-    np.fft.ifft(r, axis=-1, out=r)
+    _pocketfft.ifft(r, 1.0 / r.shape[-1], out=r)
     np.multiply(half_v[rows], r, out=r)
     if forward:
         _forward_rows(r, half_v[rows])

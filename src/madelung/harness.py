@@ -29,6 +29,7 @@ import select
 import signal
 import threading
 import time
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, get_type_hints
 
@@ -306,12 +307,29 @@ def _check_payload(c: CheckResult) -> dict:
     return out
 
 
+_warned_serial = False  # whether _may_fork has warned in this process
+
+
 def _may_fork() -> bool:
     """Whether os.fork exists and no thread runs beside this one but the
     Strang helper, idle while this thread is not in a Strang stage: a child
-    forked while another thread holds a lock would wait on it forever."""
-    return hasattr(os, "fork") and threading.active_count() == 1 + (
-        grid_module._helper is not None)
+    forked while another thread holds a lock would wait on it forever.
+
+    Callers ask only with two or more usable CPUs, so a refusal for other
+    threads sends work serial that would have run on two; the first one in
+    a process says so in a RuntimeWarning."""
+    global _warned_serial
+    if not hasattr(os, "fork"):
+        return False
+    others = threading.active_count() - 1 - grid_module._helper_alive()
+    if others <= 0:
+        return True
+    if not _warned_serial:
+        _warned_serial = True
+        warnings.warn(f"the work runs serially: {others} other thread(s) running in this "
+                      "process, and a forked worker could wait forever on a lock one holds",
+                      RuntimeWarning, stacklevel=2)
+    return False
 
 
 class _Worker:

@@ -227,11 +227,12 @@ def _interp_cubic(values: np.ndarray, grid: Grid, xq: np.ndarray,
     The stencil index is taken mod n, so a position need not be wrapped into
     the domain: x and x +- length give the same values up to roundoff.
     `values` may stack several fields along leading axes; the stencil is
-    gathered once, as a (..., P, 4) array, and reduced against the (P, 4)
-    weights in one weighted sum.  With a `period`, the last stacked field is
-    an unwrapped phase, which jumps back by its winding (a whole number of
-    periods) at the seam: a stencil point whose index wrapped mod n takes
-    the winding once per lap, so the stencil lies on one branch.
+    gathered once, by one wrapping take, as a (..., P, 4) array, and reduced
+    against the (P, 4) weights in one weighted sum.  With a `period`, the
+    last stacked field is an unwrapped phase, which jumps back by its
+    winding (a whole number of periods) at the seam: a stencil point whose
+    index wrapped mod n takes the winding once per lap, so the stencil lies
+    on one branch.
     """
     pos = (xq - grid.x_min) / grid.dx
     j = np.floor(pos)
@@ -242,7 +243,7 @@ def _interp_cubic(values: np.ndarray, grid: Grid, xq: np.ndarray,
     np.multiply(s, s, out=powers[..., 2])
     np.multiply(powers[..., 2], s, out=powers[..., 3])
     stencil = j.astype(int)[..., None] + _STENCIL
-    g = values[..., stencil % grid.n]
+    g = np.take(values, stencil, axis=-1, mode="wrap")
     if period is not None:
         laps = stencil // grid.n
         winding = period * np.round((values[-1, -1] - values[-1, 0]) / period)

@@ -218,6 +218,47 @@ def test_blocked_transform_pair_on_a_stack(n):
     assert np.array_equal(k, plain[_block_order(n)])
 
 
+def _stacks(n):
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (3, n)):
+        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [8, 512, 4096])
+def test_the_plain_pair_has_numpys_bits(n):
+    for a in _stacks(n):
+        assert np.array_equal(grid._fft(a.copy()), np.fft.fft(a))
+        assert np.array_equal(grid._ifft(a.copy()), np.fft.ifft(a))
+
+
+def _blocked_from_numpy(a, inverse):
+    """The four-step pair composed of np.fft calls on (..., n1, n2) blocks."""
+    n = a.shape[-1]
+    block = a.reshape(a.shape[:-1] + grid._block_shape(n))
+    tw = grid._twiddle(n)
+    if not inverse:
+        return (np.fft.fft(np.fft.fft(block, axis=-2) * tw, axis=-1)).reshape(a.shape)
+    twisted = np.conjugate(np.conjugate(np.fft.ifft(block, axis=-1)) * tw)
+    return np.fft.ifft(twisted, axis=-2).reshape(a.shape)
+
+
+@pytest.mark.parametrize("n", [8192, 65536])
+def test_the_blocked_pair_has_the_bits_of_its_numpy_composition(n):
+    for a in _stacks(n):
+        assert np.array_equal(grid._fft(a.copy()), _blocked_from_numpy(a, False))
+        assert np.array_equal(grid._ifft(a.copy()), _blocked_from_numpy(a, True))
+
+
+@pytest.mark.parametrize("n", [512, 8192])
+def test_transforms_refuse_a_real_array(n):
+    a = np.linspace(0.0, 1.0, n)
+    for transform in (grid._fft, grid._ifft):
+        with pytest.raises(TypeError, match="Cannot cast ufunc") as caught:
+            transform(a)
+        assert "UFuncTypeError" in [c.__name__ for c in type(caught.value).__mro__]
+        assert np.array_equal(a, np.linspace(0.0, 1.0, n))  # untouched
+
+
 @pytest.mark.parametrize("n", [512, 8192])
 def test_transforms_refuse_a_non_contiguous_stack(n):
     a = np.ones((3, 2 * n), dtype=np.complex128)[:, ::2]

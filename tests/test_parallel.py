@@ -10,6 +10,8 @@ import select
 import signal
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -291,6 +293,34 @@ def test_a_dead_worker_leaves_verify_as_serial(monkeypatch, capsys, tmp_path, se
     assert pooled[2] == serial[2] == ""
     assert _untimed_json(path) == serial[3]
     _no_child_left()
+
+
+@fork_only
+def test_an_idle_thread_sends_verify_serial_with_one_warning(monkeypatch, capsys, tmp_path,
+                                                              serial_verify_all):
+    monkeypatch.setattr(harness, "_warned_serial", False)  # as in a fresh process
+    pids = _forks(monkeypatch)
+    path = tmp_path / "verify.json"
+    release = threading.Event()
+    idle = threading.Thread(target=release.wait, daemon=True)
+    idle.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = _verify(monkeypatch, capsys, 2, ["--all", "--json", str(path)])
+    finally:
+        release.set()
+        idle.join(timeout=10)
+    assert not idle.is_alive()
+    assert pids == []  # neither a pool worker nor a split verify's child
+    # one warning, though run_scenarios and each split verify refused to fork
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "the work runs serially: 1 other thread(s) running in this "
+                         "process, and a forked worker could wait forever on a lock one holds")]
+    assert rc == serial_verify_all[0] == EXIT_OK
+    assert _untimed(out) == _untimed(serial_verify_all[1])
+    assert err == serial_verify_all[2] == ""
+    assert _untimed_json(path) == serial_verify_all[3]
 
 
 class Stop(Exception):

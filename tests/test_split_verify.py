@@ -149,11 +149,13 @@ def test_one_process_judges_without_both_sides_two_cpus_or_one_thread(monkeypatc
     ScenarioRun(scenario_by_name("quantum_bouncer")).verify()  # no parcel-track check
     ScenarioRun(replace(scenario, checks=track_only)).verify()
     # a thread that may hold a lock the child would need
+    monkeypatch.setattr(harness, "_warned_serial", False)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        ScenarioRun(scenario).verify()
+        with pytest.warns(RuntimeWarning, match=r"^the work runs serially: 1 other thread\(s\)"):
+            ScenarioRun(scenario).verify()
     finally:
         release.set()
         other.join(timeout=10)

@@ -348,6 +348,39 @@ def test_advect_records_match_per_field_interpolation(desk_grid, natural_units, 
         lag_prev = lag
 
 
+def _interp_by_index(values, grid, xq, period=None):
+    """_interp_cubic with its stencil gathered as values[..., stencil % n]."""
+    pos = (xq - grid.x_min) / grid.dx
+    j = np.floor(pos)
+    s = pos - j
+    powers = np.stack([np.ones_like(s), s, s * s, s * s * s], axis=-1)
+    stencil = j.astype(int)[..., None] + np.arange(-1, 3)
+    g = values[..., stencil % grid.n]
+    if period is not None:
+        laps = stencil // grid.n
+        winding = period * np.round((values[-1, -1] - values[-1, 0]) / period)
+        np.add(g[-1], winding * laps, out=g[-1], where=laps != 0)
+    lagrange = np.array([[0.0, 1.0, 0.0, 0.0],
+                         [-1.0 / 3.0, -0.5, 1.0, -1.0 / 6.0],
+                         [0.5, -1.0, 0.5, 0.0],
+                         [-1.0 / 6.0, 0.5, -0.5, 1.0 / 6.0]])
+    return (g * (powers @ lagrange)).sum(-1)
+
+
+def test_the_wrapping_gather_has_the_bits_of_the_index_mod_n(desk_grid):
+    g, period = desk_grid, 2.0 * np.pi
+    rng = np.random.default_rng(7)
+    # up to four laps either side of the domain, and on the seam's nodes
+    xq = np.concatenate([g.x_min + g.length * rng.uniform(-4.0, 5.0, 200),
+                         g.x_min + g.length * np.arange(-4, 5), [g.x_max - 0.5 * g.dx]])
+    one = rng.standard_normal(g.n)
+    assert np.array_equal(_interp_cubic(one, g, xq), _interp_by_index(one, g, xq))
+    stack = np.concatenate([rng.standard_normal((4, g.n)),
+                            [3.0 * period * (g.x - g.x_min) / g.length]])  # 3 windings
+    assert np.array_equal(_interp_cubic(stack, g, xq, period),
+                          _interp_by_index(stack, g, xq, period))
+
+
 @pytest.mark.parametrize("mode", [8, 179])  # 179 turns the phase by 0.7 pi a cell
 def test_the_phase_is_interpolated_on_one_branch_across_the_seam(desk_grid, mode):
     # the unwrapped phase of a plane wave: k x from x_min, which jumps back

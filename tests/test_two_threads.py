@@ -172,6 +172,56 @@ def test_a_failing_helper_half_reaches_the_caller(monkeypatch, natural_units):
     assert np.array_equal(evolve(wf, U, config).psi.values, before)
 
 
+def _dies(stage, rows, args, done, result):
+    raise SystemExit  # ends the helper thread, its half unanswered
+
+
+def _in_time(fn, seconds=60.0):
+    """fn() on a daemon thread, so that a caller left waiting fails the test
+    rather than hanging it."""
+    out = []
+
+    def run():
+        try:
+            out.append(fn())
+        except BaseException as exc:
+            out.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still waiting after {seconds} s"
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
+
+
+@pytest.mark.parametrize("when", ["idle", "in_a_stage"])
+def test_the_caller_runs_the_half_of_a_dead_helper(monkeypatch, natural_units, when):
+    wf, U = _case(32768, "harmonic", natural_units)
+    config = PropagatorConfig(1e-3, 6, 3)
+    column = _column_form(monkeypatch, lambda: evolve(wf, U, config).psi.values)
+    _cpus(monkeypatch, 2)
+    _no_column_steps(monkeypatch)
+    # no helper thread may outlive the test beside the process's helper: a
+    # later test would find it running, and harness._may_fork refuse to fork
+    with monkeypatch.context() as m:
+        m.setattr(threading, "excepthook", lambda args: None)  # a death is expected
+        if when == "idle":  # the process's helper dies on a job it cannot unpack
+            dead = grid._the_helper()
+            dead._stages.put(None)
+            dead._thread.join(timeout=60.0)
+            assert not dead._thread.is_alive()
+        else:  # a helper of the test's own dies holding the first stage's second half
+            m.setattr(grid._Helper, "_run", staticmethod(_dies))
+            m.setattr(grid, "_helper", None)
+            dead = grid._the_helper()
+        assert np.array_equal(_in_time(lambda: evolve(wf, U, config).psi.values), column)
+        assert not dead._thread.is_alive() and grid._helper is None  # forgotten
+    assert np.array_equal(evolve(wf, U, config).psi.values, column)
+    assert grid._helper is not dead and grid._helper_alive()  # and another started
+
+
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
 def test_an_interrupt_in_the_callers_wait_lets_the_helper_half_finish(
         monkeypatch, natural_units):
