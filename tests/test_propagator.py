@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import madelung
 from madelung import grid, propagator
 from madelung.grid import RealField, make_grid
 from madelung.potentials import PotentialSpec, evaluate_potential
@@ -138,7 +142,9 @@ BLOCKED_NS = [8192, 16384, 32768, 65536]
 def _large_case(n, kind, natural_units):
     g = make_grid(n, -0.025 * n, 0.025 * n)
     wf = gaussian_packet(g, natural_units, 1.0, 1.0, 2.0)
-    if kind == "harmonic":
+    if kind == "free":
+        U = RealField(np.zeros(n), g)
+    elif kind == "harmonic":
         U = evaluate_potential(PotentialSpec("harmonic", omega=0.02), g, natural_units)
     else:
         table = RealField(0.5 * np.cos(0.3 * g.x), g)
@@ -206,6 +212,101 @@ def test_snapshots_own_their_arrays_on_a_blocked_grid(natural_units):
     assert not np.array_equal(kept[1], kept[2])
     assert not np.shares_memory(step(wf, U, 1e-3).psi.values, wf.psi.values)
     assert np.array_equal(wf.psi.values, before)
+
+
+def _column_form(monkeypatch, run):
+    """run() with every Strang loop in the column form."""
+    with monkeypatch.context() as m:
+        m.setattr(propagator, "_ROWS_MIN_N", 1 << 62)
+        return run()
+
+
+def _no_column_steps(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the column-form step ran")
+
+    monkeypatch.setattr(propagator, "_apply", forbidden)
+
+
+ROW_STEPS = 15  # 7 does not divide it: the last step is read apart from the snapshots
+
+
+def _runs(wf, U):
+    """Every state evolve hands out at three snapshot cadences, and step()."""
+    out = []
+    for every in (1, 7, ROW_STEPS):
+        kept = []
+        last = evolve(wf, U, PropagatorConfig(1e-3, ROW_STEPS, every),
+                      [lambda t, w: kept.append((t, w.psi.values))])
+        out.append((kept, last.psi.values))
+    out.append(step(wf, U, 1e-3).psi.values)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["free", "harmonic", "cosine_table"])
+@pytest.mark.parametrize("n", [32768, 65536, 131072])
+def test_the_row_loop_gives_the_column_form_bits(monkeypatch, n, kind, natural_units):
+    wf, U = _large_case(n, kind, natural_units)
+    column = _column_form(monkeypatch, lambda: _runs(wf, U))
+    _no_column_steps(monkeypatch)
+    rows = _runs(wf, U)
+    for (kept_r, last_r), (kept_c, last_c) in zip(rows[:-1], column[:-1]):
+        assert [t for t, _ in kept_r] == [t for t, _ in kept_c]
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(kept_r, kept_c))
+        assert np.array_equal(last_r, last_c)
+    assert np.array_equal(rows[-1], column[-1])
+
+
+def test_the_flow_stream_reads_every_state_of_the_row_loop(monkeypatch, natural_units):
+    wf, U = _large_case(32768, "harmonic", natural_units)
+    config = PropagatorConfig(1e-3, 9)
+    column = _column_form(monkeypatch, lambda: list(propagator._states(wf, U, config)))
+    _no_column_steps(monkeypatch)
+    rows = list(propagator._states(wf, U, config))
+    assert len(rows) == len(column) == 10
+    assert all(np.array_equal(a, b) for a, b in zip(rows, column))
+    for i, a in enumerate(rows):
+        for b in rows[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_the_grid_size_alone_chooses_the_row_loop(monkeypatch, natural_units):
+    assert grid._BLOCKED_MIN_N <= grid._ROWS_MIN_N == 32768
+    real, sizes = propagator._strang_rows, []
+
+    def counted(values, *args):
+        sizes.append(values.size)
+        return real(values, *args)
+
+    monkeypatch.setattr(propagator, "_strang_rows", counted)
+    for n in (16384, 32768):
+        wf, U = _large_case(n, "free", natural_units)
+        step(wf, U, 1e-3)
+    assert sizes == [32768]
+
+
+def test_importing_the_cli_evolving_and_streaming_start_no_thread():
+    # with two usable CPUs, on small and large grids alike
+    code = (
+        "import os, sys, threading, numpy as np, madelung, madelung.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "c = madelung.PhysicalConstants()\n"
+        "for n, span, steps in ((512, 20.0, 20), (65536, 1536.0, 20)):\n"
+        "    g = madelung.make_grid(n, -span, span)\n"
+        "    wf = madelung.gaussian_packet(g, c, 0.0, 1.0, 1.0)\n"
+        "    U = madelung.RealField(np.zeros(g.n), g)\n"
+        "    madelung.evolve(wf, U, madelung.PropagatorConfig(1e-3, steps, 5))\n"
+        "g = madelung.make_grid(32768, -800.0, 800.0)\n"
+        "wf = madelung.gaussian_packet(g, c, 0.0, 1.0, 1.0)\n"
+        "U = madelung.RealField(np.zeros(g.n), g)\n"
+        "madelung.track(wf, U, 1e-3, 4, madelung.seed_parcels(wf.density(), 4))\n"
+        "print(threading.active_count(), 'queue' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(madelung.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "1 False\n"
 
 
 def test_evolve_zero_steps_notifies_once(desk_grid, natural_units, free_potential):
