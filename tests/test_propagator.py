@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -146,6 +147,8 @@ def _large_case(n, kind, natural_units):
         U = RealField(np.zeros(n), g)
     elif kind == "harmonic":
         U = evaluate_potential(PotentialSpec("harmonic", omega=0.02), g, natural_units)
+    elif kind in ("linear", "abs_linear"):  # odd, and kinked at x = 0
+        U = evaluate_potential(PotentialSpec(kind, g=0.01), g, natural_units)
     else:
         table = RealField(0.5 * np.cos(0.3 * g.x), g)
         U = evaluate_potential(PotentialSpec("tabulated", table=table), g, natural_units)
@@ -243,8 +246,11 @@ def _runs(wf, U):
     return out
 
 
-@pytest.mark.parametrize("kind", ["free", "harmonic", "cosine_table"])
-@pytest.mark.parametrize("n", [32768, 65536, 131072])
+ROW_NS = [32768, 65536, 131072]
+
+
+@pytest.mark.parametrize("kind", ["free", "linear", "abs_linear", "harmonic", "cosine_table"])
+@pytest.mark.parametrize("n", ROW_NS)
 def test_the_row_loop_gives_the_column_form_bits(monkeypatch, n, kind, natural_units):
     wf, U = _large_case(n, kind, natural_units)
     column = _column_form(monkeypatch, lambda: _runs(wf, U))
@@ -257,8 +263,9 @@ def test_the_row_loop_gives_the_column_form_bits(monkeypatch, n, kind, natural_u
     assert np.array_equal(rows[-1], column[-1])
 
 
-def test_the_flow_stream_reads_every_state_of_the_row_loop(monkeypatch, natural_units):
-    wf, U = _large_case(32768, "harmonic", natural_units)
+@pytest.mark.parametrize("n", ROW_NS)
+def test_the_flow_stream_reads_every_state_of_the_row_loop(monkeypatch, n, natural_units):
+    wf, U = _large_case(n, "harmonic", natural_units)
     config = PropagatorConfig(1e-3, 9)
     column = _column_form(monkeypatch, lambda: list(propagator._states(wf, U, config)))
     _no_column_steps(monkeypatch)
@@ -283,6 +290,114 @@ def test_the_grid_size_alone_chooses_the_row_loop(monkeypatch, natural_units):
         wf, U = _large_case(n, "free", natural_units)
         step(wf, U, 1e-3)
     assert sizes == [32768]
+
+
+@pytest.mark.parametrize("n", ROW_NS)
+def test_callers_on_several_threads_get_the_serial_bits(n, natural_units):
+    cases = [_large_case(n, kind, natural_units) for kind in ("free", "harmonic", "cosine_table")]
+    config = PropagatorConfig(1e-3, ROW_STEPS, 4)
+    serial = [evolve(wf, U, config).psi.values for wf, U in cases]
+    start, out = threading.Barrier(len(cases)), [None] * len(cases)
+
+    def run(i):
+        start.wait(timeout=30)
+        out[i] = evolve(*cases[i], config).psi.values
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert all(a is not None and np.array_equal(a, b) for a, b in zip(out, serial))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_steps_a_large_grid_with_the_parents_bits(natural_units):
+    wf, U = _large_case(32768, "harmonic", natural_units)
+    config = PropagatorConfig(1e-3, ROW_STEPS, ROW_STEPS)
+    here = evolve(wf, U, config).psi.values  # the tables the child inherits are filled
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child writes its bytes and leaves without pytest's teardown
+        code = 1
+        try:
+            with os.fdopen(write, "wb") as out:
+                out.write(evolve(wf, U, config).psi.values.tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as child:
+        data = child.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert np.array_equal(np.frombuffer(data, np.complex128), here)
+
+
+def _raise_at_second_snapshot(error):
+    def observer(t, w):
+        if t > 0:
+            raise error
+
+    return observer
+
+
+@pytest.mark.parametrize("stop", ["observer_error", "interrupt", "closed_stream"])
+def test_an_abandoned_row_loop_leaves_the_next_run_its_bits(stop, natural_units):
+    wf, U = _large_case(65536, "cosine_table", natural_units)
+    before = wf.psi.values.copy()
+    config = PropagatorConfig(1e-3, ROW_STEPS, 4)
+    first = evolve(wf, U, config).psi.values
+    if stop == "closed_stream":
+        states = propagator._states(wf, U, config, 4)
+        next(states), next(states)
+        states.close()
+    else:
+        error = RuntimeError("observer exploded") if stop == "observer_error" else KeyboardInterrupt()
+        with pytest.raises(type(error)):
+            evolve(wf, U, config, [_raise_at_second_snapshot(error)])
+    assert np.array_equal(wf.psi.values, before)
+    assert np.array_equal(evolve(wf, U, config).psi.values, first)
+
+
+def test_evolve_zero_steps_on_the_row_loop_notifies_once(monkeypatch, natural_units):
+    wf, U = _large_case(32768, "harmonic", natural_units)
+    _no_column_steps(monkeypatch)
+    seen = []
+    out = evolve(wf, U, PropagatorConfig(1e-3, 0), [lambda t, w: seen.append(t)])
+    assert seen == [0.0]
+    assert out is wf
+    assert [v is wf.psi.values for v in propagator._states(wf, U, PropagatorConfig(1e-3, 0))] == [True]
+
+
+@pytest.mark.parametrize("n_steps", [10, 12])
+def test_evolve_returns_the_last_step_between_snapshots_on_the_row_loop(n_steps, natural_units):
+    wf, U = _large_case(32768, "abs_linear", natural_units)
+    seen = []
+    out = evolve(wf, U, PropagatorConfig(1e-3, n_steps, 4), [lambda t, w: seen.append(w)])
+    stepped = wf
+    for _ in range(n_steps):
+        stepped = step(stepped, U, 1e-3)
+    assert np.array_equal(out.psi.values, stepped.psi.values)
+    assert len(seen) == 1 + n_steps // 4
+    # the last step is the last snapshot only when snapshot_every divides n_steps
+    assert (out is seen[-1]) == (n_steps % 4 == 0)
+
+
+def test_parcel_tracks_on_the_row_loop_equal_the_column_form(monkeypatch, natural_units):
+    wf, U = _large_case(32768, "harmonic", natural_units)
+
+    def tracked():
+        flow, ens = madelung.track(wf, U, 1e-3, 6, madelung.seed_parcels(wf.density(), 5))
+        return [flow.seam_flux, *(r.values for r in flow.rho), ens.positions, ens.x_records,
+                ens.u_records, ens.ln_rho_records, ens.div_u_records, ens.S_records]
+
+    column = _column_form(monkeypatch, tracked)
+    _no_column_steps(monkeypatch)
+    rows = tracked()
+    assert len(rows) == len(column)
+    assert all(np.array_equal(a, b) for a, b in zip(rows, column))
 
 
 def test_importing_the_cli_evolving_and_streaming_start_no_thread():
