@@ -9,7 +9,7 @@ integrals of spectral derivatives vanish identically.
 
 Every transform goes through one pair, _fft and _ifft, in place along the
 last axis of a contiguous complex (..., n) stack.  The pair, and the row
-loop below, call numpy's FFT gufuncs directly, with numpy's normalisation:
+stages below, call numpy's FFT gufuncs directly, with numpy's normalisation:
 each transform has np.fft's bits without np.fft's per-call argument
 handling, which at 512 points cost more than the transform (a forward and
 inverse pair took 16-18 us through np.fft, 11 us direct).  From
@@ -20,17 +20,31 @@ multiply between them.  That leaves the spectrum in transposed order,
 block[c, d] holding mode c + n1 d, which is the order _spectral stores its
 factors in, so no transpose is ever made.
 
-Below _ROWS_MIN_N (32768) points the Strang step is propagator._apply, over
-the blocked transforms from _BLOCKED_MIN_N on.  From _ROWS_MIN_N on, the
-Strang loop runs here, as _strang_rows: between steps it keeps psi in the
-transposed block layout, rows[c, r] = psi[r n2 + c], so that every FFT of a
-step runs along contiguous rows.  Row FFTs of the transposed block equal the
-column FFTs bit for bit, so both loops give the same bits.
+From _THREADED_MIN_N (32768) points on, the Strang loop runs here too, as
+_strang_rows.  Between steps it keeps psi in the transposed block layout,
+rows[c, r] = psi[r n2 + c], so that every FFT of a step runs along contiguous
+rows.  A step has two stages, (1) into the spectral block, kinetic factor and
+back, and (2) back to the rows, the potential factors and the next forward
+FFT.  Row FFTs of the transposed block equal the column FFTs bit for bit, so
+both loops give the same bits.  When the process may use two or more CPUs,
+the caller runs the first half of each stage's rows and a daemon helper
+thread the second (numpy's FFT releases the GIL), and the two meet after each
+stage; _Helper times both ways as it goes and keeps to the caller alone while
+the second CPU is slow to answer.  The split pays only while the host leaves
+the second CPU free, and then it pays much.  On a 2-vCPU KVM guest, in 10
+alternating pairs of bench/run.py's wide_domain (65536 points), it read a
+median 1.18 s an operation against 1.75 s for the column form on one thread,
+faster in all 10; in 10 later pairs, 1.69 s against 1.75 s.  On one thread
+the row loop was not shown faster than the column form (1.71 s against 1.80
+s, inside its quartile spread): it is the loop because the split runs in it.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,11 +231,176 @@ def _ifft(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Grids of at least this many points run the Strang loop as _strang_rows.
-# Per step on a 2-vCPU KVM guest, pinned to one CPU, the row loop ran 3-5 %
-# faster than the column form at 32768 and 65536 points, and tied with it at
-# 8192, 16384 and 131072.
-_ROWS_MIN_N = 32768
+# Grids of at least this many points run the Strang loop as _strang_rows, on
+# two threads when two CPUs are usable; below it neither the split nor the
+# row loop alone beats the column form.
+_THREADED_MIN_N = 32768
+
+# harness._Worker children set this: each holds one of its caller's CPUs
+_in_pool_worker = False
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; one in a forked worker."""
+    if _in_pool_worker:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
+def _to_rows(a: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a natural-order (n,) array in the transposed block
+    layout of _strang_rows: out[c, r] = a[r n2 + c]."""
+    n1, n2 = _block_shape(a.shape[-1])
+    return np.ascontiguousarray(a.reshape(n1, n2).T)
+
+
+# See _Helper: stages in each timed window, and stages the faster way then
+# runs before both are timed again; and seconds between the caller's looks
+# at whether the helper thread still lives while it waits for it.
+_WINDOW, _RUN = 4, 256
+_POLL = 0.1
+
+
+class _Helper:
+    """A daemon thread that runs the second half of each stage's rows while
+    the caller runs the first.
+
+    Each stage hands the helper its own lock and result list; the helper
+    appends its failure, or None, then releases the lock.  The caller waits
+    until that list is filled, taking the wait up again if an exception (a
+    KeyboardInterrupt from a signal) breaks it, so no stage returns before
+    its other half has stopped, and no stage can take another's end for its
+    own.  If the helper thread dies, the caller's wait sees it within _POLL
+    seconds: the caller then runs the half nobody answered itself, as every
+    stage reads one work block and writes the other's rows whole, and the
+    process forgets this helper, so the next Strang loop starts another.
+
+    Sharing pays only while the second CPU runs the helper when asked.  On a
+    machine whose host held that CPU for others, a shared step took three to
+    four times as long as the caller's step alone.  So the stages run in
+    cycles: _WINDOW stages by the caller alone, _WINDOW shared, each window
+    timed, then _RUN stages the way whose window was faster.  Either way the
+    stages give the same bits.
+    """
+
+    def __init__(self):
+        import queue  # here, so that importing madelung stays as cheap
+
+        self._stages = queue.SimpleQueue()
+        self._cycle = 0  # stages into the current cycle
+        self._windows = [0.0, 0.0]  # seconds of this cycle's alone and shared windows
+        self._thread = threading.Thread(target=self._serve, args=(self._stages, self._run),
+                                        name="madelung-rows", daemon=True)
+        self._thread.start()
+
+    @staticmethod
+    def _serve(stages, run):
+        while True:
+            job = stages.get()
+            run(*job)
+            job = None  # keep no reference to the stage's arrays while waiting
+
+    @staticmethod
+    def _run(stage, rows, args, done, result):
+        try:
+            stage(rows, *args)
+            result.append(None)
+        except BaseException as exc:
+            result.append(exc)
+        done.release()
+
+    def rows(self, stage, n_rows: int, *args) -> None:
+        """stage(rows, *args) over [0, n_rows), the caller taking the first
+        half and the helper the second, or the caller all of them.  Returns,
+        or raises the first failure, only after both halves have stopped."""
+        k = self._cycle
+        self._cycle = (k + 1) % (2 * _WINDOW + _RUN)
+        timed = k < 2 * _WINDOW
+        shared = k >= _WINDOW if timed else self._windows[1] < self._windows[0]
+        start = time.perf_counter()
+        if shared:
+            self._share(stage, n_rows, args)
+        else:
+            stage(slice(0, n_rows), *args)
+        if timed:
+            if k % _WINDOW == 0:
+                self._windows[shared] = 0.0
+            self._windows[shared] += time.perf_counter() - start
+
+    def _share(self, stage, n_rows: int, args) -> None:
+        half = n_rows // 2
+        done, result = threading.Lock(), []
+        done.acquire()
+        self._stages.put((stage, slice(half, n_rows), args, done, result))
+        try:
+            stage(slice(0, half), *args)
+        finally:
+            broken = None
+            while not result and self._thread.is_alive():
+                try:
+                    done.acquire(timeout=_POLL)
+                except BaseException as exc:
+                    broken = exc
+            if broken is not None:
+                raise broken
+        if not result:  # the helper thread died: nobody else will run these rows
+            _forget_helper(self)
+            stage(slice(half, n_rows), *args)
+        elif result[0] is not None:
+            raise result[0]
+
+
+def _all_rows(stage, n_rows: int, *args) -> None:
+    """_Helper.rows with one CPU: the caller runs all the rows."""
+    stage(slice(0, n_rows), *args)
+
+
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _the_helper() -> _Helper:
+    """The process's helper thread, started at first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = _Helper()
+        return _helper
+
+
+def _helper_alive() -> bool:
+    """Whether this process has a helper thread, and it still runs."""
+    helper = _helper
+    return helper is not None and helper._thread.is_alive()
+
+
+def _forget_helper(dead: _Helper) -> None:
+    """Forget a helper whose thread died: the next _the_helper starts another."""
+    global _helper
+    with _helper_lock:
+        if _helper is dead:
+            _helper = None
+
+
+def _forget_helper_in_child() -> None:
+    # a forked child has no helper thread: it starts its own at first use
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper_in_child)
+
+
+def _enter_rows(rows, block, natural, half_v):
+    """Transpose natural-order psi into the block, potential half factor,
+    FFT along the rows (the natural block's columns)."""
+    r = block[rows]
+    np.copyto(r, natural[:, rows].T)
+    _forward_rows(r, half_v[rows])
 
 
 def _forward_rows(r, half_v):
@@ -229,50 +408,58 @@ def _forward_rows(r, half_v):
     _pocketfft.fft(r, 1, out=r)
 
 
+def _kinetic_rows(rows, spec, block, kinetic, tw):
+    """Stage 1: transpose into the spectral block times the twiddle, row FFT,
+    kinetic factor, row IFFT, then conjugate and times the twiddle: the first
+    two of _ifft's exact conj(conj(x) * twiddle), whose last conjugate
+    _return_rows makes while it transposes."""
+    s = spec[rows]
+    np.copyto(s, block[:, rows].T)  # cheaper than multiplying the strided view
+    s *= tw[rows]
+    _pocketfft.fft(s, 1, out=s)
+    np.multiply(kinetic[rows], s, out=s)
+    _pocketfft.ifft(s, 1.0 / s.shape[-1], out=s)
+    np.conjugate(s, out=s)
+    s *= tw[rows]
+
+
+def _return_rows(rows, block, spec, half_v, forward):
+    """Stage 2: conjugate while transposing back, row IFFT, potential half
+    factor; then, if forward, the next step's potential half factor and
+    forward rows."""
+    r = block[rows]
+    np.conjugate(spec[:, rows].T, out=r)
+    _pocketfft.ifft(r, 1.0 / r.shape[-1], out=r)
+    np.multiply(half_v[rows], r, out=r)
+    if forward:
+        _forward_rows(r, half_v[rows])
+
+
 def _strang_rows(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
                  n_steps: int, every: int):
-    """The Strang loop in the transposed block layout: yield psi's values in
-    natural order after steps every, 2 every, ... and after step n_steps.
+    """The Strang loop in the transposed block layout, on two threads when
+    two CPUs are usable: yield psi's values in natural order after steps
+    every, 2 every, ... and after step n_steps.
 
-    ``half_v`` is the potential half factor and ``kinetic`` the kinetic
-    factor in _spectral's order, as propagator._apply takes them; the loop
-    keeps only a transposed copy of the former.  The yielded arrays are new;
-    the two work blocks are released while the caller holds one and rebuilt
-    from it afterwards.
+    ``half_v`` is the potential half factor in the transposed block layout
+    (see _to_rows) and ``kinetic`` the kinetic factor in _spectral's order.
+    The yielded arrays are new; the two work blocks are released while the
+    caller holds one and rebuilt from it afterwards.
     """
     n = values.shape[-1]
     n1, n2 = _block_shape(n)
     tw = _twiddle(n)
     kinetic = kinetic.reshape(n1, n2)
-    half_v = np.ascontiguousarray(half_v.reshape(n1, n2).T)
+    rows = _the_helper().rows if _usable_cpus() >= 2 else _all_rows
     done = 0
     while done < n_steps:
         steps = min(every, n_steps - done)
         block = np.empty((n2, n1), np.complex128)
         spec = np.empty((n1, n2), np.complex128)
-        # natural-order psi into the block, potential half factor, FFT along
-        # the rows (the natural block's columns)
-        np.copyto(block, values.reshape(n1, n2).T)
-        _forward_rows(block, half_v)
+        rows(_enter_rows, n2, block, values.reshape(n1, n2), half_v)
         for s in range(steps, 0, -1):
-            # into the spectral block times the twiddle, row FFT, kinetic
-            # factor, row IFFT, then the first two of _ifft's exact
-            # conj(conj(x) * twiddle), whose last conjugate is made while
-            # transposing back
-            np.copyto(spec, block.T)  # cheaper than multiplying the strided view
-            spec *= tw
-            _pocketfft.fft(spec, 1, out=spec)
-            np.multiply(kinetic, spec, out=spec)
-            _pocketfft.ifft(spec, 1.0 / n2, out=spec)
-            np.conjugate(spec, out=spec)
-            spec *= tw
-            # back to the rows, row IFFT, potential half factor; then the next
-            # step's potential half factor and forward rows
-            np.conjugate(spec.T, out=block)
-            _pocketfft.ifft(block, 1.0 / n1, out=block)
-            np.multiply(half_v, block, out=block)
-            if s > 1:
-                _forward_rows(block, half_v)
+            rows(_kinetic_rows, n1, spec, block, kinetic, tw)
+            rows(_return_rows, n2, block, spec, half_v, s > 1)
         values = np.ascontiguousarray(block.T).reshape(n)
         del block, spec
         done += steps

@@ -42,7 +42,8 @@ from .diagnostics import (
     madelung_fields,
     nonspreading_residual,
 )
-from .grid import Grid, NonFiniteFieldError, RealField, make_grid
+from . import grid as grid_module
+from .grid import Grid, NonFiniteFieldError, RealField, _usable_cpus, make_grid
 from .potentials import PotentialSpec, evaluate_potential
 from .propagator import PropagatorConfig, evolve, step
 from .states import (
@@ -306,25 +307,12 @@ def _check_payload(c: CheckResult) -> dict:
     return out
 
 
-# _Worker children set this: each holds one of its caller's CPUs
-_in_pool_worker = False
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; one in a forked worker."""
-    if _in_pool_worker:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity interface on this platform
-        return os.cpu_count() or 1
-
-
 _warned_serial = False  # whether _may_fork has warned in this process
 
 
 def _may_fork() -> bool:
-    """Whether os.fork exists and no thread runs beside this one: a child
+    """Whether os.fork exists and no thread runs beside this one but the
+    Strang helper, idle while this thread is not in a Strang stage: a child
     forked while another thread holds a lock would wait on it forever.
 
     Callers ask only with two or more usable CPUs, so a refusal for other
@@ -333,7 +321,7 @@ def _may_fork() -> bool:
     global _warned_serial
     if not hasattr(os, "fork"):
         return False
-    others = threading.active_count() - 1
+    others = threading.active_count() - 1 - grid_module._helper_alive()
     if others <= 0:
         return True
     if not _warned_serial:
@@ -368,8 +356,7 @@ class _Worker:
                 # child reads EOF or writes into a broken pipe, and leaves
                 os.close(self._requests)
                 os.close(answers)
-                global _in_pool_worker
-                _in_pool_worker = True  # it forks no workers of its own
+                grid_module._in_pool_worker = True  # its Strang steps stay on one CPU
                 inbox, outbox = os.fdopen(inbox, "rb"), os.fdopen(outbox, "wb")
                 while True:  # until it is killed, or a call raises
                     outbox.write(pickle.dumps((fn(pickle.load(inbox)),), pickle.HIGHEST_PROTOCOL))

@@ -18,11 +18,12 @@ import numpy as np
 from .grid import (
     ComplexField,
     RealField,
-    _ROWS_MIN_N,
+    _THREADED_MIN_N,
     _fft,
     _ifft,
     _spectral,
     _strang_rows,
+    _to_rows,
     check_potential_grid,
 )
 from .states import WaveFunction
@@ -65,11 +66,13 @@ def _check_kinetic_phase(wf: WaveFunction, dt: float) -> None:
         )
 
 
-def _factors(wf: WaveFunction, U: RealField, dt: float):
+def _factors(wf: WaveFunction, U: RealField, dt: float, rows: bool = False):
     """The potential half-step phase and the kinetic factor, the latter in
-    the order of the grid's spectrum."""
+    the order of the grid's spectrum; with rows, the phase is in the
+    transposed block layout of grid._strang_rows."""
     hbar, m = wf.constants.hbar, wf.constants.mass
-    half_v = np.exp(-0.5j * U.values * dt / hbar)
+    u = _to_rows(U.values) if rows else U.values
+    half_v = np.exp(-0.5j * u * dt / hbar)
     k = _spectral(wf.grid)[0]
     kinetic = np.exp(-0.5j * hbar * k**2 * dt / m)
     return half_v, kinetic
@@ -98,17 +101,18 @@ def _states(wf: WaveFunction, U: RealField, config: PropagatorConfig, every: int
 
     The potential's grid and the step's kinetic phase are checked before the
     first value is yielded.  The values are not validated: a caller that
-    hands them on wraps them in a field.  On grids of grid._ROWS_MIN_N
-    points and more the steps run in grid._strang_rows; both loops give the
-    same bits.
+    hands them on wraps them in a field.  On grids of grid._THREADED_MIN_N
+    points and more the steps run in grid._strang_rows, on two threads when
+    two CPUs are usable; both loops give the same bits.
     """
     check_potential_grid(U.grid, wf.grid)
     if config.n_steps > 0:
         _check_kinetic_phase(wf, config.dt)
     values = wf.psi.values
     yield values
-    if wf.grid.n >= _ROWS_MIN_N:  # no reference here keeps the natural-order factor
-        yield from _strang_rows(values, *_factors(wf, U, config.dt), config.n_steps, every)
+    if wf.grid.n >= _THREADED_MIN_N:
+        half_v, kinetic = _factors(wf, U, config.dt, rows=True)
+        yield from _strang_rows(values, half_v, kinetic, config.n_steps, every)
         return
     half_v, kinetic = _factors(wf, U, config.dt)
     for i in range(1, config.n_steps + 1):

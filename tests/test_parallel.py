@@ -21,15 +21,12 @@ from madelung import cli, harness
 from madelung.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from madelung.grid import NonFiniteFieldError
 from madelung.harness import (
-    CheckSpec,
     GridSpec,
-    StateSpec,
     builtin_scenarios,
     run_scenario,
     run_scenarios,
     scenario_by_name,
 )
-from madelung.propagator import PropagatorConfig
 
 fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -100,23 +97,6 @@ def test_pooled_payloads_equal_serial_ones(monkeypatch, serial_payloads):
     assert len(pids) == 2
     assert here == []  # every report came back from a worker
     assert pooled == serial_payloads
-    _no_child_left()
-
-
-@fork_only
-def test_a_large_grid_scenario_pools_as_it_runs_serially(monkeypatch):
-    control = scenario_by_name("spreading_negative_control")
-    wide = replace(control, name="wide_control", grid=GridSpec(32768, -1280.0, 1280.0),
-                   state=StateSpec("gaussian", {"x0": 0.0, "sigma0": 0.5, "k0": 1.0}),
-                   propagation=PropagatorConfig(1e-3, 40, 20),
-                   checks=(CheckSpec("norm_drift", 1e-10), CheckSpec("energy_drift", 1e-8)))
-    _cpus(monkeypatch, 2)
-    serial = run_scenario(wide).payload()
-    here = _run_here(monkeypatch, harness.run_scenario)
-    pooled = [r.payload() for r in run_scenarios([wide, wide])]
-    assert here == []  # both reports came back from workers
-    assert pooled == [serial, serial]
-    assert serial["passed"]
     _no_child_left()
 
 

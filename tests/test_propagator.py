@@ -1,13 +1,8 @@
 import math
-import os
-import subprocess
-import sys
-import threading
 
 import numpy as np
 import pytest
 
-import madelung
 from madelung import grid, propagator
 from madelung.grid import RealField, make_grid
 from madelung.potentials import PotentialSpec, evaluate_potential
@@ -143,12 +138,8 @@ BLOCKED_NS = [8192, 16384, 32768, 65536]
 def _large_case(n, kind, natural_units):
     g = make_grid(n, -0.025 * n, 0.025 * n)
     wf = gaussian_packet(g, natural_units, 1.0, 1.0, 2.0)
-    if kind == "free":
-        U = RealField(np.zeros(n), g)
-    elif kind == "harmonic":
+    if kind == "harmonic":
         U = evaluate_potential(PotentialSpec("harmonic", omega=0.02), g, natural_units)
-    elif kind in ("linear", "abs_linear"):  # odd, and kinked at x = 0
-        U = evaluate_potential(PotentialSpec(kind, g=0.01), g, natural_units)
     else:
         table = RealField(0.5 * np.cos(0.3 * g.x), g)
         U = evaluate_potential(PotentialSpec("tabulated", table=table), g, natural_units)
@@ -215,213 +206,6 @@ def test_snapshots_own_their_arrays_on_a_blocked_grid(natural_units):
     assert not np.array_equal(kept[1], kept[2])
     assert not np.shares_memory(step(wf, U, 1e-3).psi.values, wf.psi.values)
     assert np.array_equal(wf.psi.values, before)
-
-
-def _column_form(monkeypatch, run):
-    """run() with every Strang loop in the column form."""
-    with monkeypatch.context() as m:
-        m.setattr(propagator, "_ROWS_MIN_N", 1 << 62)
-        return run()
-
-
-def _no_column_steps(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("the column-form step ran")
-
-    monkeypatch.setattr(propagator, "_apply", forbidden)
-
-
-ROW_STEPS = 15  # 7 does not divide it: the last step is read apart from the snapshots
-
-
-def _runs(wf, U):
-    """Every state evolve hands out at three snapshot cadences, and step()."""
-    out = []
-    for every in (1, 7, ROW_STEPS):
-        kept = []
-        last = evolve(wf, U, PropagatorConfig(1e-3, ROW_STEPS, every),
-                      [lambda t, w: kept.append((t, w.psi.values))])
-        out.append((kept, last.psi.values))
-    out.append(step(wf, U, 1e-3).psi.values)
-    return out
-
-
-ROW_NS = [32768, 65536, 131072]
-
-
-@pytest.mark.parametrize("kind", ["free", "linear", "abs_linear", "harmonic", "cosine_table"])
-@pytest.mark.parametrize("n", ROW_NS)
-def test_the_row_loop_gives_the_column_form_bits(monkeypatch, n, kind, natural_units):
-    wf, U = _large_case(n, kind, natural_units)
-    column = _column_form(monkeypatch, lambda: _runs(wf, U))
-    _no_column_steps(monkeypatch)
-    rows = _runs(wf, U)
-    for (kept_r, last_r), (kept_c, last_c) in zip(rows[:-1], column[:-1]):
-        assert [t for t, _ in kept_r] == [t for t, _ in kept_c]
-        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(kept_r, kept_c))
-        assert np.array_equal(last_r, last_c)
-    assert np.array_equal(rows[-1], column[-1])
-
-
-@pytest.mark.parametrize("n", ROW_NS)
-def test_the_flow_stream_reads_every_state_of_the_row_loop(monkeypatch, n, natural_units):
-    wf, U = _large_case(n, "harmonic", natural_units)
-    config = PropagatorConfig(1e-3, 9)
-    column = _column_form(monkeypatch, lambda: list(propagator._states(wf, U, config)))
-    _no_column_steps(monkeypatch)
-    rows = list(propagator._states(wf, U, config))
-    assert len(rows) == len(column) == 10
-    assert all(np.array_equal(a, b) for a, b in zip(rows, column))
-    for i, a in enumerate(rows):
-        for b in rows[i + 1:]:
-            assert not np.shares_memory(a, b)
-
-
-def test_the_grid_size_alone_chooses_the_row_loop(monkeypatch, natural_units):
-    assert grid._BLOCKED_MIN_N <= grid._ROWS_MIN_N == 32768
-    real, sizes = propagator._strang_rows, []
-
-    def counted(values, *args):
-        sizes.append(values.size)
-        return real(values, *args)
-
-    monkeypatch.setattr(propagator, "_strang_rows", counted)
-    for n in (16384, 32768):
-        wf, U = _large_case(n, "free", natural_units)
-        step(wf, U, 1e-3)
-    assert sizes == [32768]
-
-
-@pytest.mark.parametrize("n", ROW_NS)
-def test_callers_on_several_threads_get_the_serial_bits(n, natural_units):
-    cases = [_large_case(n, kind, natural_units) for kind in ("free", "harmonic", "cosine_table")]
-    config = PropagatorConfig(1e-3, ROW_STEPS, 4)
-    serial = [evolve(wf, U, config).psi.values for wf, U in cases]
-    start, out = threading.Barrier(len(cases)), [None] * len(cases)
-
-    def run(i):
-        start.wait(timeout=30)
-        out[i] = evolve(*cases[i], config).psi.values
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in threads)
-    assert all(a is not None and np.array_equal(a, b) for a, b in zip(out, serial))
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_steps_a_large_grid_with_the_parents_bits(natural_units):
-    wf, U = _large_case(32768, "harmonic", natural_units)
-    config = PropagatorConfig(1e-3, ROW_STEPS, ROW_STEPS)
-    here = evolve(wf, U, config).psi.values  # the tables the child inherits are filled
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child writes its bytes and leaves without pytest's teardown
-        code = 1
-        try:
-            with os.fdopen(write, "wb") as out:
-                out.write(evolve(wf, U, config).psi.values.tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    with os.fdopen(read, "rb") as child:
-        data = child.read()
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert np.array_equal(np.frombuffer(data, np.complex128), here)
-
-
-def _raise_at_second_snapshot(error):
-    def observer(t, w):
-        if t > 0:
-            raise error
-
-    return observer
-
-
-@pytest.mark.parametrize("stop", ["observer_error", "interrupt", "closed_stream"])
-def test_an_abandoned_row_loop_leaves_the_next_run_its_bits(stop, natural_units):
-    wf, U = _large_case(65536, "cosine_table", natural_units)
-    before = wf.psi.values.copy()
-    config = PropagatorConfig(1e-3, ROW_STEPS, 4)
-    first = evolve(wf, U, config).psi.values
-    if stop == "closed_stream":
-        states = propagator._states(wf, U, config, 4)
-        next(states), next(states)
-        states.close()
-    else:
-        error = RuntimeError("observer exploded") if stop == "observer_error" else KeyboardInterrupt()
-        with pytest.raises(type(error)):
-            evolve(wf, U, config, [_raise_at_second_snapshot(error)])
-    assert np.array_equal(wf.psi.values, before)
-    assert np.array_equal(evolve(wf, U, config).psi.values, first)
-
-
-def test_evolve_zero_steps_on_the_row_loop_notifies_once(monkeypatch, natural_units):
-    wf, U = _large_case(32768, "harmonic", natural_units)
-    _no_column_steps(monkeypatch)
-    seen = []
-    out = evolve(wf, U, PropagatorConfig(1e-3, 0), [lambda t, w: seen.append(t)])
-    assert seen == [0.0]
-    assert out is wf
-    assert [v is wf.psi.values for v in propagator._states(wf, U, PropagatorConfig(1e-3, 0))] == [True]
-
-
-@pytest.mark.parametrize("n_steps", [10, 12])
-def test_evolve_returns_the_last_step_between_snapshots_on_the_row_loop(n_steps, natural_units):
-    wf, U = _large_case(32768, "abs_linear", natural_units)
-    seen = []
-    out = evolve(wf, U, PropagatorConfig(1e-3, n_steps, 4), [lambda t, w: seen.append(w)])
-    stepped = wf
-    for _ in range(n_steps):
-        stepped = step(stepped, U, 1e-3)
-    assert np.array_equal(out.psi.values, stepped.psi.values)
-    assert len(seen) == 1 + n_steps // 4
-    # the last step is the last snapshot only when snapshot_every divides n_steps
-    assert (out is seen[-1]) == (n_steps % 4 == 0)
-
-
-def test_parcel_tracks_on_the_row_loop_equal_the_column_form(monkeypatch, natural_units):
-    wf, U = _large_case(32768, "harmonic", natural_units)
-
-    def tracked():
-        flow, ens = madelung.track(wf, U, 1e-3, 6, madelung.seed_parcels(wf.density(), 5))
-        return [flow.seam_flux, *(r.values for r in flow.rho), ens.positions, ens.x_records,
-                ens.u_records, ens.ln_rho_records, ens.div_u_records, ens.S_records]
-
-    column = _column_form(monkeypatch, tracked)
-    _no_column_steps(monkeypatch)
-    rows = tracked()
-    assert len(rows) == len(column)
-    assert all(np.array_equal(a, b) for a, b in zip(rows, column))
-
-
-def test_importing_the_cli_evolving_and_streaming_start_no_thread():
-    # with two usable CPUs, on small and large grids alike
-    code = (
-        "import os, sys, threading, numpy as np, madelung, madelung.cli\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "c = madelung.PhysicalConstants()\n"
-        "for n, span, steps in ((512, 20.0, 20), (65536, 1536.0, 20)):\n"
-        "    g = madelung.make_grid(n, -span, span)\n"
-        "    wf = madelung.gaussian_packet(g, c, 0.0, 1.0, 1.0)\n"
-        "    U = madelung.RealField(np.zeros(g.n), g)\n"
-        "    madelung.evolve(wf, U, madelung.PropagatorConfig(1e-3, steps, 5))\n"
-        "g = madelung.make_grid(32768, -800.0, 800.0)\n"
-        "wf = madelung.gaussian_packet(g, c, 0.0, 1.0, 1.0)\n"
-        "U = madelung.RealField(np.zeros(g.n), g)\n"
-        "madelung.track(wf, U, 1e-3, 4, madelung.seed_parcels(wf.density(), 4))\n"
-        "print(threading.active_count(), 'queue' in sys.modules)\n"
-    )
-    src = os.path.dirname(os.path.dirname(madelung.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "1 False\n"
 
 
 def test_evolve_zero_steps_notifies_once(desk_grid, natural_units, free_potential):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from madelung import harness
+from madelung import grid, harness
 from madelung.grid import RealField, make_grid
 from madelung.harness import (
     ScenarioRun,
@@ -161,7 +161,7 @@ def test_one_process_judges_without_both_sides_two_cpus_or_one_thread(monkeypatc
         other.join(timeout=10)
     assert not other.is_alive()
     with monkeypatch.context() as m:
-        m.setattr(harness, "_in_pool_worker", True)  # a verify --all worker
+        m.setattr(grid, "_in_pool_worker", True)  # a verify --all worker
         ScenarioRun(scenario).verify()
     assert pids == []
 
@@ -179,11 +179,12 @@ def test_checks_off_the_track_never_take_the_main_track(scenario):
     assert "track" not in run._memos
 
 
-def test_a_large_evolve_before_verify_leaves_one_fork(monkeypatch):
+def test_the_idle_strang_helper_thread_does_not_stop_the_split(monkeypatch):
     _cpus(monkeypatch, 2)
-    g = make_grid(32768, -800.0, 800.0)
+    g = make_grid(grid._THREADED_MIN_N, -800.0, 800.0)
     wf = gaussian_packet(g, PhysicalConstants(), 0.0, 1.0, 0.0)
     evolve(wf, RealField(np.zeros(g.n), g), PropagatorConfig(1e-3, 2, 2), [])
+    assert grid._helper is not None
     pids = _forks(monkeypatch)
     ScenarioRun(_scenario("free_gaussian")).verify()
     assert len(pids) == 1
