@@ -29,14 +29,16 @@ FFT.  Row FFTs of the transposed block equal the column FFTs bit for bit, so
 both loops give the same bits.  When the process may use two or more CPUs,
 the caller runs the first half of each stage's rows and a daemon helper
 thread the second (numpy's FFT releases the GIL), and the two meet after each
-stage; _Helper times both ways as it goes and keeps to the caller alone while
-the second CPU is slow to answer.  The split pays only while the host leaves
-the second CPU free, and then it pays much.  On a 2-vCPU KVM guest, in 10
-alternating pairs of bench/run.py's wide_domain (65536 points), it read a
-median 1.18 s an operation against 1.75 s for the column form on one thread,
-faster in all 10; in 10 later pairs, 1.69 s against 1.75 s.  On one thread
-the row loop was not shown faster than the column form (1.71 s against 1.80
-s, inside its quartile spread): it is the loop because the split runs in it.
+stage.  Each loop starts its own helper and ends it when the loop ends, so no
+thread outlives a loop; _Helper times both ways as it goes and keeps to the
+caller alone while the second CPU is slow to answer.  The split pays only
+while the host leaves the second CPU free, and then it pays much.  On a
+2-vCPU KVM guest, in 10 alternating pairs of bench/run.py's wide_domain
+(65536 points), it read a median 1.18 s an operation against 1.75 s for the
+column form on one thread, faster in all 10; in 10 later pairs, 1.69 s
+against 1.75 s.  On one thread the row loop was not shown faster than the
+column form (1.71 s against 1.80 s, inside its quartile spread): it is the
+loop because the split runs in it.
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ _POLL = 0.1
 
 class _Helper:
     """A daemon thread that runs the second half of each stage's rows while
-    the caller runs the first.
+    the caller runs the first, for one Strang loop: `close` ends it.
 
     Each stage hands the helper its own lock and result list; the helper
     appends its failure, or None, then releases the lock.  The caller waits
@@ -275,8 +277,9 @@ class _Helper:
     its other half has stopped, and no stage can take another's end for its
     own.  If the helper thread dies, the caller's wait sees it within _POLL
     seconds: the caller then runs the half nobody answered itself, as every
-    stage reads one work block and writes the other's rows whole, and the
-    process forgets this helper, so the next Strang loop starts another.
+    stage reads one work block and writes the other's rows whole, and runs
+    every later stage alone.  So does a child forked while a loop was
+    suspended, as the thread does not live on in it.
 
     Sharing pays only while the second CPU runs the helper when asked.  On a
     machine whose host held that CPU for others, a shared step took three to
@@ -298,10 +301,14 @@ class _Helper:
 
     @staticmethod
     def _serve(stages, run):
-        while True:
-            job = stages.get()
+        while (job := stages.get()) is not None:
             run(*job)
             job = None  # keep no reference to the stage's arrays while waiting
+
+    def close(self) -> None:
+        """End the thread and wait for it."""
+        self._stages.put(None)
+        self._thread.join()
 
     @staticmethod
     def _run(stage, rows, args, done, result):
@@ -321,7 +328,7 @@ class _Helper:
         timed = k < 2 * _WINDOW
         shared = k >= _WINDOW if timed else self._windows[1] < self._windows[0]
         start = time.perf_counter()
-        if shared:
+        if shared and self._thread.is_alive():
             self._share(stage, n_rows, args)
         else:
             stage(slice(0, n_rows), *args)
@@ -347,7 +354,6 @@ class _Helper:
             if broken is not None:
                 raise broken
         if not result:  # the helper thread died: nobody else will run these rows
-            _forget_helper(self)
             stage(slice(half, n_rows), *args)
         elif result[0] is not None:
             raise result[0]
@@ -356,43 +362,6 @@ class _Helper:
 def _all_rows(stage, n_rows: int, *args) -> None:
     """_Helper.rows with one CPU: the caller runs all the rows."""
     stage(slice(0, n_rows), *args)
-
-
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _the_helper() -> _Helper:
-    """The process's helper thread, started at first use."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = _Helper()
-        return _helper
-
-
-def _helper_alive() -> bool:
-    """Whether this process has a helper thread, and it still runs."""
-    helper = _helper
-    return helper is not None and helper._thread.is_alive()
-
-
-def _forget_helper(dead: _Helper) -> None:
-    """Forget a helper whose thread died: the next _the_helper starts another."""
-    global _helper
-    with _helper_lock:
-        if _helper is dead:
-            _helper = None
-
-
-def _forget_helper_in_child() -> None:
-    # a forked child has no helper thread: it starts its own at first use
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper_in_child)
 
 
 def _enter_rows(rows, block, natural, half_v):
@@ -439,7 +408,8 @@ def _strang_rows(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
                  n_steps: int, every: int):
     """The Strang loop in the transposed block layout, on two threads when
     two CPUs are usable: yield psi's values in natural order after steps
-    every, 2 every, ... and after step n_steps.
+    every, 2 every, ... and after step n_steps.  The loop's helper thread
+    ends with the loop, however the loop ends.
 
     ``half_v`` is the potential half factor in the transposed block layout
     (see _to_rows) and ``kinetic`` the kinetic factor in _spectral's order.
@@ -450,20 +420,25 @@ def _strang_rows(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
     n1, n2 = _block_shape(n)
     tw = _twiddle(n)
     kinetic = kinetic.reshape(n1, n2)
-    rows = _the_helper().rows if _usable_cpus() >= 2 else _all_rows
-    done = 0
-    while done < n_steps:
-        steps = min(every, n_steps - done)
-        block = np.empty((n2, n1), np.complex128)
-        spec = np.empty((n1, n2), np.complex128)
-        rows(_enter_rows, n2, block, values.reshape(n1, n2), half_v)
-        for s in range(steps, 0, -1):
-            rows(_kinetic_rows, n1, spec, block, kinetic, tw)
-            rows(_return_rows, n2, block, spec, half_v, s > 1)
-        values = np.ascontiguousarray(block.T).reshape(n)
-        del block, spec
-        done += steps
-        yield values
+    helper = _Helper() if _usable_cpus() >= 2 else None
+    rows = helper.rows if helper else _all_rows
+    try:
+        done = 0
+        while done < n_steps:
+            steps = min(every, n_steps - done)
+            block = np.empty((n2, n1), np.complex128)
+            spec = np.empty((n1, n2), np.complex128)
+            rows(_enter_rows, n2, block, values.reshape(n1, n2), half_v)
+            for s in range(steps, 0, -1):
+                rows(_kinetic_rows, n1, spec, block, kinetic, tw)
+                rows(_return_rows, n2, block, spec, half_v, s > 1)
+            values = np.ascontiguousarray(block.T).reshape(n)
+            del block, spec
+            done += steps
+            yield values
+    finally:
+        if helper:
+            helper.close()
 
 
 def _spectral(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

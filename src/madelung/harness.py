@@ -311,8 +311,7 @@ _warned_serial = False  # whether _may_fork has warned in this process
 
 
 def _may_fork() -> bool:
-    """Whether os.fork exists and no thread runs beside this one but the
-    Strang helper, idle while this thread is not in a Strang stage: a child
+    """Whether os.fork exists and no thread runs beside this one: a child
     forked while another thread holds a lock would wait on it forever.
 
     Callers ask only with two or more usable CPUs, so a refusal for other
@@ -321,7 +320,7 @@ def _may_fork() -> bool:
     global _warned_serial
     if not hasattr(os, "fork"):
         return False
-    others = threading.active_count() - 1 - grid_module._helper_alive()
+    others = threading.active_count() - 1
     if others <= 0:
         return True
     if not _warned_serial:

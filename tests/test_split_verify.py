@@ -23,11 +23,14 @@ from madelung.states import PhysicalConstants, gaussian_packet
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 # shortened, but long enough that continuity_order slices the main track
-# when one process judges every check
+# when one process judges every check; airy_packet's track is short already,
+# and only its checks judge parcel_density_constancy and
+# incompressibility_parcels
 SHORT = {
     "free_gaussian": {"trajectories.duration": 0.3},
     "plane_wave": {"trajectories.duration": 0.3},
     "harmonic_ground": {"trajectories.duration": 0.3},
+    "airy_packet": {},
 }
 
 
@@ -179,12 +182,13 @@ def test_checks_off_the_track_never_take_the_main_track(scenario):
     assert "track" not in run._memos
 
 
-def test_the_idle_strang_helper_thread_does_not_stop_the_split(monkeypatch):
+def test_a_large_grid_evolve_leaves_no_thread_so_the_split_still_forks(monkeypatch):
     _cpus(monkeypatch, 2)
     g = make_grid(grid._THREADED_MIN_N, -800.0, 800.0)
     wf = gaussian_packet(g, PhysicalConstants(), 0.0, 1.0, 0.0)
+    start = threading.active_count()
     evolve(wf, RealField(np.zeros(g.n), g), PropagatorConfig(1e-3, 2, 2), [])
-    assert grid._helper is not None
+    assert threading.active_count() == start
     pids = _forks(monkeypatch)
     ScenarioRun(_scenario("free_gaussian")).verify()
     assert len(pids) == 1

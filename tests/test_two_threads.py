@@ -140,11 +140,9 @@ def test_one_usable_cpu_starts_no_thread(monkeypatch, natural_units):
     def no_helper():
         raise AssertionError("a helper thread was started")
 
-    monkeypatch.setattr(grid, "_helper", None)
     monkeypatch.setattr(grid, "_Helper", no_helper)
     _cpus(monkeypatch, 1)
     _same_bits(_runs(wf, U), threaded)
-    assert grid._helper is None
 
 
 def test_a_failing_helper_half_reaches_the_caller(monkeypatch, natural_units):
@@ -196,30 +194,42 @@ def _in_time(fn, seconds=60.0):
     return out[0]
 
 
+def _helpers(monkeypatch):
+    """The helpers the Strang loops start from now on, in order."""
+    started = []
+
+    class Recorded(grid._Helper):
+        def __init__(self):
+            super().__init__()
+            started.append(self)
+
+    monkeypatch.setattr(grid, "_Helper", Recorded)
+    return started
+
+
 @pytest.mark.parametrize("when", ["idle", "in_a_stage"])
 def test_the_caller_runs_the_half_of_a_dead_helper(monkeypatch, natural_units, when):
     wf, U = _case(32768, "harmonic", natural_units)
     config = PropagatorConfig(1e-3, 6, 3)
-    column = _column_form(monkeypatch, lambda: evolve(wf, U, config).psi.values)
+    column = _column_form(monkeypatch, lambda: list(propagator._states(wf, U, config, 3)))
     _cpus(monkeypatch, 2)
     _no_column_steps(monkeypatch)
-    # no helper thread may outlive the test beside the process's helper: a
-    # later test would find it running, and harness._may_fork refuse to fork
+    started = _helpers(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(threading, "excepthook", lambda args: None)  # a death is expected
-        if when == "idle":  # the process's helper dies on a job it cannot unpack
-            dead = grid._the_helper()
-            dead._stages.put(None)
-            dead._thread.join(timeout=60.0)
-            assert not dead._thread.is_alive()
-        else:  # a helper of the test's own dies holding the first stage's second half
+        if when == "in_a_stage":  # the helper dies holding the first stage's second half
             m.setattr(grid._Helper, "_run", staticmethod(_dies))
-            m.setattr(grid, "_helper", None)
-            dead = grid._the_helper()
-        assert np.array_equal(_in_time(lambda: evolve(wf, U, config).psi.values), column)
-        assert not dead._thread.is_alive() and grid._helper is None  # forgotten
-    assert np.array_equal(evolve(wf, U, config).psi.values, column)
-    assert grid._helper is not dead and grid._helper_alive()  # and another started
+        states = propagator._states(wf, U, config, 3)
+        got = [next(states), _in_time(lambda: next(states))]
+        (dead,) = started
+        if when == "idle":  # the helper ends between two stages of its loop
+            dead.close()
+        assert not dead._thread.is_alive()
+        got += _in_time(lambda: list(states))
+    assert len(got) == len(column) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(got, column))
+    assert np.array_equal(evolve(wf, U, config).psi.values, column[-1])
+    assert len(started) == 2  # the next loop starts its own
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
@@ -238,12 +248,14 @@ def test_an_interrupt_in_the_callers_wait_lets_the_helper_half_finish(
             log.append("helper")
 
     block = np.zeros(8)
+    helper = grid._Helper()
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         with pytest.raises(KeyboardInterrupt):
-            grid._the_helper().rows(stage, 8, block)
+            helper.rows(stage, 8, block)
     finally:
         signal.signal(signal.SIGINT, handler)
+        helper.close()
     assert log == ["helper"] and np.all(block[4:] == 1.0)
     _cpus(monkeypatch, 2)
     _no_column_steps(monkeypatch)
@@ -255,12 +267,7 @@ def test_each_cycle_runs_the_stages_the_way_its_timed_windows_favour(monkeypatch
     monkeypatch.undo()  # the real timing
     monkeypatch.setattr(grid, "_WINDOW", 2)
     monkeypatch.setattr(grid, "_RUN", 4)
-    # the process's helper, at the start of a cycle: a helper of the test's
-    # own would leave a second thread running, and no later fork would pass
-    # harness._may_fork
-    helper = grid._the_helper()
-    monkeypatch.setattr(helper, "_cycle", 0)
-    monkeypatch.setattr(helper, "_windows", [0.0, 0.0])
+    helper = grid._Helper()
     main = threading.main_thread()
     ran = []
 
@@ -277,12 +284,17 @@ def test_each_cycle_runs_the_stages_the_way_its_timed_windows_favour(monkeypatch
         return ran[:2], ran[2:6], ran[6:]
 
     alone, shared = ["alone"] * 2, ["shared"] * 4
-    assert cycle(0.1) == (alone, shared, ["alone"] * 4)  # a slow helper loses
-    assert cycle(0.0) == (alone, shared, ["shared"] * 8)  # a fast one wins
-    assert cycle(0.1) == (alone, shared, ["alone"] * 4)
+    try:
+        assert cycle(0.1) == (alone, shared, ["alone"] * 4)  # a slow helper loses
+        assert cycle(0.0) == (alone, shared, ["shared"] * 8)  # a fast one wins
+        assert cycle(0.1) == (alone, shared, ["alone"] * 4)
+    finally:
+        helper.close()
+    # a helper whose thread has ended leaves every stage to the caller
+    assert sum(cycle(0.0), []) == ["alone"] * 8
 
 
-def test_callers_on_several_threads_share_the_helper(monkeypatch, natural_units):
+def test_callers_on_several_threads_get_the_column_form_bits(monkeypatch, natural_units):
     cases = [_case(32768, kind, natural_units) for kind in ("free", "harmonic", "cosine_table")]
     config = PropagatorConfig(1e-3, 8, 3)
     expected = _column_form(monkeypatch,
@@ -310,33 +322,100 @@ def test_callers_on_several_threads_share_the_helper(monkeypatch, natural_units)
         assert np.array_equal(values, expected[i % len(cases)]), i
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_starts_its_own_helper(monkeypatch, natural_units):
-    wf, U = _case(32768, "free", natural_units)
-    config = PropagatorConfig(1e-3, 4)
-    _cpus(monkeypatch, 2)
-    expected = evolve(wf, U, config).psi.values  # the parent's helper is running
-    assert grid._helper is not None
+def _in_a_child(fn, seconds=60.0):
+    """Fork; the child answers 1 only if fn() is true.  A child that does
+    not answer within the given seconds is killed and the answer is empty."""
     read, write = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child answers 1 only if its bits are equal
+    if pid == 0:
         ok = False
         try:
-            ok = np.array_equal(evolve(wf, U, config).psi.values, expected)
-            ok = ok and grid._helper is not None
+            ok = fn()
         finally:
             os.write(write, b"1" if ok else b"0")
             os._exit(0)
     os.close(write)
     try:
-        ready, _, _ = select.select([read], [], [], 60.0)
+        ready, _, _ = select.select([read], [], [], seconds)
         answer = os.read(read, 1) if ready else b""
     finally:
         os.close(read)
         if not answer:
             os.kill(pid, 9)
         os.waitpid(pid, 0)
-    assert answer == b"1"
+    return answer
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_starts_its_own_helper(monkeypatch, natural_units):
+    wf, U = _case(32768, "free", natural_units)
+    config = PropagatorConfig(1e-3, 4)
+    _cpus(monkeypatch, 2)
+    started = _helpers(monkeypatch)
+    start = threading.active_count()
+    expected = evolve(wf, U, config).psi.values
+    assert len(started) == 1 and threading.active_count() == start  # the parent's has ended
+
+    def child():
+        return (np.array_equal(evolve(wf, U, config).psi.values, expected)
+                and len(started) == 2 and threading.active_count() == 1)
+
+    assert _in_a_child(child) == b"1"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_child_forked_mid_loop_drains_it_alone(monkeypatch, natural_units):
+    wf, U = _case(65536, "harmonic", natural_units)
+    config = PropagatorConfig(1e-3, 6, 2)
+    column = _column_form(monkeypatch, lambda: list(propagator._states(wf, U, config, 2)))
+    _cpus(monkeypatch, 2)
+    _no_column_steps(monkeypatch)
+    start = threading.active_count()
+    states = propagator._states(wf, U, config, 2)
+    got = [next(states), next(states)]
+    assert threading.active_count() == start + 1  # the loop's helper waits
+
+    def child():  # the helper thread did not come along
+        rest = list(states)
+        return all(np.array_equal(a, b) for a, b in zip(got + rest, column, strict=True))
+
+    assert _in_a_child(child) == b"1"
+    got += list(states)
+    assert all(np.array_equal(a, b) for a, b in zip(got, column, strict=True))
+    assert threading.active_count() == start
+
+
+def _observer_raises(wf, U):
+    def observer(t, w):
+        if t > 0.0:
+            raise RuntimeError("observer")
+
+    with pytest.raises(RuntimeError, match="^observer$"):
+        evolve(wf, U, PropagatorConfig(1e-3, 6, 2), [observer])
+
+
+def _closed_after_two(wf, U):
+    states = propagator._states(wf, U, PropagatorConfig(1e-3, 6, 2), 2)
+    next(states)
+    next(states)
+    assert "madelung-rows" in [t.name for t in threading.enumerate()]  # the loop's helper waits
+    states.close()
+
+
+@pytest.mark.parametrize("run", [
+    lambda wf, U: evolve(wf, U, PropagatorConfig(1e-3, 6, 2)),
+    _observer_raises,
+    lambda wf, U: step(wf, U, 1e-3),
+    _closed_after_two,
+], ids=["drained_evolve", "observer_raises", "step", "closed_after_two"])
+def test_no_thread_outlives_its_strang_loop(monkeypatch, natural_units, run):
+    wf, U = _case(65536, "free", natural_units)
+    _cpus(monkeypatch, 2)
+    started = _helpers(monkeypatch)
+    start = threading.active_count()
+    run(wf, U)
+    assert len(started) == 1 and not started[0]._thread.is_alive()
+    assert threading.active_count() == start
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -347,8 +426,9 @@ def test_pooled_reports_equal_serial_ones_after_the_helper_ran(monkeypatch):
                    propagation=PropagatorConfig(1e-3, 40, 20),
                    checks=(CheckSpec("norm_drift", 1e-10), CheckSpec("energy_drift", 1e-8)))
     _cpus(monkeypatch, 2)
+    started = _helpers(monkeypatch)
     serial = run_scenario(wide).payload()  # runs the two-thread loop here
-    assert grid._helper is not None
+    assert started and threading.active_count() == 1
 
     def no_helper():
         raise AssertionError("a pool worker started a helper thread")
