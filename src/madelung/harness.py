@@ -2,13 +2,16 @@
 
 A Scenario names an initial state, a potential, a grid, optional propagation
 and parcel-tracking segments, and a list of checks with per-scenario
-tolerances.  run_scenario builds everything, evaluates each check (with two
-CPUs, the parcel-track checks and the others in two processes), and returns
-a VerificationReport; run_scenarios does that for many scenarios in forked
-worker processes.  Both reach the second CPU through one primitive,
-`_Worker`: a forked child that answers calls of one function over a pipe.
-Checks are deterministic; expected failures (negative controls) are regular
-checks whose pass rule is "measured above threshold".
+tolerances.  Each check id has one record, a `_Check` in `_CHECKS`, which
+says what the check reads; which checks take `times`, and which ones a split
+run judges in the caller, follow from it.  run_scenario builds everything,
+evaluates each check (with two CPUs, the main-track checks and the others in
+two processes), and returns a VerificationReport; run_scenarios does that
+for many scenarios in forked worker processes.  Both reach the second CPU
+through one primitive, `_Worker`: a forked child that answers calls of one
+function over a pipe.  Checks are deterministic; expected failures
+(negative controls) are regular checks whose pass rule is "measured above
+threshold".
 
 Two density floors are in play.  Integral diagnostics run at floor_rel
 (default 1e-12): quotient noise there is crushed by the density weight.
@@ -189,11 +192,11 @@ class CheckSpec:
     mode "above": pass iff measured >  tolerance (negative controls).
     mode "range": pass iff lo <= measured <= hi, tolerance = (lo, hi).
 
-    A check that judges snapshots measures the peak of its gap over
+    A check whose record reads snapshots measures the peak of its gap over
     ``times`` (None: every snapshot).  A NaN measurement fails in every mode.
     The spec is checked when built: a registered id, a known mode, a pair
     tolerance exactly for "range", real, non-NaN bounds with lo <= hi, and
-    times, a tuple of real, non-NaN numbers, only on a check that takes them.
+    times, a non-empty tuple of finite reals, only if the record reads snapshots.
     """
 
     id: str
@@ -216,12 +219,12 @@ class CheckSpec:
         if not (real and bounds[0] <= bounds[-1]):
             raise ValueError(f"check {self.id!r}: tolerance bounds are real numbers, not NaN, "
                              f"with lo <= hi, got {tol!r}")
-        if self.times is not None and not isinstance(_CHECKS[self.id], _PerSnapshot):
+        if self.times is not None and _CHECKS[self.id].reads != "snapshots":
             raise ValueError(f"check {self.id!r} judges no snapshots, so it takes no times")
-        if self.times is not None and not (isinstance(self.times, tuple) and all(
-                isinstance(t, numbers.Real) and t == t for t in self.times)):
-            raise ValueError(f"check {self.id!r}: times are a tuple of real numbers, not NaN, "
-                             f"got {self.times!r}")
+        if self.times is not None and not (isinstance(self.times, tuple) and self.times and all(
+                isinstance(t, numbers.Real) and -np.inf < t < np.inf for t in self.times)):
+            raise ValueError(f"check {self.id!r}: times are a tuple of real numbers, at least "
+                             f"one and all finite, got {self.times!r}")
 
 
 @dataclass(frozen=True)
@@ -570,9 +573,9 @@ class ScenarioRun:
 
         A check that raises becomes a failed verdict carrying the message;
         the remaining checks still run.  With two or more usable CPUs and
-        `_may_fork`, a scenario with checks on the main parcel track
-        (`_TRACK_CHECKS`) and others judges the former here, which keeps the
-        track, and the latter in a `_Worker`, which sends back its verdicts
+        `_may_fork`, a scenario with checks whose record reads "track" and
+        others judges the former here, which keeps the main parcel track,
+        and the latter in a `_Worker`, which sends back its verdicts
         and the quantities it computed without error (snapshots, reports,
         pointwise scalars, Bernoulli peaks) for this run to keep.  The
         verdicts, in spec order, and every quantity are the same as when one
@@ -581,8 +584,8 @@ class ScenarioRun:
         """
         scenario = self.scenario
         start = time.perf_counter()
-        here = [spec for spec in scenario.checks if spec.id in _TRACK_CHECKS]
-        there = [spec for spec in scenario.checks if spec.id not in _TRACK_CHECKS]
+        here = [spec for spec in scenario.checks if _CHECKS[spec.id].reads == "track"]
+        there = [spec for spec in scenario.checks if _CHECKS[spec.id].reads != "track"]
         if here and there and _usable_cpus() >= 2 and _may_fork():
             judged = {r.id: r for r in self._judge_forked(here, there)}
             results = tuple(judged[spec.id] for spec in scenario.checks)
@@ -602,7 +605,7 @@ class ScenarioRun:
         results = []
         for spec in specs:
             try:
-                measured, error = float(_CHECKS[spec.id](self, spec)), None
+                measured, error = float(_CHECKS[spec.id].measure(self, spec)), None
             except Exception as exc:
                 # a KeyError's str() is the repr of its message; print it as cli.main does
                 message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
@@ -642,22 +645,22 @@ class ScenarioRun:
 # -- check evaluators -------------------------------------------------------
 
 
-def _peak(values) -> float:
-    """The largest of values, NaN if any is NaN; no values is an error, not a pass."""
-    values = np.fromiter(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("nothing to judge (an empty times list?)")
-    return float(np.max(values))
+class _Check(NamedTuple):
+    """One check id's record: what the check reads, and fn, which measures it.
 
+    "snapshots": the peak of fn(run, t), the gap at snapshot t, over
+    spec.times (None: every snapshot).  Else fn(run), read from the main
+    parcel track ("track", judged in the caller of a split `verify`), or from
+    tracks ("own tracks") or evolutions and wf0 ("own evolutions") of its own."""
 
-class _PerSnapshot(NamedTuple):
-    """A check that judges snapshots: the peak of its gap over spec.times (None: all)."""
+    reads: str
+    fn: Callable
 
-    gap: Callable[[ScenarioRun, float], float]  # (run, t) -> the gap at snapshot t
-
-    def __call__(self, run: ScenarioRun, spec: CheckSpec) -> float:
+    def measure(self, run: ScenarioRun, spec: CheckSpec) -> float:
+        if self.reads != "snapshots":
+            return self.fn(run)
         times = [t for t, _ in run.snapshots()] if spec.times is None else spec.times
-        return _peak(self.gap(run, t) for t in times)
+        return float(np.max([self.fn(run, t) for t in times]))  # NaN if any is NaN
 
 
 def _energy_drift_gap(run, t):
@@ -731,7 +734,7 @@ def _bernoulli_peak(w, U, dt, floor_rel, bohm_form) -> float:
     return float(np.max(np.abs(r.values)))
 
 
-def _check_bernoulli_order(run, spec):
+def _check_bernoulli_order(run):
     # measured above the pointwise floor: the far-mask-edge spatial noise is
     # dt-independent and would cap the ratio once dt gets small
     dt = run.scenario.propagation.dt
@@ -740,7 +743,7 @@ def _check_bernoulli_order(run, spec):
     return _bernoulli_peak(w, U, dt, floor, form) / _bernoulli_peak(w, U, dt / 2.0, floor, form)
 
 
-def _check_propagator_order(run, spec):
+def _check_propagator_order(run):
     dt = run.scenario.propagation.dt
     n = _whole_steps(0.5, dt)  # the study's duration
 
@@ -754,7 +757,7 @@ def _check_propagator_order(run, spec):
     return err(1) / err(2)
 
 
-def _check_continuity(run, spec):
+def _check_continuity(run):
     return float(continuity_residual(run.trajectory()).max())
 
 
@@ -765,7 +768,7 @@ def _head(ens: ParcelEnsemble, m: int) -> ParcelEnsemble:
     return replace(ens, positions=ens.x_records[m - 1].copy(), **rows)
 
 
-def _check_continuity_order(run, spec):
+def _check_continuity_order(run):
     dt, duration = run.scenario.propagation.dt, 0.25
     n = _whole_steps(duration, dt)
     # Seeding, flow collection and advection go step by step the same way
@@ -782,7 +785,7 @@ def _check_continuity_order(run, spec):
     return float(continuity_residual(coarse).max() / continuity_residual(fine).max())
 
 
-def _check_quantile_preservation(run, spec):
+def _check_quantile_preservation(run):
     """Mass to the left of each parcel, corrected for the probability flux
     wrapping through the periodic seam (nonzero only for traveling waves)."""
     traj, flow = run.trajectory(), run.flow()
@@ -795,17 +798,17 @@ def _check_quantile_preservation(run, spec):
         cdf = DensityCdf(rho)
         drift = cdf.value(traj.x_records[i]) / cdf.total - flux_int[i] / cdf.total - traj.quantiles
         gaps.append(np.abs(drift - np.round(drift)))
-    return _peak(np.concatenate(gaps))
+    return float(np.max(np.concatenate(gaps)))
 
 
-def _check_action_identity(run, spec):
+def _check_action_identity(run):
     traj = run.trajectory()
     gaps = action_check(traj)
     d_s = np.abs(traj.S_records[-1, :] - traj.S_records[0, :])
     return float(np.max(gaps / np.maximum(1.0, d_s)))
 
 
-def _check_parcel_displacement(run, spec):
+def _check_parcel_displacement(run):
     # a plane wave's parcels move at u = hbar k / m, k = 2 pi mode / L
     traj = run.trajectory()
     length = run.grid.length
@@ -816,24 +819,24 @@ def _check_parcel_displacement(run, spec):
     return float(np.max(np.abs(disp - expected)))
 
 
-def _check_parcel_stationary(run, spec):
+def _check_parcel_stationary(run):
     traj = run.trajectory()
     return float(np.max(np.abs(traj.x_records - traj.x_records[0:1, :])))
 
 
-def _check_parcel_density_constancy(run, spec):
+def _check_parcel_density_constancy(run):
     traj = run.trajectory()
     return float(np.max(np.ptp(traj.ln_rho_records, axis=0)))
 
 
-def _check_incompressibility_scaled(run, spec):
+def _check_incompressibility_scaled(run):
     traj = run.trajectory()
     u_max = float(np.max(np.abs(traj.u_records)))
     div_max = float(np.max(np.abs(traj.div_u_records)))
     return div_max * run.grid.length / max(u_max, 1e-300)
 
 
-def _check_incompressibility_parcels(run, spec):
+def _check_incompressibility_parcels(run):
     return float(np.max(np.abs(run.trajectory().div_u_records)))
 
 
@@ -857,51 +860,43 @@ def _peak_tracking_gap(run, t):
     return abs((_peak_position(run, run.state_at(t)) - x0) - accel * t * t)
 
 
-def _check_density_node_at_wall(run, spec):
+def _check_density_node_at_wall(run):
     rho = run.wf0.density().values
     j = int(np.argmin(np.abs(run.grid.x)))
     return float(rho[j] / rho.max())
 
 
 _CHECKS = {
-    "norm_drift": _PerSnapshot(lambda run, t: abs(run.report_at(t).norm - 1.0)),
-    "energy_drift": _PerSnapshot(_energy_drift_gap),
-    "energy_forms_gap": _PerSnapshot(_forms_gap),
-    "bohm_fisher_identity": _PerSnapshot(_bohm_fisher_gap),
-    "pressure_internal_identity": _PerSnapshot(_pressure_internal_gap),
-    "fisher_score_zero": _PerSnapshot(lambda run, t: abs(run.report_at(t).vi_mean)),
-    "acceleration_zero": _PerSnapshot(lambda run, t: abs(run.report_at(t).accel)),
-    "enthalpy_pointwise": _PerSnapshot(lambda run, t: run.pointwise("enthalpy", t)),
-    "nonspreading": _PerSnapshot(lambda run, t: run.pointwise("nonspreading", t)),
-    "nonspreading_evolved": _PerSnapshot(lambda run, t: run.pointwise("nonspreading", t)),
-    "nonspreading_violated": _PerSnapshot(lambda run, t: run.pointwise("nonspreading", t)),
-    "spreading_law": _PerSnapshot(_spreading_gap),
-    "drift_law": _PerSnapshot(_drift_gap),
-    "bernoulli_max": _PerSnapshot(lambda run, t: run.bernoulli_max(t)),
-    "bernoulli_order": _check_bernoulli_order,
-    "propagator_order": _check_propagator_order,
-    "continuity_max": _check_continuity,
-    "continuity_order": _check_continuity_order,
-    "quantile_preservation": _check_quantile_preservation,
-    "action_identity": _check_action_identity,
-    "parcel_displacement": _check_parcel_displacement,
-    "parcel_stationary": _check_parcel_stationary,
-    "parcel_density_constancy": _check_parcel_density_constancy,
-    "incompressibility_scaled": _check_incompressibility_scaled,
-    "incompressibility_parcels": _check_incompressibility_parcels,
-    "incompressibility_field": _PerSnapshot(lambda run, t: run.pointwise("div_u_max", t)),
-    "density_peak_tracking": _PerSnapshot(_peak_tracking_gap),
-    "density_node_at_wall": _check_density_node_at_wall,
-    "velocity_zero": _PerSnapshot(lambda run, t: run.pointwise("u_max", t)),
+    "norm_drift": _Check("snapshots", lambda run, t: abs(run.report_at(t).norm - 1.0)),
+    "energy_drift": _Check("snapshots", _energy_drift_gap),
+    "energy_forms_gap": _Check("snapshots", _forms_gap),
+    "bohm_fisher_identity": _Check("snapshots", _bohm_fisher_gap),
+    "pressure_internal_identity": _Check("snapshots", _pressure_internal_gap),
+    "fisher_score_zero": _Check("snapshots", lambda run, t: abs(run.report_at(t).vi_mean)),
+    "acceleration_zero": _Check("snapshots", lambda run, t: abs(run.report_at(t).accel)),
+    "enthalpy_pointwise": _Check("snapshots", lambda run, t: run.pointwise("enthalpy", t)),
+    "nonspreading": _Check("snapshots", lambda run, t: run.pointwise("nonspreading", t)),
+    "nonspreading_evolved": _Check("snapshots", lambda run, t: run.pointwise("nonspreading", t)),
+    "nonspreading_violated": _Check("snapshots", lambda run, t: run.pointwise("nonspreading", t)),
+    "spreading_law": _Check("snapshots", _spreading_gap),
+    "drift_law": _Check("snapshots", _drift_gap),
+    "bernoulli_max": _Check("snapshots", lambda run, t: run.bernoulli_max(t)),
+    "bernoulli_order": _Check("own evolutions", _check_bernoulli_order),
+    "propagator_order": _Check("own evolutions", _check_propagator_order),
+    "continuity_max": _Check("track", _check_continuity),
+    "continuity_order": _Check("own tracks", _check_continuity_order),
+    "quantile_preservation": _Check("track", _check_quantile_preservation),
+    "action_identity": _Check("track", _check_action_identity),
+    "parcel_displacement": _Check("track", _check_parcel_displacement),
+    "parcel_stationary": _Check("track", _check_parcel_stationary),
+    "parcel_density_constancy": _Check("track", _check_parcel_density_constancy),
+    "incompressibility_scaled": _Check("track", _check_incompressibility_scaled),
+    "incompressibility_parcels": _Check("track", _check_incompressibility_parcels),
+    "incompressibility_field": _Check("snapshots", lambda run, t: run.pointwise("div_u_max", t)),
+    "density_peak_tracking": _Check("snapshots", _peak_tracking_gap),
+    "density_node_at_wall": _Check("own evolutions", _check_density_node_at_wall),
+    "velocity_zero": _Check("snapshots", lambda run, t: run.pointwise("u_max", t)),
 }
-
-# The checks that read the main parcel track: a split verify() judges them in
-# the caller, which keeps the track for trajectories.csv.
-_TRACK_CHECKS = frozenset({
-    "continuity_max", "quantile_preservation", "action_identity", "parcel_displacement",
-    "parcel_stationary", "parcel_density_constancy", "incompressibility_scaled",
-    "incompressibility_parcels",
-})
 
 
 def run_scenario(scenario: Scenario) -> VerificationReport:

@@ -62,7 +62,10 @@ class FlowSample:
 
 
 def _time_index(times: list[float], t: float) -> int | None:
-    """The first index of the increasing times within 1e-9 max(1, |t|) + 1e-12 of t, or None."""
+    """The first index of the increasing times within 1e-9 max(1, |t|) + 1e-12 of t, or None;
+    None for a non-finite t, which the relative tolerance would match to an end."""
+    if not -np.inf < t < np.inf:
+        return None
     i = bisect.bisect_left(times, t)
     for j in (i - 1, i):
         if 0 <= j < len(times) and abs(times[j] - t) <= 1e-9 * max(1.0, abs(t)) + 1e-12:

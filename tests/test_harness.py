@@ -58,6 +58,13 @@ def test_every_check_is_registered():
             assert c.id in _CHECKS
 
 
+def test_every_record_reads_one_known_source():
+    # a misspelt source would judge a main-track check in the child, or
+    # refuse a snapshot check its times
+    sources = {record.reads for record in harness._CHECKS.values()}
+    assert sources == {"snapshots", "track", "own tracks", "own evolutions"}
+
+
 def test_empty_check_list_trivially_passes():
     s = Scenario(
         name="empty",
@@ -377,8 +384,7 @@ def test_propagator_order_on_refined_grids_at_desk_dt(n):
 
     scenario = apply_overrides(scenario_by_name("harmonic_ground"), {"grid.n": n})
     assert scenario.propagation.dt == 1e-3
-    spec = next(c for c in scenario.checks if c.id == "propagator_order")
-    assert 3.5 <= _check_propagator_order(ScenarioRun(scenario), spec) <= 4.5
+    assert 3.5 <= _check_propagator_order(ScenarioRun(scenario)) <= 4.5
 
 
 RECORD_FIELDS = ("times", "positions", "x_records", "u_records", "ln_rho_records",
@@ -418,7 +424,7 @@ class TestContinuityOrderTracks:
         for name in RECORD_FIELDS:
             assert np.array_equal(getattr(head, name), getattr(fresh, name)), name
         calls = _counting(monkeypatch, trajectories, "_flow_stream")
-        measured = harness._CHECKS["continuity_order"](run, self.SPEC)
+        measured = harness._CHECKS["continuity_order"].measure(run, self.SPEC)
         assert len(calls) == 1  # only the dt/2 track; the dt track is sliced
         monkeypatch.undo()
         assert measured == self.fresh_value(run, dt)
@@ -431,14 +437,15 @@ class TestContinuityOrderTracks:
         run = harness.ScenarioRun(scenario)
         run.trajectory()
         calls = _counting(monkeypatch, trajectories, "_flow_stream")
-        measured = harness._CHECKS["continuity_order"](run, self.SPEC)
+        measured = harness._CHECKS["continuity_order"].measure(run, self.SPEC)
         assert len(calls) == 2
         monkeypatch.undo()
         assert measured == self.fresh_value(run, run.scenario.propagation.dt)
 
 
-TRACK_CHECKS = ("continuity_max", "continuity_order", "quantile_preservation",
-                "action_identity")
+# the free_gaussian checks whose record reads a parcel track
+TRACK_CHECKS = tuple(c.id for c in scenario_by_name("free_gaussian").checks
+                     if harness._CHECKS[c.id].reads in ("track", "own tracks"))
 
 
 def test_a_failed_main_track_fails_once_with_one_message(monkeypatch, one_cpu):
@@ -568,13 +575,13 @@ def stub_check(monkeypatch):
     value that is an exception is raised instead."""
     from madelung import harness
 
-    def stub(run, spec):
+    def stub(run):
         value = STUB["value"]
         if isinstance(value, Exception):
             raise value
         return value
 
-    monkeypatch.setitem(harness._CHECKS, "stub", stub)
+    monkeypatch.setitem(harness._CHECKS, "stub", harness._Check("own evolutions", stub))
     return "stub"
 
 
@@ -683,10 +690,22 @@ def test_a_failed_evolution_fails_once_with_one_message(monkeypatch, one_cpu):
     ("norm_drift", (0.0, float("nan")), "check 'norm_drift': times are a tuple of real"),
     ("nonspreading", ("0.5",), "check 'nonspreading': times are a tuple of real"),
     ("bernoulli_max", (None,), "check 'bernoulli_max': times are a tuple of real"),
+    # an infinity would match the last or the first snapshot
+    ("norm_drift", (float("inf"),), "check 'norm_drift': times are a tuple of real numbers, "
+                                    "at least one and all finite"),
+    ("norm_drift", (0.0, -float("inf")), "check 'norm_drift': times are a tuple of real"),
 ])
 def test_malformed_times_raise_when_built(check_id, times, message):
     with pytest.raises(ValueError, match=message):
         CheckSpec(check_id, 1.0, times=times)
+
+
+@pytest.mark.parametrize("t", [float("inf"), -float("inf"), float("nan")])
+def test_a_non_finite_time_names_no_snapshot(t):
+    run = ScenarioRun(scenario_by_name("moving_gaussian"))
+    assert trajectories._time_index([0.0, 0.5, 1.0], t) is None
+    with pytest.raises(KeyError, match="no snapshot at t = "):
+        run.state_at(t)
 
 
 def test_a_misspelt_spec_field_fails_when_built():
@@ -730,7 +749,7 @@ def fake_run(**attrs):
 def measure(check, run, times=None):
     from madelung import harness
 
-    return harness._CHECKS[check](run, CheckSpec(check, 1.0, times=times))
+    return harness._CHECKS[check].measure(run, CheckSpec(check, 1.0, times=times))
 
 
 @pytest.mark.parametrize("check", ["norm_drift", "energy_drift", "energy_forms_gap",
@@ -803,19 +822,9 @@ def test_a_nan_parcel_fails_the_quantile_preservation(monkeypatch):
     assert measure("quantile_preservation", run) == 0.0
 
 
-def test_an_empty_times_list_is_an_error_verdict():
-    checks = (CheckSpec("spreading_law", 1e-4, times=()),
-              CheckSpec("nonspreading_violated", 1e-2, mode="above", times=()),
-              CheckSpec("bernoulli_max", 1e-5, times=()))
-    s = replace(scenario_by_name("free_gaussian"), checks=checks,
-                propagation=PropagatorConfig(1e-3, 10, 10))
-    for c in run_scenario(s).checks:
-        assert not c.passed and c.error == "ValueError: nothing to judge (an empty times list?)"
-
-
-def test_an_empty_times_list_fails_the_peak_tracking(monkeypatch):
-    from madelung import harness
-
-    monkeypatch.setattr(harness, "_peak_position", lambda run, t: 0.0)
-    with pytest.raises(ValueError, match="nothing to judge"):
-        measure("density_peak_tracking", fake_run(state_at=lambda t: t), times=())
+def test_an_empty_times_list_is_rejected_when_built():
+    # it would judge nothing
+    for check_id in ("spreading_law", "bernoulli_max", "density_peak_tracking"):
+        with pytest.raises(ValueError, match=rf"^check '{check_id}': times are a tuple of "
+                                             r"real numbers, at least one and all finite, got \(\)$"):
+            CheckSpec(check_id, 1e-4, times=())

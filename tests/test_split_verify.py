@@ -22,9 +22,14 @@ from madelung.states import PhysicalConstants, gaussian_packet
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
-# shortened, but long enough that continuity_order slices the main track
-# when one process judges every check; airy_packet's track is short already,
-# and only its checks judge parcel_density_constancy and
+# the builtins a split verify() judges in two processes: those with a check
+# on the main parcel track
+SPLIT = sorted(s.name for s in builtin_scenarios()
+               if any(harness._CHECKS[c.id].reads == "track" for c in s.checks))
+
+# each of them shortened, but long enough that continuity_order slices the
+# main track when one process judges every check; airy_packet's track is
+# short already, and only its checks judge parcel_density_constancy and
 # incompressibility_parcels
 SHORT = {
     "free_gaussian": {"trajectories.duration": 0.3},
@@ -67,7 +72,7 @@ def _forks(monkeypatch):
     return pids
 
 
-@pytest.mark.parametrize("name", sorted(SHORT))
+@pytest.mark.parametrize("name", SPLIT)
 def test_two_cpus_give_the_one_cpu_payload(monkeypatch, name):
     scenario = _scenario(name)
     pids = _forks(monkeypatch)
@@ -85,17 +90,19 @@ def test_a_child_that_dies_before_writing_is_judged_here(monkeypatch):
     caller, judged_here = os.getpid(), []
     real = harness._CHECKS["norm_drift"]
 
-    def dies_in_the_child(run, spec):
+    def dies_in_the_child(run, t):
         if os.getpid() != caller:
             os._exit(3)
-        judged_here.append(spec.id)
-        return real(run, spec)
+        judged_here.append(t)
+        return real.fn(run, t)
 
-    monkeypatch.setitem(harness._CHECKS, "norm_drift", dies_in_the_child)
+    monkeypatch.setitem(harness._CHECKS, "norm_drift", real._replace(fn=dies_in_the_child))
     pids = _forks(monkeypatch)
     assert _payload(monkeypatch, scenario, 2) == serial
     assert len(pids) == 1
-    assert judged_here == ["norm_drift"]  # the caller judged the child's checks
+    # the caller judged the child's checks: norm_drift at every snapshot, once
+    prop = scenario.propagation
+    assert len(judged_here) == prop.n_steps // prop.snapshot_every + 1
     _no_child_left()
 
 
@@ -116,11 +123,12 @@ class Stop(BaseException):
 
 
 def test_no_child_outlives_a_caller_that_raises(monkeypatch):
-    def interrupted(run, spec):
+    def interrupted(run):
         raise Stop
 
     # judged in the caller, while the child still evolves the snapshots
-    monkeypatch.setitem(harness._CHECKS, "continuity_max", interrupted)
+    real = harness._CHECKS["continuity_max"]
+    monkeypatch.setitem(harness._CHECKS, "continuity_max", real._replace(fn=interrupted))
     _cpus(monkeypatch, 2)
     pids = _forks(monkeypatch)
     with pytest.raises(Stop):
@@ -148,7 +156,7 @@ def test_one_process_judges_without_both_sides_two_cpus_or_one_thread(monkeypatc
     _cpus(monkeypatch, 2)
     pids = _forks(monkeypatch)
     scenario = _scenario("free_gaussian")
-    track_only = tuple(c for c in scenario.checks if c.id in harness._TRACK_CHECKS)
+    track_only = tuple(c for c in scenario.checks if harness._CHECKS[c.id].reads == "track")
     ScenarioRun(scenario_by_name("quantum_bouncer")).verify()  # no parcel-track check
     ScenarioRun(replace(scenario, checks=track_only)).verify()
     # a thread that may hold a lock the child would need
@@ -169,17 +177,26 @@ def test_one_process_judges_without_both_sides_two_cpus_or_one_thread(monkeypatc
     assert pids == []
 
 
-def test_the_declared_track_checks_are_registered():
-    assert harness._TRACK_CHECKS <= set(harness._CHECKS)
-
-
 @pytest.mark.parametrize("scenario", builtin_scenarios(), ids=lambda s: s.name)
 def test_checks_off_the_track_never_take_the_main_track(scenario):
-    # what the child judges; a check that reads the main track and is not
-    # declared in _TRACK_CHECKS would make the child compute it again
-    run = ScenarioRun(scenario)
-    run._judge([c for c in scenario.checks if c.id not in harness._TRACK_CHECKS])
-    assert "track" not in run._memos
+    # the caller judges the checks whose record reads "track" and keeps the
+    # track; another check that took it would make the child compute it
+    # again, and a "track" check that does not take it would tie the caller
+    # up for nothing
+    run, taken = ScenarioRun(scenario), []
+    memo = run._memo
+
+    def no_track(key, compute):  # takes no track: only says that it was asked for
+        taken.append(key == "track")
+        if key == "track":
+            raise LookupError("the main track")
+        return memo(key, compute)
+
+    run._memo = no_track
+    for spec in scenario.checks:
+        taken.clear()
+        run._judge([spec])
+        assert any(taken) == (harness._CHECKS[spec.id].reads == "track"), spec.id
 
 
 def test_a_large_grid_evolve_leaves_no_thread_so_the_split_still_forks(monkeypatch):

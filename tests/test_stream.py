@@ -225,8 +225,9 @@ def test_the_returned_flow_holds_nothing_else():
         assert rho.values.base is None and rho.values.shape == (run.grid.n,)
 
 
-TRACK_CHECKS = ("continuity_max", "continuity_order", "quantile_preservation",
-                "action_identity")
+# the free_gaussian checks whose record reads a parcel track
+TRACK_CHECKS = tuple(c.id for c in scenario_by_name("free_gaussian").checks
+                     if harness._CHECKS[c.id].reads in ("track", "own tracks"))
 
 
 def _payload_with(monkeypatch, track):

@@ -315,7 +315,7 @@ class TestFlowLookup:
         flow, samples, half = long_history
         last = samples[-1].t
         for probe in (-half, -1e-8, 0.5 * half, 600.5 * half, 1198.5 * half,
-                      last + 1e-8, last + half):
+                      last + 1e-8, last + half, float("inf"), -float("inf"), float("nan")):
             with pytest.raises(ProviderGapError):
                 flow.sample_at(probe)
             with pytest.raises(ProviderGapError):
