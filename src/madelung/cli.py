@@ -9,6 +9,7 @@ reproduces the arrays bit for bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -55,14 +56,31 @@ _CONFIG_TYPES = {
 }
 
 
+@contextlib.contextmanager
+def _writing(artifact: str, t: float | None = None):
+    """Put the artifact's name, and the snapshot time, in front of the
+    message of an error that main reports by its message; the error keeps
+    its type, which sets the exit code."""
+    try:
+        yield
+    except (KeyError, ValueError, OSError) as exc:
+        where = artifact if t is None else f"{artifact} at t = {t:g}"
+        detail = exc.args[0] if len(exc.args) == 1 else exc
+        raise type(exc)(f"{where}: {detail}") from exc
+
+
 def _write_timeseries(run: ScenarioRun, path: str) -> None:
     # the Bernoulli and non-spreading columns are the values the checks judged
     bern = run.scenario.propagation is not None
-    rows = [
-        [rep.t, rep.norm, rep.K, rep.Q, rep.U, rep.I, rep.E, rep.FI, rep.accel,
-         rep.vi_mean] + ([run.bernoulli_max(t)] if bern else []) + [run.pointwise("nonspreading", t)]
-        for (t, _), rep in zip(run.snapshots(), run.reports())
-    ]
+    with _writing("timeseries.csv"):
+        snapshots = run.snapshots()
+    rows = []
+    for t, _ in snapshots:
+        with _writing("timeseries.csv", t):
+            rep = run.report_at(t)
+            rows.append([rep.t, rep.norm, rep.K, rep.Q, rep.U, rep.I, rep.E, rep.FI, rep.accel,
+                         rep.vi_mean] + ([run.bernoulli_max(t)] if bern else [])
+                        + [run.pointwise("nonspreading", t)])
     # a diagnostic-only run leaves the Bernoulli column empty
     row_format = ",".join(["%.17g"] * 10 + ["%.17g" if bern else ""] + ["%.17g"]) + "\r\n"
     _write_csv(path, TIMESERIES_COLUMNS, row_format, [np.array(rows, dtype=float)])
@@ -71,7 +89,8 @@ def _write_timeseries(run: ScenarioRun, path: str) -> None:
 def _write_fields(run: ScenarioRun, out_dir: str) -> None:
     scenario = run.scenario
     for index, (t, w) in enumerate(run.snapshots()):
-        f = madelung_fields(w, scenario.floor_rel, bohm_form=scenario.bohm_form)
+        with _writing(f"fields_t{index}.csv", t):
+            f = madelung_fields(w, scenario.floor_rel, bohm_form=scenario.bohm_form)
         psi = w.psi.values
         cols = [run.grid.x, psi.real, psi.imag, f.rho.values, f.S.values,
                 f.u.values, f.div_u.values, f.Q_tilde.values, f.Pi.values,
@@ -133,8 +152,9 @@ def _cmd_run(args) -> int:
     if emit_fields:
         _write_fields(run, out_dir)
     if emit_trajectories and scenario.trajectories is not None:
-        write_trajectory_csv(run.trajectory(),
-                             os.path.join(out_dir, "trajectories.csv"))
+        with _writing("trajectories.csv"):
+            ensemble = run.trajectory()
+        write_trajectory_csv(ensemble, os.path.join(out_dir, "trajectories.csv"))
     print(f"artifacts written to {out_dir}")
     return EXIT_OK
 

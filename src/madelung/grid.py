@@ -20,25 +20,26 @@ multiply between them.  That leaves the spectrum in transposed order,
 block[c, d] holding mode c + n1 d, which is the order _spectral stores its
 factors in, so no transpose is ever made.
 
-From _THREADED_MIN_N (32768) points on, the Strang loop runs here too, as
-_strang_rows.  Between steps it keeps psi in the transposed block layout,
-rows[c, r] = psi[r n2 + c], so that every FFT of a step runs along contiguous
-rows.  A step has two stages, (1) into the spectral block, kinetic factor and
-back, and (2) back to the rows, the potential factors and the next forward
-FFT.  Row FFTs of the transposed block equal the column FFTs bit for bit, so
-both loops give the same bits.  When the process may use two or more CPUs,
-the caller runs the first half of each stage's rows and a daemon helper
-thread the second (numpy's FFT releases the GIL), and the two meet after each
-stage.  Each loop starts its own helper and ends it when the loop ends, so no
-thread outlives a loop; _Helper times both ways as it goes and keeps to the
-caller alone while the second CPU is slow to answer.  The split pays only
-while the host leaves the second CPU free, and then it pays much.  On a
-2-vCPU KVM guest, in 10 alternating pairs of bench/run.py's wide_domain
-(65536 points), it read a median 1.18 s an operation against 1.75 s for the
-column form on one thread, faster in all 10; in 10 later pairs, 1.69 s
-against 1.75 s.  On one thread the row loop was not shown faster than the
-column form (1.71 s against 1.80 s, inside its quartile spread): it is the
-loop because the split runs in it.
+The Strang loop runs here too, in _strang, which chooses one of two loops
+that give the same bits: the column form, _apply, a step at a time, or on
+large grids with two usable CPUs the row loop, _strang_rows, on two threads.
+The row loop keeps psi between steps in the transposed block layout,
+rows[c, r] = psi[r n2 + c], so that every FFT of a step runs along
+contiguous rows.  A step has two stages, (1) into the spectral block,
+kinetic factor and back, and (2) back to the rows, the potential factors and
+the next forward FFT.  Row FFTs of the transposed block equal the column
+FFTs bit for bit.  The caller runs the first half of each stage's rows and a
+daemon helper thread the second (numpy's FFT releases the GIL), and the two
+meet after each stage.  Each loop starts its own helper and ends it when the
+loop ends, so no thread outlives a loop; _Helper times both ways as it goes
+and keeps to the caller alone while the second CPU is slow to answer.  The split pays only while the host leaves the second CPU free, and
+then it pays much.  On a 2-vCPU KVM guest, in 10 alternating pairs of
+bench/run.py's wide_domain (65536 points), it read a median 1.18 s an
+operation against 1.75 s for the column form on one thread, faster in all
+10; in 10 later pairs, 1.69 s against 1.75 s.  On one CPU the row loop alone
+was not shown faster than the column form: pinned, 1.97 s [1.84, 2.28]
+against 2.09 s, faster in 8 of 10 pairs, a gap inside its quartile spread.
+So one CPU takes the column form.
 """
 
 from __future__ import annotations
@@ -233,9 +234,8 @@ def _ifft(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Grids of at least this many points run the Strang loop as _strang_rows, on
-# two threads when two CPUs are usable; below it neither the split nor the
-# row loop alone beats the column form.
+# Grids of at least this many points run the Strang loop on two threads when
+# two CPUs are usable (see _strang); below it the split does not pay.
 _THREADED_MIN_N = 32768
 
 # harness._Worker children set this: each holds one of its caller's CPUs
@@ -250,13 +250,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity interface on this platform
         return os.cpu_count() or 1
-
-
-def _to_rows(a: np.ndarray) -> np.ndarray:
-    """A contiguous copy of a natural-order (n,) array in the transposed block
-    layout of _strang_rows: out[c, r] = a[r n2 + c]."""
-    n1, n2 = _block_shape(a.shape[-1])
-    return np.ascontiguousarray(a.reshape(n1, n2).T)
 
 
 # See _Helper: stages in each timed window, and stages the faster way then
@@ -359,11 +352,6 @@ class _Helper:
             raise result[0]
 
 
-def _all_rows(stage, n_rows: int, *args) -> None:
-    """_Helper.rows with one CPU: the caller runs all the rows."""
-    stage(slice(0, n_rows), *args)
-
-
 def _enter_rows(rows, block, natural, half_v):
     """Transpose natural-order psi into the block, potential half factor,
     FFT along the rows (the natural block's columns)."""
@@ -406,39 +394,61 @@ def _return_rows(rows, block, spec, half_v, forward):
 
 def _strang_rows(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
                  n_steps: int, every: int):
-    """The Strang loop in the transposed block layout, on two threads when
-    two CPUs are usable: yield psi's values in natural order after steps
-    every, 2 every, ... and after step n_steps.  The loop's helper thread
-    ends with the loop, however the loop ends.
-
-    ``half_v`` is the potential half factor in the transposed block layout
-    (see _to_rows) and ``kinetic`` the kinetic factor in _spectral's order.
-    The yielded arrays are new; the two work blocks are released while the
-    caller holds one and rebuilt from it afterwards.
+    """_strang's loop on two threads, in the transposed block layout, with
+    the same arguments and yields.  Its helper thread ends with the loop,
+    however the loop ends.  The yielded arrays are new; the two work blocks
+    are released while the caller holds one and rebuilt from it afterwards.
     """
     n = values.shape[-1]
     n1, n2 = _block_shape(n)
     tw = _twiddle(n)
     kinetic = kinetic.reshape(n1, n2)
-    helper = _Helper() if _usable_cpus() >= 2 else None
-    rows = helper.rows if helper else _all_rows
+    half_v = np.ascontiguousarray(half_v.reshape(n1, n2).T)  # [c, r] holds [r n2 + c]
+    helper = _Helper()
     try:
         done = 0
         while done < n_steps:
             steps = min(every, n_steps - done)
             block = np.empty((n2, n1), np.complex128)
             spec = np.empty((n1, n2), np.complex128)
-            rows(_enter_rows, n2, block, values.reshape(n1, n2), half_v)
+            helper.rows(_enter_rows, n2, block, values.reshape(n1, n2), half_v)
             for s in range(steps, 0, -1):
-                rows(_kinetic_rows, n1, spec, block, kinetic, tw)
-                rows(_return_rows, n2, block, spec, half_v, s > 1)
+                helper.rows(_kinetic_rows, n1, spec, block, kinetic, tw)
+                helper.rows(_return_rows, n2, block, spec, half_v, s > 1)
             values = np.ascontiguousarray(block.T).reshape(n)
             del block, spec
             done += steps
             yield values
     finally:
-        if helper:
-            helper.close()
+        helper.close()
+
+
+def _apply(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
+    """One Strang step in the column form."""
+    out = _fft(half_v * values)  # the one array a step allocates
+    np.multiply(kinetic, out, out=out)
+    return np.multiply(half_v, _ifft(out), out=out)
+
+
+def _strang(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
+            n_steps: int, every: int):
+    """The Strang loop: yield psi's values after steps every, 2 every, ...
+    and after step n_steps.  ``half_v`` is the potential half factor in
+    natural order and ``kinetic`` the kinetic factor in _spectral's order.
+
+    With _THREADED_MIN_N points or more and two usable CPUs the steps run
+    in _strang_rows, on two threads; otherwise in the column form, _apply.
+    Both give the same bits.
+    """
+    if values.shape[-1] >= _THREADED_MIN_N and _usable_cpus() >= 2:
+        rows = _strang_rows(values, half_v, kinetic, n_steps, every)
+        del half_v  # the row loop keeps only its reordered copy
+        yield from rows
+        return
+    for i in range(1, n_steps + 1):
+        values = _apply(values, half_v, kinetic)
+        if i % every == 0 or i == n_steps:
+            yield values
 
 
 def _spectral(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

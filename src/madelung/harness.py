@@ -153,11 +153,12 @@ class TrajectoryConfig:
     seed_hi: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n_parcels, (int, np.integer)) and self.n_parcels >= 1):
+        if isinstance(self.n_parcels, bool) or not (
+                isinstance(self.n_parcels, (int, np.integer)) and self.n_parcels >= 1):
             raise ValueError(
                 f"trajectories.n_parcels must be an integer >= 1, got {self.n_parcels!r}"
             )
-        if not 0.0 < self.duration < np.inf:
+        if isinstance(self.duration, bool) or not 0.0 < self.duration < np.inf:
             raise ValueError(
                 f"trajectories.duration must be finite and > 0, got {self.duration!r}"
             )
@@ -184,6 +185,11 @@ _MODES = {
 }
 
 
+def _real(x) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CheckSpec:
     """One named check: measured value compared against a tolerance.
@@ -196,7 +202,8 @@ class CheckSpec:
     ``times`` (None: every snapshot).  A NaN measurement fails in every mode.
     The spec is checked when built: a registered id, a known mode, a pair
     tolerance exactly for "range", real, non-NaN bounds with lo <= hi, and
-    times, a non-empty tuple of finite reals, only if the record reads snapshots.
+    times, a non-empty tuple of finite reals, only if the record reads snapshots;
+    a bool is neither a bound nor a time.
     """
 
     id: str
@@ -215,14 +222,14 @@ class CheckSpec:
             want = "a (lo, hi) pair" if pair else "one number"
             raise ValueError(f"check {self.id!r}: a {self.mode} tolerance is {want}, got {tol!r}")
         bounds = tol if pair else (tol,)
-        real = all(isinstance(b, numbers.Real) and b == b for b in bounds)
+        real = all(_real(b) and b == b for b in bounds)
         if not (real and bounds[0] <= bounds[-1]):
             raise ValueError(f"check {self.id!r}: tolerance bounds are real numbers, not NaN, "
                              f"with lo <= hi, got {tol!r}")
         if self.times is not None and _CHECKS[self.id].reads != "snapshots":
             raise ValueError(f"check {self.id!r} judges no snapshots, so it takes no times")
         if self.times is not None and not (isinstance(self.times, tuple) and self.times and all(
-                isinstance(t, numbers.Real) and -np.inf < t < np.inf for t in self.times)):
+                _real(t) and -np.inf < t < np.inf for t in self.times)):
             raise ValueError(f"check {self.id!r}: times are a tuple of real numbers, at least "
                              f"one and all finite, got {self.times!r}")
 
@@ -250,7 +257,7 @@ class Scenario:
             raise ValueError(f"bohm_form must be one of {BOHM_FORMS}, got {self.bohm_form!r}")
         for name in ("floor_rel", "pointwise_floor_rel"):
             value = getattr(self, name)
-            if not 0.0 < value < np.inf:
+            if isinstance(value, bool) or not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 

@@ -15,17 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    ComplexField,
-    RealField,
-    _THREADED_MIN_N,
-    _fft,
-    _ifft,
-    _spectral,
-    _strang_rows,
-    _to_rows,
-    check_potential_grid,
-)
+from .grid import ComplexField, RealField, _fft, _spectral, _strang, check_potential_grid
 from .states import WaveFunction
 
 __all__ = ["PropagatorConfig", "step", "evolve"]
@@ -38,7 +28,7 @@ class PropagatorConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.dt < np.inf:
+        if isinstance(self.dt, bool) or not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         for name, least in (("n_steps", 0), ("snapshot_every", 1)):
             value = getattr(self, name)
@@ -66,22 +56,14 @@ def _check_kinetic_phase(wf: WaveFunction, dt: float) -> None:
         )
 
 
-def _factors(wf: WaveFunction, U: RealField, dt: float, rows: bool = False):
+def _factors(wf: WaveFunction, U: RealField, dt: float):
     """The potential half-step phase and the kinetic factor, the latter in
-    the order of the grid's spectrum; with rows, the phase is in the
-    transposed block layout of grid._strang_rows."""
+    the order of the grid's spectrum."""
     hbar, m = wf.constants.hbar, wf.constants.mass
-    u = _to_rows(U.values) if rows else U.values
-    half_v = np.exp(-0.5j * u * dt / hbar)
+    half_v = np.exp(-0.5j * U.values * dt / hbar)
     k = _spectral(wf.grid)[0]
     kinetic = np.exp(-0.5j * hbar * k**2 * dt / m)
     return half_v, kinetic
-
-
-def _apply(values: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
-    out = _fft(half_v * values)  # the one array a step allocates
-    np.multiply(kinetic, out, out=out)
-    return np.multiply(half_v, _ifft(out), out=out)
 
 
 def step(wf: WaveFunction, U: RealField, dt: float) -> WaveFunction:
@@ -101,24 +83,15 @@ def _states(wf: WaveFunction, U: RealField, config: PropagatorConfig, every: int
 
     The potential's grid and the step's kinetic phase are checked before the
     first value is yielded.  The values are not validated: a caller that
-    hands them on wraps them in a field.  On grids of grid._THREADED_MIN_N
-    points and more the steps run in grid._strang_rows, on two threads when
-    two CPUs are usable; both loops give the same bits.
+    hands them on wraps them in a field.  The steps run in grid._strang,
+    which chooses their loop.
     """
     check_potential_grid(U.grid, wf.grid)
     if config.n_steps > 0:
         _check_kinetic_phase(wf, config.dt)
     values = wf.psi.values
     yield values
-    if wf.grid.n >= _THREADED_MIN_N:
-        half_v, kinetic = _factors(wf, U, config.dt, rows=True)
-        yield from _strang_rows(values, half_v, kinetic, config.n_steps, every)
-        return
-    half_v, kinetic = _factors(wf, U, config.dt)
-    for i in range(1, config.n_steps + 1):
-        values = _apply(values, half_v, kinetic)
-        if i % every == 0 or i == config.n_steps:
-            yield values
+    yield from _strang(values, *_factors(wf, U, config.dt), config.n_steps, every)
 
 
 def evolve(

@@ -46,7 +46,7 @@ class PhysicalConstants:
     def __post_init__(self):
         for name in ("hbar", "mass"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
+            if isinstance(value, bool) or not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -117,7 +117,7 @@ def gaussian_packet(
 
 def plane_wave(grid: Grid, constants: PhysicalConstants, mode_index: int) -> WaveFunction:
     """Single grid mode exp(i k x)/sqrt(L) with k = 2 pi mode / L."""
-    if not isinstance(mode_index, (int, np.integer)):
+    if isinstance(mode_index, bool) or not isinstance(mode_index, (int, np.integer)):
         raise ValueError("mode_index must be an integer")
     if abs(int(mode_index)) >= grid.n // 2:
         raise ValueError(

@@ -388,7 +388,8 @@ def test_report_survives_a_failing_artifact_writer(tmp_path, capsys):
         "--set", "propagation.dt=0.5", "--set", "trajectories.duration=1.0",
     ])
     assert rc == EXIT_USAGE
-    assert "exceeds pi" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: timeseries.csv: kinetic phase per step") and "exceeds pi" in err
     with open(tmp_path / "report.json") as fh:
         report = json.load(fh)
     checks = {c["id"]: c for c in report["checks"]}
@@ -399,17 +400,30 @@ def test_report_survives_a_failing_artifact_writer(tmp_path, capsys):
     assert "timeseries.csv" not in os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("override", ["pointwise_floor_rel=0.9", "grid.n=16"])
+def test_a_failing_column_names_its_artifact_and_snapshot(tmp_path, capsys, override):
+    # the non-spreading column reads the pointwise fields, whose valid mask
+    # is too narrow from the first snapshot on
+    rc = main(["run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
+               "--set", override])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: timeseries.csv at t = 0: valid mask spans fewer than 16 points\n")
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
 def test_non_finite_state_exits_4(tmp_path, monkeypatch, capsys):
-    from madelung import propagator
+    from madelung import grid
     from madelung.grid import NonFiniteFieldError
 
-    monkeypatch.setattr(propagator, "_apply",
+    monkeypatch.setattr(grid, "_apply",
                         lambda values, half_v, kinetic: np.full_like(values, np.nan))
     rc = main([
         "run", "--scenario", "free_gaussian", "--no-fields", "--out", str(tmp_path),
     ])
     assert rc == EXIT_NUMERICAL
-    assert "non-finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numerical failure: timeseries.csv: field contains non-finite entries\n")
     with open(tmp_path / "report.json") as fh:
         report = json.load(fh)
     norm = {c["id"]: c for c in report["checks"]}["norm_drift"]
@@ -562,7 +576,7 @@ def test_a_huge_kinetic_phase_is_printed_short(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == EXIT_USAGE
     # hbar k^2 dt / 2m at the highest occupied wavenumber, 4.712
-    assert captured.err.startswith("error: kinetic phase per step 1.11e+298 at ")
+    assert captured.err.startswith("error: timeseries.csv: kinetic phase per step 1.11e+298 at ")
     assert "ValueError: kinetic phase per step 1.11e+298 at " in captured.out
     assert not re.search(r"[0-9]{20}", captured.out + captured.err)
 

@@ -67,7 +67,7 @@ def test_timeseries_csv(tmp_path, diagnostic_only):
     run = SimpleNamespace(
         scenario=SimpleNamespace(propagation=None if diagnostic_only else object()),
         snapshots=lambda: [(i, None) for i in range(12)],
-        reports=lambda: reports,
+        report_at=lambda t: reports[t],
         bernoulli_max=lambda t: bern[t],
         pointwise=lambda quantity, t: nonspread[t],
     )

@@ -491,6 +491,8 @@ def test_seeding_fails_before_any_flow_collection(monkeypatch):
     ({"seed_hi": 1.0}, "set together"),
     ({"seed_lo": 1.0, "seed_hi": 1.0}, "seed_lo must be < seed_hi"),
     ({"seed_lo": 2.0, "seed_hi": -2.0}, "seed_lo must be < seed_hi"),
+    ({"n_parcels": True}, "n_parcels must be an integer >= 1"),
+    ({"duration": True}, "duration must be finite and > 0"),
 ])
 def test_trajectory_config_names_its_limit(kwargs, limit):
     from madelung.harness import TrajectoryConfig
@@ -505,6 +507,8 @@ def test_trajectory_config_names_its_limit(kwargs, limit):
     ({"floor_rel": float("inf")}, "floor_rel must be finite and > 0"),
     ({"pointwise_floor_rel": -1e-6}, "pointwise_floor_rel must be finite and > 0"),
     ({"pointwise_floor_rel": float("nan")}, "pointwise_floor_rel must be finite and > 0"),
+    ({"floor_rel": True}, "floor_rel must be finite and > 0"),
+    ({"pointwise_floor_rel": True}, "pointwise_floor_rel must be finite and > 0"),
 ])
 def test_scenario_names_its_limit(kwargs, limit):
     with pytest.raises(ValueError, match=limit):
@@ -649,6 +653,10 @@ def test_a_raising_check_prints_an_error_line(stub_check):
     ("stub", (3.5, float("nan")), "range", "check 'stub': tolerance bounds are real numbers"),
     ("stub", (None, 4.5), "range", "check 'stub': tolerance bounds are real numbers"),
     ("stub", (4.5, 3.5), "range", "check 'stub': .* with lo <= hi"),
+    # a bool is not a bound, though Python counts it a number
+    ("stub", True, "below", "check 'stub': tolerance bounds are real numbers"),
+    ("stub", False, "above", "check 'stub': tolerance bounds are real numbers"),
+    ("stub", (False, True), "range", "check 'stub': tolerance bounds are real numbers"),
 ])
 def test_malformed_spec_raises_when_built(stub_check, check_id, tolerance, mode, message):
     with pytest.raises(ValueError, match=message):
@@ -694,6 +702,9 @@ def test_a_failed_evolution_fails_once_with_one_message(monkeypatch, one_cpu):
     ("norm_drift", (float("inf"),), "check 'norm_drift': times are a tuple of real numbers, "
                                     "at least one and all finite"),
     ("norm_drift", (0.0, -float("inf")), "check 'norm_drift': times are a tuple of real"),
+    # a bool is not a time, though Python counts it a number
+    ("spreading_law", (True,), "check 'spreading_law': times are a tuple of real"),
+    ("norm_drift", (0.0, False), "check 'norm_drift': times are a tuple of real"),
 ])
 def test_malformed_times_raise_when_built(check_id, times, message):
     with pytest.raises(ValueError, match=message):

@@ -36,7 +36,7 @@ def test_constants_positive():
 
 
 @pytest.mark.parametrize("name", ["hbar", "mass"])
-@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, math.nan, True])
 def test_constants_name_a_non_finite_value(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value!r}$"):
         PhysicalConstants(**{name: value})
@@ -119,7 +119,7 @@ class TestPlaneWave:
         wf = plane_wave(desk_grid, natural_units, 3)
         assert np.max(np.abs(wf.density().values - 1.0 / desk_grid.length)) < 1e-15
 
-    @pytest.mark.parametrize("mode", [256, -256, 400, 2.5])
+    @pytest.mark.parametrize("mode", [256, -256, 400, 2.5, True, False])
     def test_rejects_bad_modes(self, desk_grid, natural_units, mode):
         with pytest.raises(ValueError):
             plane_wave(desk_grid, natural_units, mode)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from madelung import harness, propagator, trajectories
+from madelung import grid, harness, trajectories
 from madelung.grid import NonFiniteFieldError, make_grid
 from madelung.harness import (
     ScenarioRun,
@@ -257,7 +257,7 @@ def test_a_kernel_failing_in_the_third_chunk_gives_the_banked_flows_verdicts(mon
 
 
 def test_a_non_finite_state_in_the_stream_is_a_numerical_failure(monkeypatch):
-    monkeypatch.setattr(propagator, "_apply", lambda values, half_v, kinetic: values * np.nan)
+    monkeypatch.setattr(grid, "_apply", lambda values, half_v, kinetic: values * np.nan)
     run = ScenarioRun(scenario_by_name("free_gaussian"))
     with pytest.raises(NonFiniteFieldError, match="field contains non-finite entries"):
         run.track(1e-3, 0.05)

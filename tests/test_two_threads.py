@@ -1,4 +1,4 @@
-"""The row-layout Strang loop (`grid._strang_rows`), on one thread or two,
+"""The row-layout Strang loop (`grid._strang_rows`) runs on two threads and
 gives the column form's bits."""
 
 import os
@@ -59,7 +59,7 @@ def _case(n, kind, constants):
 def _column_form(monkeypatch, run):
     """run() with every Strang loop in the column form."""
     with monkeypatch.context() as m:
-        m.setattr(propagator, "_THREADED_MIN_N", 1 << 62)
+        m.setattr(grid, "_THREADED_MIN_N", 1 << 62)
         return run()
 
 
@@ -67,7 +67,7 @@ def _no_column_steps(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the column-form step ran")
 
-    monkeypatch.setattr(propagator, "_apply", forbidden)
+    monkeypatch.setattr(grid, "_apply", forbidden)
 
 
 def _runs(wf, U):
@@ -90,13 +90,12 @@ def _same_bits(a, b):
     assert np.array_equal(a[-1], b[-1])
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("kind", ["free", "harmonic", "cosine_table"])
 @pytest.mark.parametrize("n", [32768, 65536, 131072])
-def test_the_row_loop_gives_the_column_form_bits(monkeypatch, n, kind, cpus, natural_units):
+def test_the_row_loop_gives_the_column_form_bits(monkeypatch, n, kind, natural_units):
     wf, U = _case(n, kind, natural_units)
     column = _column_form(monkeypatch, lambda: _runs(wf, U))
-    _cpus(monkeypatch, cpus)
+    _cpus(monkeypatch, 2)
     _no_column_steps(monkeypatch)
     _same_bits(_runs(wf, U), column)
 
@@ -115,21 +114,23 @@ def test_the_flow_stream_reads_every_state_of_the_row_loop(monkeypatch, natural_
             assert not np.shares_memory(a, b)
 
 
-def test_the_grid_size_alone_chooses_the_row_loop(monkeypatch, natural_units):
+def test_the_grid_size_and_two_cpus_choose_the_row_loop(monkeypatch, natural_units):
     assert grid._BLOCKED_MIN_N <= grid._THREADED_MIN_N == 32768
-    real, sizes = propagator._strang_rows, []
+    loops = []
+    for name in ("_strang_rows", "_apply"):
+        def counted(values, *args, _real=getattr(grid, name), _name=name):
+            loops.append((_name, values.size))
+            return _real(values, *args)
 
-    def counted(values, *args):
-        sizes.append(values.size)
-        return real(values, *args)
-
-    monkeypatch.setattr(propagator, "_strang_rows", counted)
+        monkeypatch.setattr(grid, name, counted)
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         for n in (16384, 32768):
             wf, U = _case(n, "free", natural_units)
             step(wf, U, 1e-3)
-    assert sizes == [32768, 32768]
+    # one CPU takes the column form at any size
+    assert loops == [("_apply", 16384), ("_apply", 32768),
+                     ("_apply", 16384), ("_strang_rows", 32768)]
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch, natural_units):
@@ -433,7 +434,7 @@ def test_pooled_reports_equal_serial_ones_after_the_helper_ran(monkeypatch):
     def no_helper():
         raise AssertionError("a pool worker started a helper thread")
 
-    # the workers own one CPU each: they run the row loop on that one
+    # the workers own one CPU each: they take the column form
     monkeypatch.setattr(grid, "_Helper", no_helper)
     pooled = [r.payload() for r in run_scenarios([wide, wide])]
     assert pooled == [serial, serial]
