@@ -45,7 +45,7 @@ import numpy as np
 
 from .grid import Grid, RealField, _fft, check_potential_grid, derivative_from_transform
 from .grid import derivative_values, nearest_fill, nearest_index, same_grid
-from .states import DEFAULT_DENSITY_FLOOR, PhysicalConstants, WaveFunction, polar_decompose
+from .states import DEFAULT_DENSITY_FLOOR, PhysicalConstants, WaveFunction
 
 __all__ = [
     "MadelungFields",
@@ -259,21 +259,21 @@ def velocity(wf: WaveFunction, floor_rel: float = DEFAULT_DENSITY_FLOOR) -> Real
 def phase_gradient_velocity(
     wf: WaveFunction, floor_rel: float = DEFAULT_DENSITY_FLOOR
 ) -> RealField:
-    """Cross-check velocity from the unwrapped phase, u = d(S/m)/dx.
-
-    The unwrapped S is not periodic (it winds for traveling states), so this
-    route uses central finite differences instead of the spectral derivative;
-    it exists to validate the J/rho path, not to replace it.  The mask is
-    eroded by one point on each side so no stencil touches the constant
-    extension of S outside the valid region.
+    """Cross-check of the J/rho path, u = (hbar/m) d(arg psi)/dx by central
+    differences of the wrapped phase steps angle(psi[j+1] conj psi[j]): no
+    unwrap, any step below pi.  A node between two samples turns its step by
+    pi against both neighbours; the two stencils reading it, and any touching
+    a point below the density floor, are dropped and filled from the nearest.
     """
-    polar = polar_decompose(wf, floor_rel)
-    s_tilde = polar.S.values / wf.constants.mass
-    grad = np.gradient(s_tilde, wf.grid.dx, edge_order=2)
-    mask = polar.valid_mask
-    core = mask & np.roll(mask, 1) & np.roll(mask, -1)
+    wk = _Kernel(wf.psi.values, wf.grid, wf.constants, floor_rel)
+    step = np.angle(np.roll(wk.psi, -1) * wk.psi.conj())  # from x_j to x_j+1, periodic
+    turn = np.abs(np.remainder(step - np.roll(step, 1) + np.pi, 2.0 * np.pi) - np.pi)
+    node = (turn >= 0.5 * np.pi) & (np.roll(turn, -1) >= 0.5 * np.pi)
+    kept = wk.floor_mask & np.roll(wk.floor_mask, -1) & ~node
+    core = kept & np.roll(kept, 1)  # both steps of the stencil at x_j
     if not np.any(core):
-        raise ValueError("valid mask too thin for a finite-difference stencil")
+        raise ValueError("no finite-difference stencil lies above the floor and off nodes")
+    grad = (wk.half / wf.grid.dx) * (step + np.roll(step, 1))
     return RealField(nearest_fill(grad, core), wf.grid)
 
 

@@ -45,6 +45,8 @@ So one CPU takes the column form.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 import os
 import threading
 import time
@@ -143,16 +145,38 @@ def _check_finite(values: np.ndarray) -> None:
         raise NonFiniteFieldError("field contains non-finite entries")
 
 
+def _is_number(value, kind: str = "finite", least: int | None = None) -> bool:
+    """The number rule for a scalar a caller or a run config hands the
+    library: a real number that is not a bool (numpy scalars count; Python
+    counts a bool as an int) and, by ``kind``, "finite", "positive" (finite
+    and > 0) or an "integer" (an integral float not included), >= ``least``
+    if given.  Relations between values are their spec's to check."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    if kind == "integer":
+        return isinstance(value, numbers.Integral) and (least is None or value >= least)
+    return -math.inf < value < math.inf and (value > 0 or kind != "positive")
+
+
+def _number(name: str, value, kind: str = "finite", least: int | None = None):
+    """``value`` if it keeps the number rule (_is_number), else a ValueError
+    that names it and the limit."""
+    if _is_number(value, kind, least):
+        return value
+    want = {"finite": "finite", "positive": "finite and > 0", "integer": "an integer"}[kind]
+    if least is not None:
+        want += f" >= {least}"
+    raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
 def make_grid(n: int, x_min: float, x_max: float) -> Grid:
     """Build a uniform periodic grid with n points (n a power of two, >= 8)."""
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"grid size must be an integer, got {n!r}")
-    n = int(n)
+    n = int(_number("grid.n", n, "integer"))
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 8, got {n}")
-    x_min = float(x_min)
-    x_max = float(x_max)
-    if not (np.isfinite(x_min) and np.isfinite(x_max)) or x_max <= x_min:
+    x_min = float(_number("grid.x_min", x_min))
+    x_max = float(_number("grid.x_max", x_max))
+    if x_max <= x_min:
         raise ValueError(f"degenerate domain [{x_min}, {x_max}]")
     dx = (x_max - x_min) / n
     x = x_min + dx * np.arange(n)

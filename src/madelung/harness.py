@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import numbers
 import os
 import pickle
 import select
@@ -46,7 +45,7 @@ from .diagnostics import (
     nonspreading_residual,
 )
 from . import grid as grid_module
-from .grid import Grid, NonFiniteFieldError, RealField, _usable_cpus, make_grid
+from .grid import Grid, NonFiniteFieldError, RealField, _is_number, _number, _usable_cpus, make_grid
 from .potentials import PotentialSpec, evaluate_potential
 from .propagator import PropagatorConfig, evolve, step
 from .states import (
@@ -135,7 +134,7 @@ class RegionSpec:
     def __post_init__(self):
         if self.kind not in ("window", "exclude"):
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if not -np.inf < self.lo < self.hi < np.inf:
+        if not (_is_number(self.lo) and _is_number(self.hi) and self.lo < self.hi):
             raise ValueError(f"region bounds must be finite with lo < hi, "
                              f"got [{self.lo!r}, {self.hi!r}]")
 
@@ -153,18 +152,15 @@ class TrajectoryConfig:
     seed_hi: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.n_parcels, bool) or not (
-                isinstance(self.n_parcels, (int, np.integer)) and self.n_parcels >= 1):
-            raise ValueError(
-                f"trajectories.n_parcels must be an integer >= 1, got {self.n_parcels!r}"
-            )
-        if isinstance(self.duration, bool) or not 0.0 < self.duration < np.inf:
-            raise ValueError(
-                f"trajectories.duration must be finite and > 0, got {self.duration!r}"
-            )
+        _number("trajectories.n_parcels", self.n_parcels, "integer", 1)
+        _number("trajectories.duration", self.duration, "positive")
         if (self.seed_lo is None) != (self.seed_hi is None):
             raise ValueError("trajectories.seed_lo and seed_hi must be set together")
-        if self.seed_lo is not None and not self.seed_lo < self.seed_hi:
+        if self.seed_lo is None:
+            return
+        for name in ("seed_lo", "seed_hi"):
+            _number(f"trajectories.{name}", getattr(self, name))
+        if not self.seed_lo < self.seed_hi:
             raise ValueError(
                 f"trajectories.seed_lo must be < seed_hi, got [{self.seed_lo!r}, {self.seed_hi!r}]"
             )
@@ -185,11 +181,6 @@ _MODES = {
 }
 
 
-def _real(x) -> bool:
-    """A real number that is not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class CheckSpec:
     """One named check: measured value compared against a tolerance.
@@ -201,9 +192,9 @@ class CheckSpec:
     A check whose record reads snapshots measures the peak of its gap over
     ``times`` (None: every snapshot).  A NaN measurement fails in every mode.
     The spec is checked when built: a registered id, a known mode, a pair
-    tolerance exactly for "range", real, non-NaN bounds with lo <= hi, and
-    times, a non-empty tuple of finite reals, only if the record reads snapshots;
-    a bool is neither a bound nor a time.
+    tolerance exactly for "range", bounds with lo <= hi, and times, a
+    non-empty tuple, only if the record reads snapshots; each bound and time
+    keeps the number rule, so it is finite and not a bool.
     """
 
     id: str
@@ -222,14 +213,13 @@ class CheckSpec:
             want = "a (lo, hi) pair" if pair else "one number"
             raise ValueError(f"check {self.id!r}: a {self.mode} tolerance is {want}, got {tol!r}")
         bounds = tol if pair else (tol,)
-        real = all(_real(b) and b == b for b in bounds)
-        if not (real and bounds[0] <= bounds[-1]):
-            raise ValueError(f"check {self.id!r}: tolerance bounds are real numbers, not NaN, "
+        if not (all(_is_number(b) for b in bounds) and bounds[0] <= bounds[-1]):
+            raise ValueError(f"check {self.id!r}: tolerance bounds are real numbers, all finite, "
                              f"with lo <= hi, got {tol!r}")
         if self.times is not None and _CHECKS[self.id].reads != "snapshots":
             raise ValueError(f"check {self.id!r} judges no snapshots, so it takes no times")
-        if self.times is not None and not (isinstance(self.times, tuple) and self.times and all(
-                _real(t) and -np.inf < t < np.inf for t in self.times)):
+        if self.times is not None and not (isinstance(self.times, tuple) and self.times
+                                           and all(_is_number(t) for t in self.times)):
             raise ValueError(f"check {self.id!r}: times are a tuple of real numbers, at least "
                              f"one and all finite, got {self.times!r}")
 
@@ -256,9 +246,7 @@ class Scenario:
         if self.bohm_form not in BOHM_FORMS:
             raise ValueError(f"bohm_form must be one of {BOHM_FORMS}, got {self.bohm_form!r}")
         for name in ("floor_rel", "pointwise_floor_rel"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            _number(name, getattr(self, name), "positive")
 
 
 @dataclass(frozen=True)
@@ -1108,23 +1096,16 @@ _OVERRIDES = (
 
 def _cast(key: str, kind: type, value):
     """value as kind, or a ValueError naming the key: null, booleans, lists
-    and objects are refused, and so are a non-integral number for an int, a
-    NaN or an infinity for a state or potential parameter, and any value the
-    conversion itself rejects."""
-    # no later check bounds those parameters: a non-finite one would first
-    # show as a non-finite field, after the evolution
-    finite = kind is float and key.startswith(("state.", "potential."))
+    and objects are refused, and so are a non-integral number for an int and
+    any value the conversion itself rejects.  The spec the value lands in
+    judges the number itself."""
     if not (value is None or isinstance(value, (bool, list, dict)) or (
             kind is int and isinstance(value, float) and not value.is_integer())):
         try:
-            cast = kind(value)
+            return kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
-        else:
-            if not finite or np.isfinite(cast):
-                return cast
-    raise ValueError(f"override {key!r} takes {'finite ' * finite}{kind.__name__} values, "
-                     f"not {value!r}")
+    raise ValueError(f"override {key!r} takes {kind.__name__} values, not {value!r}")
 
 
 def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:

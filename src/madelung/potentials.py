@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, RealField
+from .grid import Grid, RealField, _number
 from .states import PhysicalConstants
 
 __all__ = ["PotentialSpec", "evaluate_potential", "load_potential_table"]
@@ -31,6 +31,8 @@ class PotentialSpec:
         for name, kinds in _READ_BY.items():
             if self.kind not in kinds and getattr(self, name) not in (0.0, None):
                 raise ValueError(f"potential kind {self.kind!r} does not read potential.{name}")
+        _number("potential.g", self.g)
+        _number("potential.omega", self.omega, "positive" if self.kind == "harmonic" else "finite")
 
 
 def evaluate_potential(
@@ -43,8 +45,6 @@ def evaluate_potential(
     if spec.kind == "abs_linear":
         return RealField(constants.mass * spec.g * np.abs(grid.x), grid)
     if spec.kind == "harmonic":
-        if not spec.omega > 0.0:
-            raise ValueError("harmonic potential requires omega > 0")
         return RealField(0.5 * constants.mass * spec.omega**2 * grid.x**2, grid)
     # tabulated
     if spec.table is None:

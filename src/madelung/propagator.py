@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, RealField, _fft, _spectral, _strang, check_potential_grid
+from .grid import ComplexField, RealField, _fft, _number, _spectral, _strang, check_potential_grid
 from .states import WaveFunction
 
 __all__ = ["PropagatorConfig", "step", "evolve"]
@@ -28,12 +28,9 @@ class PropagatorConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if isinstance(self.dt, bool) or not 0.0 < self.dt < np.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        for name, least in (("n_steps", 0), ("snapshot_every", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        _number("dt", self.dt, "positive")
+        _number("n_steps", self.n_steps, "integer", 0)
+        _number("snapshot_every", self.snapshot_every, "integer", 1)
 
 
 # Spectral amplitudes below this fraction of the largest one are roundoff or

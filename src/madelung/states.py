@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField, Grid, RealField, integrate
+from .grid import ComplexField, Grid, RealField, _number, integrate
 from .special import airy_ai, airy_ai_first_zero
 
 __all__ = [
@@ -45,9 +45,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("hbar", "mass"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            _number(name, getattr(self, name), "positive")
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,7 @@ def gaussian_packet(
     k0: float = 0.0,
 ) -> WaveFunction:
     """Normalized Gaussian with density std sigma0 and plane-wave phase k0."""
-    if sigma0 <= 0.0:
-        raise ValueError("sigma0 must be positive")
+    x0, sigma0, k0 = _number("x0", x0), _number("sigma0", sigma0, "positive"), _number("k0", k0)
     if abs(k0) >= math.pi / grid.dx:
         # the grid would hold the alias k0 - 2 pi m / dx, not the packet asked for
         raise ValueError(f"k0 = {k0!r} is not below the grid's Nyquist wavenumber "
@@ -117,9 +114,7 @@ def gaussian_packet(
 
 def plane_wave(grid: Grid, constants: PhysicalConstants, mode_index: int) -> WaveFunction:
     """Single grid mode exp(i k x)/sqrt(L) with k = 2 pi mode / L."""
-    if isinstance(mode_index, bool) or not isinstance(mode_index, (int, np.integer)):
-        raise ValueError("mode_index must be an integer")
-    if abs(int(mode_index)) >= grid.n // 2:
+    if abs(int(_number("mode_index", mode_index, "integer"))) >= grid.n // 2:
         raise ValueError(
             f"mode_index {mode_index} is not a resolvable grid mode (|m| < n/2)"
         )
@@ -132,8 +127,7 @@ def harmonic_ground_state(
     grid: Grid, constants: PhysicalConstants, omega: float
 ) -> WaveFunction:
     """Ground state of U = m omega^2 x^2 / 2, centered at x = 0."""
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    _number("omega", omega, "positive")
     ell = math.sqrt(constants.hbar / (constants.mass * omega))
     half = 0.5 * grid.length
     if ell > half / 6.0:
@@ -175,10 +169,8 @@ def airy_packet(
     the window; the returned wavefunction is flagged non-normalizable and its
     diagnostics should be restricted to the interior window.
     """
-    if scale_B <= 0.0:
-        raise ValueError("scale_B must be positive")
+    B, t = float(_number("scale_B", scale_B, "positive")), _number("t", t)
     hbar, m = constants.hbar, constants.mass
-    B = float(scale_B)
     accel = hbar**2 * B**3 / (4.0 * m**2)
     z = B * (grid.x - accel * t * t)
     window = _airy_window(grid)
@@ -214,8 +206,7 @@ def bouncer_eigenstate(grid: Grid, constants: PhysicalConstants, g: float) -> Wa
     enough for spectral differentiation.  Static diagnostics only; the hard
     wall is incompatible with periodic time evolution.
     """
-    if g <= 0.0:
-        raise ValueError("g must be positive")
+    _number("g", g, "positive")
     hbar, m = constants.hbar, constants.mass
     scale = 2.0 * m**2 * g
     if scale == 0.0:

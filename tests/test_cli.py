@@ -79,18 +79,23 @@ def test_verify_all_with_names_exits_2(capsys):
     assert captured.out == ""
 
 
-def test_verify_failure_exits_1(monkeypatch, capsys):
-    from madelung import cli, harness, potentials
+def test_verify_failure_exits_1(monkeypatch, tmp_path):
+    # x = 0 falls between the samples of this grid, so the sample nearest
+    # the wall holds density: a finite FAIL of the builtin bound
+    from dataclasses import replace
 
-    impossible = harness.Scenario(
-        name="quantum_bouncer",
-        state=harness.StateSpec("bouncer", {"g": 1.0}),
-        potential=potentials.PotentialSpec("abs_linear", g=1.0),
-        grid=harness.GridSpec(2048, -20.0, 20.0),
-        checks=(harness.CheckSpec("density_node_at_wall", -1.0),),
-    )
-    monkeypatch.setattr(cli, "scenario_by_name", lambda name: impossible)
-    assert main(["verify", "quantum_bouncer"]) == EXIT_CHECK_FAILURE
+    from madelung import cli, harness
+
+    builtin = harness.scenario_by_name("quantum_bouncer")
+    (node,) = [c for c in builtin.checks if c.id == "density_node_at_wall"]
+    shifted = replace(harness.apply_overrides(builtin, {"grid.n": 512, "grid.x_min": -20.004}),
+                      checks=(node,))
+    monkeypatch.setattr(cli, "scenario_by_name", lambda name: shifted)
+    path = tmp_path / "verify.json"
+    assert main(["verify", "quantum_bouncer", "--json", str(path)]) == EXIT_CHECK_FAILURE
+    (check,) = json.loads(path.read_text())[0]["checks"]
+    assert check["tolerance"] == 1e-12 and not check["pass"] and "error" not in check
+    assert 1e-6 < check["measured"] < 1e-4  # 1.09e-5
 
 
 @pytest.fixture(scope="module")
@@ -460,6 +465,7 @@ def test_an_overflowing_build_names_its_spec(tmp_path, capsys, scenario, overrid
 @pytest.mark.parametrize("override, message", [
     ("constants.mass=Infinity", "mass must be finite and > 0, got inf"),
     ("constants.hbar=Infinity", "hbar must be finite and > 0, got inf"),
+    ("potential.g=Infinity", "potential.g must be finite, got inf"),
 ])
 def test_a_non_finite_constant_of_the_bouncer_exits_2_before_any_grid(
         tmp_path, capsys, monkeypatch, override, message):
@@ -520,10 +526,11 @@ def test_bad_trajectory_config_exits_2_with_its_limit(tmp_path, capsys, override
     ("potential.omega=2.0", "potential kind 'free' does not read potential.omega"),
     ("trajectories.duration=0.0015", "duration 0.0015 is not a whole number of steps of "
      "dt 0.001; the nearest whole-step durations are 0.001 and 0.002"),
-    # a non-finite parameter that no later check bounds is refused by the cast
-    ("state.x0=NaN", "override 'state.x0' takes finite float values, not nan"),
-    ("state.k0=-Infinity", "override 'state.k0' takes finite float values, not -inf"),
-    ("potential.g=Infinity", "override 'potential.g' takes finite float values, not inf"),
+    # a non-finite parameter is refused by the factory or spec it lands in;
+    # the free potential reads no slope at all
+    ("state.x0=NaN", "x0 must be finite, got nan"),
+    ("state.k0=-Infinity", "k0 must be finite, got -inf"),
+    ("potential.g=Infinity", "potential kind 'free' does not read potential.g"),
     # a wavenumber the grid cannot hold would evolve its alias
     ("state.k0=100.0", "k0 = 100.0 is not below the grid's Nyquist wavenumber pi/dx = 40.21"),
     # an infinite step or constant would run with a kinetic factor of exactly 1

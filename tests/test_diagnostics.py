@@ -59,6 +59,42 @@ class TestVelocity:
         on = wf.density().values >= 1e-6 * wf.density().values.max()
         assert np.max(np.abs(u[on] - u_s[on])) < 1e-6
 
+    @pytest.mark.parametrize("k", [0.0, 1.5, 30.0])
+    def test_phase_gradient_crosses_a_node_between_samples(self, desk_grid, natural_units, k):
+        # psi changes sign between two samples: the phase steps by pi there,
+        # which an unwrapped phase differenced across it reads as pi / (2 dx)
+        from madelung.grid import ComplexField
+        from madelung.states import WaveFunction
+
+        x = desk_grid.x
+        psi = (x - 0.3 * desk_grid.dx) * np.exp(-x * x / 4.0 + 1j * k * x)
+        wf = WaveFunction(ComplexField(psi, desk_grid), natural_units)
+        u_s = phase_gradient_velocity(wf, 1e-8).values
+        on = wf.density().values >= 1e-8 * wf.density().values.max()
+        assert np.max(np.abs(u_s[on] - k)) < 1e-12
+        assert np.max(np.abs(u_s[on] - velocity(wf, 1e-8).values[on])) < 1e-10
+
+    @pytest.mark.parametrize("make", [
+        lambda g, c: plane_wave(g, c, 200),  # k dx = 2.45, steps above pi/2
+        lambda g, c: gaussian_packet(g, c, 0.0, 1.0, 30.0),
+    ], ids=["plane_wave_mode_200", "gaussian_k0_30"])
+    def test_phase_gradient_reads_a_fast_resolved_phase(self, desk_grid, natural_units, make):
+        wf = make(desk_grid, natural_units)
+        u = velocity(wf, 1e-8).values
+        u_s = phase_gradient_velocity(wf, 1e-8).values
+        rho = wf.density().values
+        on = rho >= 1e-8 * rho.max()
+        assert np.max(np.abs(u[on] - u_s[on])) < 1e-10  # 1.3e-12 and 1.3e-11
+
+    def test_phase_gradient_on_the_airy_packet(self, desk_grid, natural_units):
+        # a real psi with a node between samples at each Airy oscillation
+        wf = airy_packet(desk_grid, natural_units, 1.0, 0.0)
+        u = velocity(wf, 1e-8).values
+        u_s = phase_gradient_velocity(wf, 1e-8).values
+        rho = wf.density().values
+        on = (rho >= 1e-8 * rho.max()) & airy_interior_window(desk_grid)
+        assert np.max(np.abs(u[on] - u_s[on])) < 1e-10  # 5.1e-12
+
 
 class TestBohmPotential:
     def test_uniform_density_gives_zero(self, desk_grid, natural_units):
