@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, RealField, _fft, check_potential_grid, derivative_from_transform
+from .grid import Grid, RealField, _fft, _number, check_potential_grid, derivative_from_transform
 from .grid import derivative_values, nearest_fill, nearest_index, same_grid
 from .states import DEFAULT_DENSITY_FLOOR, PhysicalConstants, WaveFunction
 
@@ -140,14 +140,16 @@ class _Kernel:
     every transform, reduction and fill runs along the last axis, so a row's
     values do not depend on the rows beside it.
 
-    The constructor forms and checks the density, its floor and its masks.
-    Every other field is a stage, a cached property with one definition
-    below: it is computed from psi when a route first reads it and kept until
-    the route drops it, so a route computes the fields it reads and no others."""
+    The constructor judges floor_rel by the number rule, then forms and
+    checks the density, its floor and its masks.  Every other field is a
+    stage, a cached property with one definition below: it is computed from
+    psi when a route first reads it and kept until the route drops it, so a
+    route computes the fields it reads and no others."""
 
     def __init__(self, psi: np.ndarray, grid: Grid, constants: PhysicalConstants,
                  floor_rel: float, bohm_form: str = "amplitude",
                  region_mask: np.ndarray | None = None):
+        _number("floor_rel", floor_rel, "positive")
         if bohm_form not in BOHM_FORMS:
             raise ValueError(f"bohm_form must be one of {BOHM_FORMS}, got {bohm_form!r}")
         rho = psi.real**2 + psi.imag**2
@@ -156,10 +158,8 @@ class _Kernel:
             raise ValueError("density is identically zero")
         floor = floor_rel * rho_max
         if not np.all(floor > 0.0):
-            raise ValueError(
-                f"floor_rel must be positive, got {floor_rel!r}: "
-                "the density quotients need a nonzero floor"
-            )
+            raise ValueError(f"floor_rel = {floor_rel!r} times the peak density underflows "
+                             "to 0: the density quotients need a nonzero floor")
         self.floor_mask = rho >= floor
         self.mask = self.floor_mask if region_mask is None else self.floor_mask & region_mask
         if not np.all(np.any(self.mask, axis=-1)):
@@ -292,6 +292,7 @@ def expectations(
     +integral (Q~+U~) drho/dx dx, which is exact under the periodic
     quadrature and free of mask-edge differentiation noise.
     """
+    _number("t", t)
     check_potential_grid(U.grid, wf.grid)
     wk = _Kernel(wf.psi.values, wf.grid, wf.constants, floor_rel, bohm_form)
     hbar, m, rho = wk.hbar, wk.m, wk.rho
@@ -345,8 +346,7 @@ def bernoulli_residual(
     between the two snapshots, which is the matching midpoint value.  Entries
     outside the joint valid mask are zero.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    _number("dt", dt, "positive")
     if not same_grid(wf_prev.grid, wf_next.grid):
         raise ValueError("snapshots live on different grids")
     check_potential_grid(U.grid, wf_prev.grid)

@@ -153,9 +153,9 @@ def _is_number(value, kind: str = "finite", least: int | None = None) -> bool:
     if given.  Relations between values are their spec's to check."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
-    if kind == "integer":
-        return isinstance(value, numbers.Integral) and (least is None or value >= least)
-    return -math.inf < value < math.inf and (value > 0 or kind != "positive")
+    kept = (isinstance(value, numbers.Integral) if kind == "integer"
+            else -math.inf < value < math.inf and (value > 0 or kind != "positive"))
+    return kept and (least is None or value >= least)
 
 
 def _number(name: str, value, kind: str = "finite", least: int | None = None):
@@ -165,7 +165,7 @@ def _number(name: str, value, kind: str = "finite", least: int | None = None):
         return value
     want = {"finite": "finite", "positive": "finite and > 0", "integer": "an integer"}[kind]
     if least is not None:
-        want += f" >= {least}"
+        want += f" >= {least}" if kind == "integer" else f" and >= {least}"
     raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
@@ -176,9 +176,8 @@ def make_grid(n: int, x_min: float, x_max: float) -> Grid:
         raise ValueError(f"grid size must be a power of two >= 8, got {n}")
     x_min = float(_number("grid.x_min", x_min))
     x_max = float(_number("grid.x_max", x_max))
-    if x_max <= x_min:
-        raise ValueError(f"degenerate domain [{x_min}, {x_max}]")
-    dx = (x_max - x_min) / n
+    # two finite bounds may still span more than the largest float
+    dx = _number("grid length x_max - x_min", x_max - x_min, "positive") / n
     x = x_min + dx * np.arange(n)
     return Grid(n=n, x_min=x_min, x_max=x_max, dx=dx, x=x)
 
@@ -507,7 +506,7 @@ def derivative_values(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
 def derivative_from_transform(fhat: np.ndarray, grid: Grid, order: int) -> np.ndarray:
     """derivative_values from the transform ``_fft(values)`` along the last
     axis, so one forward transform serves both orders."""
-    if order not in (1, 2):
+    if _number("order", order, "integer", 1) > 2:
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
     return _ifft(_spectral(grid)[order] * fhat)
 

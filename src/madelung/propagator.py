@@ -65,9 +65,7 @@ def _factors(wf: WaveFunction, U: RealField, dt: float):
 
 def step(wf: WaveFunction, U: RealField, dt: float) -> WaveFunction:
     """Advance one Strang step of size dt (dt = 0 returns the state unchanged)."""
-    if dt < 0.0:
-        raise ValueError("dt must be >= 0")
-    if dt == 0.0:
+    if _number("dt", dt, "finite", 0) == 0:
         check_potential_grid(U.grid, wf.grid)
         return wf
     _, values = _states(wf, U, PropagatorConfig(dt, 1))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import _Kernel
-from .grid import Grid, RealField, _check_finite, _fft, _ifft, _spectral
+from .grid import Grid, RealField, _check_finite, _fft, _ifft, _number, _spectral, same_grid
 from .propagator import PropagatorConfig, _states
 from .states import DEFAULT_DENSITY_FLOOR, PhysicalConstants, WaveFunction
 
@@ -207,8 +207,7 @@ class DensityCdf:
 
 def seed_parcels(rho: RealField, n_parcels: int) -> ParcelEnsemble:
     """Place parcels at the density quantiles (i + 1/2)/n; deterministic."""
-    if n_parcels < 1:
-        raise ValueError("need at least one parcel")
+    _number("n_parcels", n_parcels, "integer", 1)
     levels = (np.arange(n_parcels) + 0.5) / n_parcels
     positions = DensityCdf(rho).quantile(levels)
     return ParcelEnsemble(grid=rho.grid, positions=positions, quantiles=levels)
@@ -328,6 +327,7 @@ def track(wf0: WaveFunction, U: RealField, dt: float, n_steps: int, ensemble: Pa
     Of the flow the track keeps only rho[0] * u[0] at every whole step and a
     copy of rho at every max(1, n_steps // 8)-th one (`TrackFlow`).
     """
+    PropagatorConfig(dt, n_steps)  # the number rule for both, before either is read
     flow = TrackFlow(np.empty(n_steps + 1), range(0, n_steps + 1, max(1, n_steps // 8)), [])
 
     def stream():
@@ -338,7 +338,7 @@ def track(wf0: WaveFunction, U: RealField, dt: float, n_steps: int, ensemble: Pa
                 flow.rho.append(RealField._unchecked(rho.copy(), wf0.grid))
             yield row, u_half
 
-    return flow, _advect(ensemble, stream(), wf0.constants, dt, n_steps)
+    return flow, _advect(ensemble, stream(), wf0.grid, wf0.constants, dt, n_steps)
 
 
 def collect_flow(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
@@ -352,6 +352,7 @@ def collect_flow(wf0: WaveFunction, U: RealField, dt: float, n_steps: int,
     rows of n floats per whole step, as the FlowSamples that `advect` looks
     up.
     """
+    PropagatorConfig(dt, n_steps)  # the number rule for both, before either is read
     grid, half = wf0.grid, dt / 2.0
     flow = FlowHistory(grid, wf0.constants)
     for k, (row, u_half) in enumerate(_flow_stream(wf0, U, dt, n_steps, floor_rel, bohm_form)):
@@ -368,6 +369,7 @@ def advect(ensemble: ParcelEnsemble, flow: FlowHistory, dt: float,
     time lookups.  The provider must hold samples at k dt/2 for every k, the
     whole steps with their record fields; a missing time or field raises
     ProviderGapError when advection reaches it."""
+    PropagatorConfig(dt, n_steps)  # the number rule for both, before either is read
 
     def stream():
         for k in range(n_steps + 1):
@@ -378,10 +380,10 @@ def advect(ensemble: ParcelEnsemble, flow: FlowHistory, dt: float,
             yield (np.stack([f.values for f in fields]),
                    flow.velocity_at(t + 0.5 * dt).values if k < n_steps else None)
 
-    return _advect(ensemble, stream(), flow.constants, dt, n_steps)
+    return _advect(ensemble, stream(), flow.grid, flow.constants, dt, n_steps)
 
 
-def _advect(ensemble: ParcelEnsemble, stream, constants: PhysicalConstants,
+def _advect(ensemble: ParcelEnsemble, stream, grid: Grid, constants: PhysicalConstants,
             dt: float, n_steps: int) -> ParcelEnsemble:
     """RK4 through `stream`, the pairs (record row at k dt, velocity at
     (k + 1/2) dt) for k = 0, ..., n_steps, each read when advection reaches
@@ -391,11 +393,8 @@ def _advect(ensemble: ParcelEnsemble, stream, constants: PhysicalConstants,
     recorded.  Sampled phases, interpolated on one 2 pi hbar / m branch, are
     matched to the nearest branch of the previous record, and the action
     integral is accumulated by the trapezoid rule."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    grid = ensemble.grid
+    if not same_grid(ensemble.grid, grid):
+        raise ValueError("parcel ensemble and flow live on different grids")
     period = 2.0 * np.pi * constants.hbar / constants.mass
     x = ensemble.positions.copy()
     stream = iter(stream)

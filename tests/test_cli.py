@@ -557,6 +557,17 @@ def test_bad_scenario_setting_exits_2_before_evolving(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_grid_length_past_the_largest_float_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", "free_gaussian", "--no-fields", "--out", str(out),
+               "--set", "grid.x_min=-1e308", "--set", "grid.x_max=1e308"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: grid length x_max - x_min must be finite and > 0, got inf\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, config_value", [
     (["--snapshot-every", "0"], None),
     ([], "often"),

@@ -44,6 +44,25 @@ def test_make_grid_rejects(n, lo, hi):
         make_grid(n, lo, hi)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lo, hi, length", [
+    (-1e308, 1e308, "inf"),
+    (-np.finfo(float).max, np.finfo(float).max, "inf"),
+    (1.0, 1.0, "0.0"),
+    (2.0, -2.0, "-4.0"),
+])
+def test_make_grid_names_a_length_that_is_not_finite_and_positive(lo, hi, length):
+    with pytest.raises(ValueError,
+                       match=f"^grid length x_max - x_min must be finite and > 0, got {length}$"):
+        make_grid(512, lo, hi)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_grid_takes_a_length_just_below_the_largest_float():
+    g = make_grid(512, -8e307, 8e307)
+    assert np.all(np.isfinite(g.x)) and g.dx == 1.6e308 / 512
+
+
 def test_field_length_mismatch():
     g = make_grid(16, 0.0, 1.0)
     with pytest.raises(ValueError):

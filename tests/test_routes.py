@@ -246,7 +246,7 @@ def test_polar_decompose_is_the_kernel_split(name, n, floor_rel):
 @pytest.mark.parametrize("floor_rel", [0.0, -1.0])
 def test_polar_decompose_needs_a_positive_floor(desk_grid, natural_units, floor_rel):
     wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="floor_rel must be positive"):
+    with pytest.raises(ValueError, match=r"^floor_rel must be finite and > 0, got "):
         polar_decompose(wf, floor_rel)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,6 +200,23 @@ class TestAdvection:
         ens = seed_parcels(wf.density(), 2)
         with pytest.raises(ProviderGapError):
             advect(ens, flow, 1e-3, 20)  # asks for times past the history
+
+    def test_parcels_seeded_on_another_grid_are_refused(self, desk_grid, natural_units,
+                                                         free_U):
+        # the same seeds labelled with a 256-point grid on [-10, 10]: read
+        # through the 512-point flow with that x_min, dx and n, their u
+        # records came out up to 0.106 off (u ~ 0.5) after 50 steps
+        wf = gaussian_packet(desk_grid, natural_units, 0.0, 1.0, 0.5)
+        ens = seed_parcels(wf.density(), 4)
+        other = replace(ens, grid=make_grid(256, -10.0, 10.0))
+        with pytest.raises(ValueError, match="^parcel ensemble and flow live on different grids$"):
+            track(wf, free_U, 1e-3, 50, other)
+        with pytest.raises(ValueError, match="^parcel ensemble and flow live on different grids$"):
+            advect(other, collect_flow(wf, free_U, 1e-3, 50), 1e-3, 50)
+        # the same seeds on the flow's own grid, a copy of it, advect
+        same = replace(ens, grid=make_grid(512, -20.0, 20.0))
+        assert np.array_equal(track(wf, free_U, 1e-3, 50, same)[1].u_records,
+                              track(wf, free_U, 1e-3, 50, ens)[1].u_records)
 
 
 class TestContinuity:
